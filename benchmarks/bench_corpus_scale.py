@@ -2,9 +2,9 @@
 
 Three claims, measured:
 
-1. **Corpus wall speedup.**  On a latency-bound corpus (``--corpus-jobs
-   8`` worker processes overlapping real per-probe tool latency), the
-   scheduler beats the ``jobs=1`` serial runner by >= 3x wall clock
+1. **Corpus wall speedup.**  On a latency-bound corpus (``--jobs 8``
+   worker processes overlapping real per-probe tool latency), the
+   scheduler beats its ``jobs=1`` inline run by >= 3x wall clock
    while producing byte-identical per-instance results (everything but
    ``real_seconds`` and the placement-dependent store residency
    counters — see ``outcome_signature``).  Chaos and warm-store lanes

@@ -8,7 +8,7 @@ the parent):
    geo-means calibrated to the paper's Table 1) under
    ``benchmarks/runs/njr/corpus``.
 2. Run the full corpus through ``run_scheduled_corpus_experiment``
-   (``--corpus-jobs 2``, manifest-planned, longest-job-first) with the
+   (``--jobs 2``, manifest-planned, longest-job-first) with the
    J-Reduce baseline plus the coverage-debloating row-group, streaming
    every outcome to ``njr_results.jsonl``.
 3. Run ``our-reducer`` on the first 100 benchmarks (the paper evaluates
@@ -85,7 +85,7 @@ def generate() -> None:
 def full_corpus_pass() -> None:
     config = ExperimentConfig(strategies=("jreduce",), keep_going=True)
     log(f"pass A: jreduce + debloat over the full corpus "
-        f"(corpus-jobs {CORPUS_JOBS})")
+        f"(jobs {CORPUS_JOBS})")
     done = [0]
 
     def progress(line: str) -> None:

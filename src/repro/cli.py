@@ -10,26 +10,25 @@ Subcommands:
   named items (a containment predicate stands in for the buggy tool;
   item syntax matches the bracket rendering, e.g. ``[A.m()!code]``).
 - ``jlreduce bench [--profile small|paper|njr] [--jobs N] [--store P]``
-  — run the corpus experiment and print the Section 5 reports;
-  ``--jobs`` fans instances out to a worker *thread* pool (0: one per
-  CPU), ``--store`` persists predicate outcomes so repeat runs skip
-  fresh invocations.  ``--corpus-jobs N`` switches to the
-  process-parallel corpus scheduler instead (whole instances on worker
-  processes, longest-job-first, serial-order commit; 0: one per CPU),
-  with ``--worker-budget T`` capping corpus workers + per-worker probe
-  pools at T live workers total, ``--results FILE.jsonl`` streaming
-  per-instance outcomes to disk (no O(corpus) memory in the parent),
-  ``--debloat`` adding the coverage-debloating row-group, and
-  ``--corpus-dir DIR`` running a corpus persisted by ``jlreduce corpus
-  generate`` from its manifest instead of building one in memory.
-  ``--num-benchmarks N`` overrides the profile's corpus size.
-  The store is the sharded cache tier by default (``--store-backend
-  sharded``: lazily-loaded hash-selected shard files with compaction;
-  a v1 single-file store is migrated in place) with ``--store-shards
-  N`` / ``--store-max-entries M`` sizing knobs, ``--store-backend
-  sqlite`` for a WAL database, ``--store-backend v1`` for the legacy
-  single file, and ``--store-tenant NAME`` to namespace many tenants
-  into one shared warm store.
+  — run the corpus experiment through the one corpus executor
+  (:func:`repro.parallel.scheduler.run_scheduled_corpus_experiment`);
+  ``--jobs N`` runs whole instances on N worker processes
+  (longest-job-first dispatch, serial-order commit; 0: one per CPU; the
+  default 1 runs inline), ``--store`` persists predicate outcomes so
+  repeat runs skip fresh invocations.  ``--worker-budget T`` caps
+  corpus workers + per-worker probe pools at T live workers total,
+  ``--results FILE.jsonl`` streams per-instance outcomes to disk,
+  ``--debloat`` adds the coverage-debloating row-group, and
+  ``--corpus-dir DIR`` runs a corpus persisted by ``jlreduce corpus
+  generate`` from its manifest instead of building one in memory.  The
+  corpus source picks the report: ``--corpus-dir`` and ``--debloat``
+  print the streaming per-scenario table, an in-memory corpus the
+  Section 5 figures.  ``--num-benchmarks N`` overrides the profile's
+  corpus size.  The store is the sharded cache tier (lazily-loaded
+  hash-selected shard files with compaction; a v1 single-file store is
+  migrated in place) with ``--store-shards N`` /
+  ``--store-max-entries M`` sizing knobs and ``--store-tenant NAME`` to
+  namespace many tenants into one shared warm store.
   Resilience flags: ``--budget-calls`` / ``--budget-seconds`` cap each
   run and yield anytime ``"partial"`` outcomes, ``--retries`` recovers
   transient oracle failures, ``--deadline-seconds`` bounds each call,
@@ -75,7 +74,7 @@ Subcommands:
   and print the measured throughput/latency curve.
 
 ``reduce`` and ``bench`` accept ``--trace FILE.jsonl`` (record spans and
-metrics for the run; a parallel ``bench --jobs N`` streams per-worker
+metrics for the run; ``bench --jobs N`` with N != 1 streams per-worker
 shard files next to it), ``--profile-phases`` (opt-in cProfile hotspot
 capture per reduce phase, recorded into the trace), and ``--json``
 (machine-readable result on stdout).
@@ -194,16 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker threads for instance runs (0: one per CPU; default 1)",
-    )
-    bench.add_argument(
-        "--corpus-jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run whole instances on N worker processes via the corpus "
-        "scheduler (longest-job-first dispatch, serial-order commit; "
-        "outcomes match --jobs 1 byte for byte; 0: one per CPU)",
+        help="worker processes for whole-instance runs (longest-job-first "
+        "dispatch, serial-order commit; outcomes match --jobs 1; 0: one "
+        "per CPU; default 1 runs inline)",
     )
     bench.add_argument(
         "--worker-budget",
@@ -211,23 +203,21 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="T",
         help="cap total live workers (corpus workers + their probe "
-        "pools) at T so --corpus-jobs x --speculate never "
-        "oversubscribes (default: one per CPU when --corpus-jobs is "
-        "used)",
+        "pools) at T so --jobs x --speculate never oversubscribes "
+        "(default: no cap)",
     )
     bench.add_argument(
         "--results",
         metavar="FILE.jsonl",
         help="stream per-instance outcomes to FILE as JSONL "
-        "(append-ordered, one row per instance; with --corpus-jobs the "
-        "parent holds no per-outcome state)",
+        "(append-ordered, one row per instance)",
     )
     bench.add_argument(
         "--corpus-dir",
         metavar="DIR",
         help="run a corpus persisted by 'jlreduce corpus generate' from "
-        "its manifest (requires --corpus-jobs; apps load lazily in the "
-        "workers)",
+        "its manifest (apps load lazily; the parent holds no "
+        "per-outcome state)",
     )
     bench.add_argument(
         "--debloat",
@@ -240,17 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--store",
         metavar="PATH",
         help="persistent predicate cache; warm entries skip fresh "
-        "predicate invocations.  The default sharded backend keeps a "
-        "directory of hash-selected shard files (a v1 single-file "
-        "store at PATH is migrated automatically)",
-    )
-    bench.add_argument(
-        "--store-backend",
-        choices=("sharded", "sqlite", "v1"),
-        default="sharded",
-        help="store implementation: 'sharded' lazily-loaded JSONL "
-        "shards (default), 'sqlite' WAL database, 'v1' legacy "
-        "single-file JSONL",
+        "predicate invocations.  A directory of hash-selected shard "
+        "files (a v1 single-file store at PATH is migrated "
+        "automatically)",
     )
     bench.add_argument(
         "--store-shards",
@@ -541,12 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="shared warm predicate store, namespaced per tenant",
     )
     serve_cmd.add_argument(
-        "--store-backend", choices=("plain", "sharded"), default="sharded",
-        help="predicate store backend (default sharded)",
-    )
-    serve_cmd.add_argument(
         "--store-shards", type=int, default=None, metavar="N",
-        help="shard count for --store-backend sharded",
+        help="shard files for a new store (default 16)",
     )
     serve_cmd.add_argument(
         "--store-max-entries", type=int, default=None, metavar="N",
@@ -698,12 +676,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             args.jobs,
             args.store,
             num_benchmarks=args.num_benchmarks,
-            corpus_jobs=args.corpus_jobs,
             worker_budget=args.worker_budget,
             results_path=args.results,
             corpus_dir=args.corpus_dir,
             debloat=args.debloat,
-            store_backend=args.store_backend,
             store_shards=args.store_shards,
             store_max_entries=args.store_max_entries,
             store_tenant=args.store_tenant,
@@ -1011,12 +987,10 @@ def _bench(
     jobs: int = 1,
     store_path: Optional[str] = None,
     num_benchmarks: Optional[int] = None,
-    corpus_jobs: Optional[int] = None,
     worker_budget: Optional[int] = None,
     results_path: Optional[str] = None,
     corpus_dir: Optional[str] = None,
     debloat: bool = False,
-    store_backend: str = "sharded",
     store_shards: Optional[int] = None,
     store_max_entries: Optional[int] = None,
     store_tenant: str = "",
@@ -1033,16 +1007,27 @@ def _bench(
     tool_latency_ms: float = 0.0,
     profile_phases: bool = False,
 ) -> int:
-    from repro.harness.experiments import ExperimentConfig
-    from repro.resilience import Budget
-    from repro.workloads.corpus import CorpusConfig, build_corpus
+    """``bench``: one corpus run through the corpus executor.
+
+    The corpus source picks the report: a persisted corpus
+    (``--corpus-dir``) or the debloating row-group (``--debloat``)
+    streams per-scenario rows through a :class:`StreamingReport`, so the
+    parent holds no per-outcome state; an in-memory corpus gets the
+    Section 5 figures.
+    """
+    import os
+
+    from repro.harness.experiments import (
+        ExperimentConfig,
+        run_corpus_experiment,
+    )
+    from repro.harness.report import ResultsWriter, StreamingReport
+    from repro.reduction import ReductionError
+    from repro.resilience import Budget, OracleCrash, TransientOracleError
+    from repro.workloads.corpus import MANIFEST_NAME, CorpusConfig
 
     if jobs < 0:
         print(f"jlreduce: --jobs must be >= 0, got {jobs}", file=sys.stderr)
-        return 1
-    if corpus_jobs is not None and corpus_jobs < 0:
-        print(f"jlreduce: --corpus-jobs must be >= 0, got {corpus_jobs}",
-              file=sys.stderr)
         return 1
     if worker_budget is not None and worker_budget <= 0:
         print(f"jlreduce: --worker-budget must be > 0, got {worker_budget}",
@@ -1051,19 +1036,6 @@ def _bench(
     if num_benchmarks is not None and num_benchmarks <= 0:
         print(f"jlreduce: --num-benchmarks must be > 0, got "
               f"{num_benchmarks}", file=sys.stderr)
-        return 1
-    if corpus_dir is not None and corpus_jobs is None:
-        print("jlreduce: --corpus-dir needs --corpus-jobs (the corpus "
-              "scheduler plans from the manifest)", file=sys.stderr)
-        return 1
-    if debloat and corpus_jobs is None:
-        print("jlreduce: --debloat needs --corpus-jobs (row-groups render "
-              "through the scheduler's streaming report)", file=sys.stderr)
-        return 1
-    if corpus_jobs is not None and store_path and store_tenant:
-        print("jlreduce: --store-tenant is not supported with "
-              "--corpus-jobs (worker processes open the store from an "
-              "untenanted spec)", file=sys.stderr)
         return 1
     plan = None
     if chaos is not None:
@@ -1101,6 +1073,15 @@ def _bench(
     except ValueError as exc:
         print(f"jlreduce: {exc}", file=sys.stderr)
         return 1
+    if corpus_dir is not None and not os.path.isfile(
+        os.path.join(corpus_dir, MANIFEST_NAME)
+    ):
+        print(
+            f"jlreduce: {corpus_dir}: no corpus manifest (persist one "
+            "with 'jlreduce corpus generate' first)",
+            file=sys.stderr,
+        )
+        return 1
     experiment = ExperimentConfig(
         budget_calls=budget_calls,
         budget_seconds=budget_seconds,
@@ -1115,41 +1096,41 @@ def _bench(
         tenant=store_tenant,
         worker_budget=worker_budget,
     )
-    config = {
-        "paper": CorpusConfig.paper,
-        "njr": CorpusConfig.njr,
-        "small": CorpusConfig.small,
-    }[profile]()
-    if num_benchmarks is not None:
-        from dataclasses import replace
+    streaming = corpus_dir is not None or debloat
+    if corpus_dir is not None:
+        source = {"corpus_path": corpus_dir, "include_debloat": debloat}
+    else:
+        from repro.workloads.corpus import build_corpus
 
-        config = replace(config, num_benchmarks=num_benchmarks)
+        config = {
+            "paper": CorpusConfig.paper,
+            "njr": CorpusConfig.njr,
+            "small": CorpusConfig.small,
+        }[profile]()
+        if num_benchmarks is not None:
+            from dataclasses import replace
+
+            config = replace(config, num_benchmarks=num_benchmarks)
+        if not json_output:
+            print(f"building corpus ({profile} profile) ...")
+        corpus = build_corpus(config)
+        if debloat:
+            from repro.workloads.debloat import add_debloat_instances
+
+            add_debloat_instances(corpus)
+        elif not json_output:
+            from repro.harness import corpus_statistics, render_statistics
+
+            print(render_statistics(corpus_statistics(corpus)))
+            print("\nrunning strategies ...")
+        source = {"benchmarks": corpus}
     progress = (
         None if json_output else lambda line: print(f"  {line}")
     )
-    if corpus_jobs is not None:
-        return _bench_scheduled(
-            config,
-            experiment,
-            corpus_jobs,
-            profile=profile,
-            trace_path=trace_path,
-            json_output=json_output,
-            progress=progress,
-            results_path=results_path,
-            corpus_dir=corpus_dir,
-            debloat=debloat,
-            store_path=store_path,
-            store_backend=store_backend,
-            store_shards=store_shards,
-            store_max_entries=store_max_entries,
-        )
-    if not json_output:
-        print(f"building corpus ({profile} profile) ...")
-    corpus = build_corpus(config)
-    # Every store backend is a context manager; the ExitStack guarantees
-    # the append descriptors close even when a reduction raises mid-run
-    # (the bare open/close pair used to leak the O_APPEND fd on error).
+    report = StreamingReport()
+
+    # The ExitStack closes the store's append descriptors and the
+    # results file even when a reduction raises mid-run.
     with ExitStack() as stack:
         store = None
         if store_path:
@@ -1159,7 +1140,6 @@ def _bench(
                 store = stack.enter_context(
                     open_store(
                         store_path,
-                        backend=store_backend,
                         shards=(
                             store_shards
                             if store_shards is not None
@@ -1174,24 +1154,43 @@ def _bench(
                     file=sys.stderr,
                 )
                 return 1
-        outcomes = _run_bench_session(
-            corpus, profile, trace_path, json_output, progress, jobs,
-            store, experiment,
-        )
-        if outcomes is None:
-            return 1
+        writer = None
+        if results_path:
+            try:
+                writer = stack.enter_context(ResultsWriter(results_path))
+            except OSError as exc:
+                print(f"jlreduce: cannot write {results_path}: {exc}",
+                      file=sys.stderr)
+                return 1
 
-    if results_path:
-        from repro.harness.report import ResultsWriter
+        def on_outcome(outcome):
+            report.add(outcome)
+            if writer is not None:
+                writer.write(outcome)
+
+        def run():
+            return run_corpus_experiment(
+                config=experiment,
+                progress=progress,
+                jobs=jobs,
+                store=store,
+                on_outcome=on_outcome,
+                collect=json_output or not streaming,
+                **source,
+            )
 
         try:
-            with ResultsWriter(results_path) as writer:
-                for outcome in outcomes:
-                    writer.write(outcome)
-        except OSError as exc:
-            print(f"jlreduce: cannot write {results_path}: {exc}",
-                  file=sys.stderr)
+            outcomes = _traced(trace_path, jobs, f"bench {profile}", run)
+        except (ReductionError, OracleCrash, TransientOracleError) as exc:
+            print(f"jlreduce: instance failed: {exc}", file=sys.stderr)
+            print("jlreduce: rerun with --keep-going to record failed "
+                  "instances and finish the corpus", file=sys.stderr)
             return 1
+        except OSError as exc:
+            print(f"jlreduce: {exc}", file=sys.stderr)
+            return 1
+    if outcomes is None:
+        return 1
 
     if json_output:
         from dataclasses import asdict
@@ -1201,36 +1200,23 @@ def _bench(
             "outcomes": [asdict(outcome) for outcome in outcomes],
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
+    elif streaming:
+        print()
+        print(report.render())
+    else:
+        _print_section5(outcomes)
     return 0
 
 
-def _bench_scheduled(
-    config,
-    experiment,
-    corpus_jobs: int,
-    *,
-    profile: str,
-    trace_path: Optional[str],
-    json_output: bool,
-    progress,
-    results_path: Optional[str],
-    corpus_dir: Optional[str],
-    debloat: bool,
-    store_path: Optional[str],
-    store_backend: str,
-    store_shards: Optional[int],
-    store_max_entries: Optional[int],
-) -> int:
-    """``bench`` routed through the process-parallel corpus scheduler.
+def _traced(trace_path: Optional[str], jobs: int, label: str, run):
+    """``run()`` under a tracing session when ``trace_path`` is set.
 
-    Outcomes stream through a :class:`StreamingReport` (and, with
-    ``--results``, to JSONL) instead of the Section 5 report stack, so
-    the parent never holds the corpus's outcomes in memory and the
-    debloating scenario renders as its own row-group.
+    ``jobs == 1`` writes one trace file.  Otherwise per-worker shard
+    files stream next to the base trace (worker "main" writes the base
+    file itself), so a killed worker loses at most one torn line; the
+    ``trace`` subcommands discover and merge the shard family.  Returns
+    None when the trace file cannot be opened.
     """
-    import os
-
-    from repro.harness.report import ResultsWriter, StreamingReport
     from repro.observability import (
         ShardSet,
         metric_events,
@@ -1238,131 +1224,26 @@ def _bench_scheduled(
         tracing_session,
         write_trace,
     )
-    from repro.parallel.scheduler import (
-        StoreSpec,
-        run_scheduled_corpus_experiment,
-    )
-    from repro.reduction import ReductionError
-    from repro.resilience import OracleCrash, TransientOracleError
 
-    store_spec = None
-    if store_path:
-        from repro.parallel import DEFAULT_SHARDS
-
-        store_spec = StoreSpec(
-            path=store_path,
-            backend=store_backend,
-            shards=(
-                store_shards if store_shards is not None else DEFAULT_SHARDS
-            ),
-            max_entries=store_max_entries,
-        )
-
-    kwargs = {}
-    if corpus_dir is not None:
-        from repro.workloads.corpus import MANIFEST_NAME
-
-        if not os.path.isfile(os.path.join(corpus_dir, MANIFEST_NAME)):
-            print(
-                f"jlreduce: {corpus_dir}: no corpus manifest (persist one "
-                "with 'jlreduce corpus generate' first)",
-                file=sys.stderr,
-            )
-            return 1
-        kwargs["corpus_path"] = corpus_dir
-        kwargs["include_debloat"] = debloat
-    else:
-        from repro.workloads.corpus import build_corpus
-
-        if not json_output:
-            print(f"building corpus ({profile} profile) ...")
-        corpus = build_corpus(config)
-        if debloat:
-            from repro.workloads.debloat import add_debloat_instances
-
-            add_debloat_instances(corpus)
-        kwargs["benchmarks"] = corpus
-
-    report = StreamingReport()
-
-    def run():
-        with ExitStack() as stack:
-            writer = (
-                stack.enter_context(ResultsWriter(results_path))
-                if results_path
-                else None
-            )
-
-            def on_outcome(outcome):
-                report.add(outcome)
-                if writer is not None:
-                    writer.write(outcome)
-
-            return run_scheduled_corpus_experiment(
-                config=experiment,
-                progress=progress,
-                jobs=corpus_jobs,
-                store_spec=store_spec,
-                on_outcome=on_outcome,
-                collect=json_output,
-                **kwargs,
-            )
-
-    def session():
-        if trace_path and corpus_jobs != 1:
-            handle = _open_trace(trace_path)
-            if handle is None:
-                return None
-            handle.close()
-            run_id = new_run_id()
-            with ShardSet(
-                trace_path, run_id=run_id, label=f"bench {profile}"
-            ) as shards:
-                with tracing_session(
-                    run_id=run_id, shards=shards
-                ) as (tracer, metrics):
-                    result = run()
-                    for event in metric_events(metrics, run_id=run_id):
-                        shards.emit_main(event)
-            return result
-        if trace_path:
-            handle = _open_trace(trace_path)
-            if handle is None:
-                return None
-            with handle:
-                with tracing_session() as (tracer, metrics):
-                    result = run()
-                write_trace(
-                    handle, tracer, metrics, label=f"bench {profile}"
-                )
-            return result
+    if not trace_path:
         return run()
-
-    try:
-        result = session()
-    except (ReductionError, OracleCrash, TransientOracleError) as exc:
-        print(f"jlreduce: instance failed: {exc}", file=sys.stderr)
-        print("jlreduce: rerun with --keep-going to record failed "
-              "instances and finish the corpus", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"jlreduce: {exc}", file=sys.stderr)
-        return 1
-    if result is None:
-        return 1
-
-    if json_output:
-        from dataclasses import asdict
-
-        payload = {
-            "profile": profile,
-            "outcomes": [asdict(outcome) for outcome in result],
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print()
-        print(report.render())
-    return 0
+    handle = _open_trace(trace_path)
+    if handle is None:
+        return None
+    if jobs == 1:
+        with handle:
+            with tracing_session() as (tracer, metrics):
+                result = run()
+            write_trace(handle, tracer, metrics, label=label)
+        return result
+    handle.close()
+    run_id = new_run_id()
+    with ShardSet(trace_path, run_id=run_id, label=label) as shards:
+        with tracing_session(run_id=run_id, shards=shards) as (_, metrics):
+            result = run()
+            for event in metric_events(metrics, run_id=run_id):
+                shards.emit_main(event)
+    return result
 
 
 def _corpus_generate(
@@ -1425,93 +1306,17 @@ def _report(results_path: str) -> int:
     return 0
 
 
-def _run_bench_session(
-    corpus, profile, trace_path, json_output, progress, jobs, store,
-    experiment,
-):
-    """One bench run with its tracing plumbing; None on handled failure."""
-    from repro.observability import (
-        ShardSet,
-        metric_events,
-        new_run_id,
-        tracing_session,
-        write_trace,
-    )
-    from repro.reduction import ReductionError
-    from repro.resilience import OracleCrash, TransientOracleError
-
-    try:
-        if trace_path and jobs != 1:
-            # Parallel run: stream per-worker shard files next to the
-            # base trace (worker "main" writes the base file itself) so
-            # a killed worker loses at most one torn line.  The `trace`
-            # subcommands discover and merge the shard family.
-            trace_handle = _open_trace(trace_path)
-            if trace_handle is None:
-                return None
-            trace_handle.close()
-            run_id = new_run_id()
-            with ShardSet(
-                trace_path, run_id=run_id, label=f"bench {profile}"
-            ) as shards:
-                with tracing_session(
-                    run_id=run_id, shards=shards
-                ) as (tracer, metrics):
-                    outcomes = _run_bench(
-                        corpus, profile, json_output, progress, jobs, store,
-                        experiment,
-                    )
-                    for event in metric_events(metrics, run_id=run_id):
-                        shards.emit_main(event)
-        elif trace_path:
-            trace_handle = _open_trace(trace_path)
-            if trace_handle is None:
-                return None
-            with trace_handle:
-                with tracing_session() as (tracer, metrics):
-                    outcomes = _run_bench(
-                        corpus, profile, json_output, progress, jobs, store,
-                        experiment,
-                    )
-                write_trace(
-                    trace_handle, tracer, metrics, label=f"bench {profile}"
-                )
-        else:
-            outcomes = _run_bench(
-                corpus, profile, json_output, progress, jobs, store,
-                experiment,
-            )
-    except (ReductionError, OracleCrash, TransientOracleError) as exc:
-        print(f"jlreduce: instance failed: {exc}", file=sys.stderr)
-        print("jlreduce: rerun with --keep-going to record failed "
-              "instances and finish the corpus", file=sys.stderr)
-        return None
-    return outcomes
-
-
-def _run_bench(
-    corpus, profile, json_output, progress, jobs=1, store=None, experiment=None
-):
+def _print_section5(outcomes) -> None:
+    """The paper's Section 5 figures for an in-memory corpus run."""
     from repro.harness import (
-        corpus_statistics,
         mean_reduction_over_time,
         render_cfd_table,
         render_headline,
         render_lossy_comparison,
-        render_statistics,
         render_timeline,
-        run_corpus_experiment,
     )
     from repro.harness.report import by_strategy
 
-    if not json_output:
-        print(render_statistics(corpus_statistics(corpus)))
-        print("\nrunning strategies ...")
-    outcomes = run_corpus_experiment(
-        corpus, config=experiment, progress=progress, jobs=jobs, store=store
-    )
-    if json_output:
-        return outcomes
     print()
     print(render_headline(outcomes))
     print()
@@ -1530,7 +1335,6 @@ def _run_bench(
         if name in ("our-reducer", "jreduce")
     }
     print(render_timeline(series))
-    return outcomes
 
 
 def _load_merged(patterns: List[str]):
@@ -1739,7 +1543,7 @@ def _serve(args) -> int:
         )
     store_spec = None
     if args.store:
-        kwargs = {"path": args.store, "backend": args.store_backend}
+        kwargs = {"path": args.store}
         if args.store_shards is not None:
             kwargs["shards"] = args.store_shards
         if args.store_max_entries is not None:

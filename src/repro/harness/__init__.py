@@ -7,7 +7,9 @@ numbers):
 - :mod:`repro.harness.metrics` — geometric means, relative sizes, and
   cumulative-frequency-diagram series,
 - :mod:`repro.harness.stats` — the corpus statistics row,
-- :mod:`repro.harness.experiments` — per-instance strategy runs,
+- :mod:`repro.harness.experiments` — per-instance strategy runs
+  (``run_corpus_experiment`` is the corpus executor,
+  :func:`repro.parallel.scheduler.run_scheduled_corpus_experiment`),
 - :mod:`repro.harness.timeline` — reduction over (simulated) time,
 - :mod:`repro.harness.report` — text renderers for the figures/tables.
 """
@@ -23,7 +25,6 @@ from repro.harness.experiments import (
     InstanceOutcome,
     oracle_fingerprint,
     probe_pool,
-    run_corpus_experiment,
     run_instance,
 )
 from repro.harness.timeline import mean_reduction_over_time
@@ -56,3 +57,13 @@ __all__ = [
     "render_timeline",
     "export_all",
 ]
+
+
+def __getattr__(name: str):
+    # The corpus executor lives in repro.parallel.scheduler, which
+    # imports this package; resolve it lazily to keep imports acyclic.
+    if name == "run_corpus_experiment":
+        from repro.parallel.scheduler import run_scheduled_corpus_experiment
+
+        return run_scheduled_corpus_experiment
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

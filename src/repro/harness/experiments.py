@@ -12,10 +12,13 @@ the Figure 8 reproductions plot.  The simulated clock is purely virtual
 (``cost × fresh calls``), so outcomes are deterministic across hosts
 and across serial/parallel execution; only ``real_seconds`` varies.
 
-``run_corpus_experiment(..., jobs=N)`` fans instances out to the
-worker pool in :mod:`repro.parallel.runner`; passing a predicate store
-(any :func:`repro.parallel.open_store` backend — the sharded cache
-tier, sqlite, or the v1 single file) makes predicate outcomes persist
+This module runs one strategy on one instance (:func:`run_instance`).
+A whole corpus runs through one executor,
+:func:`repro.parallel.scheduler.run_scheduled_corpus_experiment`, which
+this module re-exports as ``run_corpus_experiment``: ``jobs=1`` runs
+inline, ``jobs=N`` fans whole instances out to worker processes, and
+outcomes commit in serial order either way.  Passing a predicate store
+(:func:`repro.parallel.open_store`) makes predicate outcomes persist
 across runs (a warm store re-runs an instance with zero fresh
 predicate calls).  ``ExperimentConfig.tenant`` namespaces the store so
 many tenants can share one warm cache safely.
@@ -29,12 +32,10 @@ from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from typing import (
     Any,
-    Callable,
     Dict,
     FrozenSet,
     List,
     Optional,
-    Sequence,
     Tuple,
 )
 
@@ -297,7 +298,7 @@ def run_instance(
 ) -> InstanceOutcome:
     """Run one strategy on one instance.
 
-    ``store`` (any :func:`repro.parallel.open_store` backend) makes
+    ``store`` (from :func:`repro.parallel.open_store`) makes
     predicate outcomes persist: a repeat run of the same instance
     against a warm store reports ``predicate_calls == 0``.
 
@@ -336,9 +337,9 @@ def run_instance(
 def probe_pool(config: ExperimentConfig, max_workers: Optional[int] = None):
     """The worker pool for speculative probes, or None when sequential.
 
-    Kept separate from the instance-level pool of
-    :mod:`repro.parallel.runner` — an instance worker blocking on probe
-    futures scheduled into its *own* pool could deadlock.
+    Kept separate from the corpus executor's instance pool
+    (:mod:`repro.parallel.scheduler`) — an instance worker blocking on
+    probe futures scheduled into its *own* pool could deadlock.
 
     ``max_workers`` caps the pool's *physical* size (the worker-budget
     hook; see :class:`repro.parallel.scheduler.WorkerBudget`) without
@@ -368,21 +369,18 @@ def probe_pool(config: ExperimentConfig, max_workers: Optional[int] = None):
 
 
 def probe_cap_for(
-    config: Optional[ExperimentConfig], corpus_jobs: int, shared: bool = True
+    config: Optional[ExperimentConfig], corpus_jobs: int
 ) -> Optional[int]:
     """The probe-pool size cap the worker budget imposes, or None.
 
-    ``shared`` distinguishes the thread runner's one pool shared by all
-    corpus workers from the process scheduler's per-worker pools (where
-    the leftover budget divides across ``corpus_jobs``).
+    Each of the ``corpus_jobs`` workers owns a private probe pool, so
+    the leftover budget divides across them.
     """
     if config is None or config.worker_budget is None:
         return None
     from repro.parallel.scheduler import WorkerBudget
 
-    return WorkerBudget(config.worker_budget).probe_pool_cap(
-        corpus_jobs, shared=shared
-    )
+    return WorkerBudget(config.worker_budget).probe_pool_cap(corpus_jobs)
 
 
 def _maybe_profile(config: ExperimentConfig, tracer):
@@ -670,58 +668,18 @@ def progress_line(outcome: InstanceOutcome) -> str:
     )
 
 
-def run_corpus_experiment(
-    benchmarks: Sequence[Benchmark],
-    config: Optional[ExperimentConfig] = None,
-    progress: Optional[Callable[[str], None]] = None,
-    jobs: int = 1,
-    store=None,
-) -> List[InstanceOutcome]:
-    """Run every configured strategy on every buggy instance.
-
-    Args:
-        benchmarks: the corpus.
-        config: shared strategy knobs.
-        progress: optional per-instance status-line callback.
-        jobs: worker threads; ``jobs != 1`` delegates to
-            :func:`repro.parallel.run_parallel_corpus_experiment`
-            (None/0 there means one worker per CPU).  Outcomes are
-            merged in serial order either way.
-        store: optional predicate store (any
-            :func:`repro.parallel.open_store` backend) shared by every
-            instance run.
-    """
-    config = config or ExperimentConfig()
-    if jobs != 1:
-        from repro.parallel import run_parallel_corpus_experiment
-
-        return run_parallel_corpus_experiment(
-            benchmarks, config, progress=progress, jobs=jobs, store=store
-        )
-    outcomes: List[InstanceOutcome] = []
-    probes = probe_pool(config, max_workers=probe_cap_for(config, 1))
-    try:
-        for benchmark in benchmarks:
-            for instance in benchmark.instances:
-                for strategy in config.strategies:
-                    outcome = run_instance(
-                        benchmark,
-                        instance,
-                        strategy,
-                        config,
-                        store,
-                        probe_executor=probes,
-                    )
-                    outcomes.append(outcome)
-                    if progress is not None:
-                        progress(progress_line(outcome))
-    finally:
-        if probes is not None:
-            probes.shutdown(wait=True)
-    return outcomes
-
-
 def _class_subset(app, kept_classes: FrozenSet[str]):
     return app.replace_classes(
         tuple(c for c in app.classes if c.name in kept_classes)
     )
+
+
+def __getattr__(name: str):
+    # ``run_corpus_experiment`` is the scheduler's entry point under its
+    # historical name.  Resolved lazily: the scheduler imports this
+    # module, so an eager import here would be circular.
+    if name == "run_corpus_experiment":
+        from repro.parallel.scheduler import run_scheduled_corpus_experiment
+
+        return run_scheduled_corpus_experiment
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

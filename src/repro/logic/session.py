@@ -26,8 +26,8 @@ confluent), so every model — and therefore every downstream
 tests in ``tests/logic`` assert exactly this.
 
 Sessions are deliberately *not* thread-safe (the trail and watch lists
-are mutable); create one session per thread, as the parallel corpus
-runner does per instance.
+are mutable); create one session per thread, as the corpus executor
+does per instance.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ A :class:`TraceContext` is the serializable capsule that fixes that:
   worker that re-attaches the context parents its root spans here, so
   the merged timeline is one connected tree;
 - ``serial`` — the task's serial commit position (the order
-  ``runner.py``/``speculate.py`` merge results in), the primary sort
+  ``scheduler.py``/``speculate.py`` commit results in), the primary sort
   key of the deterministic shard merge;
 - ``worker`` — the shard label (``main``, ``w0`` ...); doubles as the
   span-id namespace so ids stay unique across workers and, next PR,

@@ -14,8 +14,8 @@ whole trace.  Shards fix both:
   one torn final line — which the tolerant loader skips, exactly like
   :mod:`repro.parallel.store`.
 - **Deterministic merge.**  Events carry ``serial`` (the owning task's
-  serial commit position — the same order ``runner.py`` merges outcomes
-  and ``speculate.py`` commits batch results) and ``seq`` (per-tracer
+  serial commit position — the same order ``scheduler.py`` commits
+  outcomes and ``speculate.py`` commits batch results) and ``seq`` (per-tracer
   emit index).  :func:`merge_events` sorts by ``(serial, seq)``:
   parent-process events (serial -1) first, then each task's events in
   emit order, regardless of which worker thread actually ran it or how
@@ -93,7 +93,7 @@ def merge_events(
     """Merge per-shard event lists into one serial-commit-ordered list.
 
     Sort key: ``(serial, seq)`` — parent-process events (serial -1)
-    first, then tasks in the order the runner commits their results;
+    first, then tasks in the order the corpus executor commits them;
     within a task, tracer emit order.  Events without the v2 keys
     (schema-1 traces) sort by their original position, so old traces
     still merge stably.  ``meta`` lines float to the front.

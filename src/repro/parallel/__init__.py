@@ -6,19 +6,22 @@ outcome reuse across runs, even though the predicate — the paper's
 ~33-second decompile+compile cycle — is a pure function of (oracle,
 kept items).  This package amortizes both axes:
 
-- :mod:`repro.parallel.runner` — a worker-pool corpus runner that fans
-  independent instances out and merges outcomes deterministically in
-  serial order (``jlreduce bench --jobs N``),
+- :mod:`repro.parallel.scheduler` — the one corpus executor
+  (``jlreduce bench --jobs N``, and ``repro.harness.run_corpus_experiment``
+  under its historical name): ``jobs=1`` runs inline, otherwise whole
+  reduction instances fan out to spawn-safe worker processes
+  (:class:`InstanceTaskSpec`), dispatched adaptive longest-job-first,
+  committed in serial order (outcomes, metrics, spans, ledger), with a
+  shared :class:`WorkerBudget` so corpus workers × probe workers never
+  oversubscribe the machine,
 - :mod:`repro.parallel.store` — the persistent predicate cache tier,
   keyed by oracle fingerprint + canonical sub-input hash, which
   :class:`~repro.reduction.predicate.InstrumentedPredicate` reads
   through and writes back, so repeat runs of the same instance cost
-  zero fresh predicate calls.  Three backends behind one interface
-  (:func:`open_store`): the sharded lazy-loading JSONL tier
-  (:class:`ShardedPredicateStore` — hash-selected shard files, LRU
-  size-bounded residency, threshold compaction, hit/miss/evict
-  telemetry), a sqlite-WAL variant (:class:`SqlitePredicateStore`),
-  and the v1 single-file :class:`PredicateStore` both migrate from,
+  zero fresh predicate calls: :class:`ShardedPredicateStore`
+  (:func:`open_store`) — hash-selected shard files, LRU size-bounded
+  residency, threshold compaction, hit/miss/evict telemetry, and
+  migration of the older single-file (v1) format,
 - :mod:`repro.parallel.speculate` — speculative k-ary prefix search for
   GBR's inner binary search (``--speculate K``): k probes per round run
   concurrently on a dedicated pool, committed in deterministic serial
@@ -28,15 +31,9 @@ kept items).  This package amortizes both axes:
   rebuild the predicate chain from a picklable :class:`ProbeTaskSpec`,
   beating the GIL on the pure-Python probe work the thread pool cannot
   overlap; the parent commits results serially, so outcomes stay
-  byte-identical across backends,
-- :mod:`repro.parallel.scheduler` — the corpus-level analogue: whole
-  reduction instances fanned to spawn-safe worker processes
-  (:class:`InstanceTaskSpec`), dispatched adaptive longest-job-first,
-  committed in serial order (outcomes, metrics, spans, ledger), with a
-  shared :class:`WorkerBudget` so corpus workers × probe workers never
-  oversubscribe the machine (``jlreduce bench --corpus-jobs N``).
+  byte-identical across backends.
 
-Both lean on the concurrency-safe telemetry in
+All of them lean on the concurrency-safe telemetry in
 :mod:`repro.observability`: lock-protected metrics and thread-scoped
 per-run registries (:func:`~repro.observability.scoped_metrics`), so
 concurrent reductions never pollute each other's
@@ -49,10 +46,6 @@ from repro.parallel.procpool import (
     ToolLatencyPredicate,
     build_worker_predicate,
 )
-from repro.parallel.runner import (
-    resolve_jobs,
-    run_parallel_corpus_experiment,
-)
 from repro.parallel.scheduler import (
     InstancePool,
     InstanceTaskSpec,
@@ -60,6 +53,7 @@ from repro.parallel.scheduler import (
     WorkerBudget,
     close_worker_caches,
     load_cost_hints,
+    resolve_jobs,
     run_instance_task,
     run_scheduled_corpus_experiment,
 )
@@ -70,9 +64,7 @@ from repro.parallel.speculate import (
 )
 from repro.parallel.store import (
     DEFAULT_SHARDS,
-    PredicateStore,
     ShardedPredicateStore,
-    SqlitePredicateStore,
     fingerprint_of,
     key_of,
     open_store,
@@ -80,9 +72,7 @@ from repro.parallel.store import (
 
 __all__ = [
     "DEFAULT_SHARDS",
-    "PredicateStore",
     "ShardedPredicateStore",
-    "SqlitePredicateStore",
     "InstancePool",
     "InstanceTaskSpec",
     "ProbeTaskSpec",
@@ -99,7 +89,6 @@ __all__ = [
     "run_instance_task",
     "open_store",
     "resolve_jobs",
-    "run_parallel_corpus_experiment",
     "run_scheduled_corpus_experiment",
     "speculation_allowed",
     "speculative_interval_search",

@@ -305,8 +305,8 @@ class ProcessProbePool:
     :meth:`submit_probe` (a plain ``ThreadPoolExecutor`` exposes
     ``submit`` instead — that is how the batch picks its backend).
     ``spawn`` is the default start method: it is the only one that is
-    both fork-safe under threads (the corpus runner shares one pool
-    across worker threads) and portable, and it forces the pickling
+    both fork-safe under threads (a thread-backend instance pool shares
+    one probe pool across its threads) and portable, and it forces the pickling
     contract to hold — a worker only ever sees what the spec carries.
     """
 

@@ -1,11 +1,11 @@
-"""Process-parallel corpus scheduling: whole instances across cores.
+"""The corpus executor: whole reduction instances across cores.
 
-PR 7 moved *probes* onto worker processes; the corpus loop above them
-stayed a GIL-bound ``ThreadPoolExecutor`` (:mod:`repro.parallel.runner`)
-whose workers only overlap external tool latency.  This module fans
-**whole reduction instances** out to spawn-safe worker processes, the
-way the paper's evaluation actually ran: one machine, many benchmarks,
-all cores busy.
+:func:`run_scheduled_corpus_experiment` is the only way a corpus runs
+(``repro.harness.run_corpus_experiment`` is the same function, and
+``jlreduce bench --jobs N`` calls it).  ``jobs=1`` runs inline in the
+calling process; any other count fans **whole reduction instances** out
+to spawn-safe worker processes, the way the paper's evaluation actually
+ran: one machine, many benchmarks, all cores busy.
 
 The contract extends PR 7's recipe one level up (DESIGN.md §12):
 
@@ -34,11 +34,10 @@ The contract extends PR 7's recipe one level up (DESIGN.md §12):
   virtual clock, telemetry totals, and the probe ledger match a
   ``jobs=1`` run.
 
-Determinism is *stronger* than the thread runner's: strategies of one
-instance run sequentially inside one worker, so a shared **cold** store
-warms in exactly the ``jobs=1`` order (strategies of an instance are the
-only runs that share a fingerprint; distinct benchmarks never collide),
-where the thread runner's per-strategy fan-out can interleave them.
+Strategies of one instance run sequentially inside one worker, so a
+shared **cold** store warms in exactly the ``jobs=1`` order (strategies
+of an instance are the only runs that share a fingerprint; distinct
+benchmarks never collide).
 
 **Adaptive longest-job-first dispatch.**  Tasks are predicted from item
 counts (persisted-corpus manifests carry them) or prior-run telemetry
@@ -85,7 +84,6 @@ from repro.harness.experiments import (
 )
 from repro.observability import get_metrics, get_tracer
 from repro.observability.context import TraceContext
-from repro.parallel.runner import resolve_jobs
 from repro.parallel.store import DEFAULT_SHARDS
 from repro.workloads.corpus import Benchmark, BuggyInstance, load_manifest
 
@@ -98,6 +96,7 @@ __all__ = [
     "InstanceTaskResult",
     "close_worker_caches",
     "load_cost_hints",
+    "resolve_jobs",
     "run_instance_task",
     "run_scheduled_corpus_experiment",
 ]
@@ -108,17 +107,24 @@ __all__ = [
 # ----------------------------------------------------------------------
 
 
+def resolve_jobs(jobs: Optional[int]) -> int:
+    """Normalize a ``--jobs`` value: None/0 means one per CPU."""
+    if jobs is None or jobs == 0:
+        return os.cpu_count() or 1
+    if jobs < 0:
+        raise ValueError(f"jobs must be >= 0, got {jobs}")
+    return jobs
+
+
 @dataclass(frozen=True)
 class WorkerBudget:
     """A global cap on live workers (corpus + probe pools combined).
 
     ``probe_pool_cap`` answers "how many probe workers may each pool
-    hold so the sum stays under budget": the thread runner shares *one*
-    probe pool across all corpus workers (``shared=True``); the process
-    scheduler gives each of its ``corpus_jobs`` workers a private pool,
-    so the leftover divides (``shared=False``).  The cap never drops
-    below one worker — a pool that cannot exist would change results,
-    and the budget's job is sizing, not semantics.
+    hold so the sum stays under budget": each of the ``corpus_jobs``
+    workers owns a private pool, so the leftover divides across them.
+    The cap never drops below one worker — a pool that cannot exist
+    would change results, and the budget's job is sizing, not semantics.
     """
 
     total: int
@@ -138,12 +144,10 @@ class WorkerBudget:
         """Clamp a requested corpus-worker count to the budget."""
         return max(1, min(requested, self.total))
 
-    def probe_pool_cap(self, corpus_jobs: int, shared: bool = True) -> int:
+    def probe_pool_cap(self, corpus_jobs: int) -> int:
         """Max workers per probe pool, given ``corpus_jobs`` are taken."""
         leftover = max(0, self.total - corpus_jobs)
-        if not shared:
-            leftover = leftover // max(1, corpus_jobs)
-        return max(1, leftover)
+        return max(1, leftover // max(1, corpus_jobs))
 
 
 # ----------------------------------------------------------------------
@@ -160,22 +164,27 @@ class StoreSpec:
     The parent opens the store first, so the shard layout/manifest
     exists before any worker races to it; after that, PR 8's
     single-``os.write`` O_APPEND append discipline makes concurrent
-    multi-process appends safe on every backend.
+    multi-process appends safe.
     """
 
     path: str
-    backend: str = "sharded"
     shards: int = DEFAULT_SHARDS
     max_entries: Optional[int] = None
+
+    @classmethod
+    def of(cls, store) -> "StoreSpec":
+        """The recipe that reopens a live store handle in a worker."""
+        return cls(
+            path=store.path,
+            shards=store.shards,
+            max_entries=store.max_entries,
+        )
 
     def open(self):
         from repro.parallel.store import open_store
 
         return open_store(
-            self.path,
-            backend=self.backend,
-            shards=self.shards,
-            max_entries=self.max_entries,
+            self.path, shards=self.shards, max_entries=self.max_entries
         )
 
 
@@ -189,7 +198,7 @@ class InstanceTaskSpec:
     paper-scale runs (the parent then never materializes the app).
     ``serial_base`` is the serial index of the instance's *first*
     strategy run — strategy ``i`` commits at ``serial_base + i``,
-    matching the thread runner's (benchmark, instance, strategy)
+    matching a ``jobs=1`` run's (benchmark, instance, strategy)
     enumeration exactly.
     """
 
@@ -324,10 +333,10 @@ def _run_instance_task(spec: InstanceTaskSpec) -> InstanceTaskResult:
     Strategies run in serial order; each under a fresh
     ``scoped_metrics`` child (the shipped snapshot is exactly that
     run's delta) and, when traced, an attached per-strategy task
-    context, so spans/ledger events carry the same serial slots a
-    thread-runner worker would stamp.  Exceptions are relayed, not
-    raised — their metrics and the remaining strategies' fate are
-    decided at the parent's serial commit.
+    context, so spans/ledger events carry their serial commit slots.
+    Exceptions are relayed, not raised — their metrics and the
+    remaining strategies' fate are decided at the parent's serial
+    commit.
     """
     from concurrent.futures.process import BrokenProcessPool  # noqa: F401
     from repro.observability import scoped_metrics
@@ -549,8 +558,6 @@ def _cost_units(num_classes: int, items: Optional[int]) -> float:
 def _plan_in_memory(
     benchmarks: Iterable[Benchmark], config: ExperimentConfig
 ) -> List[_Task]:
-    from repro.bytecode.metrics import application_size_bytes
-
     tasks: List[_Task] = []
     serial = 0
     for benchmark in benchmarks:
@@ -567,8 +574,9 @@ def _plan_in_memory(
                     units=_cost_units(
                         len(benchmark.app.classes), stats.get("items")
                     ),
-                    total_bytes=stats.get("bytes")
-                    or application_size_bytes(benchmark.app),
+                    # Only manifest fallbacks read the totals; in-memory
+                    # errors rebuild them from the benchmark itself.
+                    total_bytes=stats.get("bytes", 0),
                     total_classes=len(benchmark.app.classes),
                     app_path=benchmark.app_path,
                     benchmark=benchmark,
@@ -771,11 +779,12 @@ def run_scheduled_corpus_experiment(
         progress: per-instance status-line callback, in serial order.
         jobs: worker *processes* (None/0: one per CPU; 1 runs inline —
             same enumeration, no pool).
-        store: a live predicate store, used by inline runs.
-        store_spec: the picklable store recipe worker processes open;
-            required to share a store at ``jobs != 1`` (a live handle
-            cannot cross a spawn).  The parent touches the store first
-            so the on-disk layout exists before workers race to it.
+        store: a live predicate store.  Inline runs use it directly; at
+            ``jobs != 1`` workers reopen it from :meth:`StoreSpec.of`
+            (a live handle cannot cross a spawn).
+        store_spec: the picklable store recipe, for callers that hold
+            no live handle.  The parent opens it first so the on-disk
+            layout exists before workers race to it.
         corpus_path: a persisted corpus directory (from
             :func:`repro.workloads.corpus.save_corpus`) — planned from
             its manifest alone, apps streamed into workers by path;
@@ -790,9 +799,9 @@ def run_scheduled_corpus_experiment(
             :func:`load_cost_hints` — prior-run telemetry sharpening
             the longest-job-first order.
 
-    Returns outcomes in serial order — byte-identical (minus
-    ``real_seconds``) to ``run_corpus_experiment(..., jobs=1)`` — or
-    the count when ``collect=False``.
+    Returns outcomes in serial order — identical on
+    :func:`~repro.harness.experiments.outcome_signature` for every
+    ``jobs`` — or the count when ``collect=False``.
     """
     config = config or ExperimentConfig()
     if (benchmarks is None) == (corpus_path is None):
@@ -833,9 +842,9 @@ def _run_inline(
 ) -> None:
     """The ``jobs=1`` degenerate case: same enumeration, no processes.
 
-    Mirrors ``run_corpus_experiment``'s serial loop (shared probe pool,
-    no per-task trace contexts), with the scheduler's extras: manifest
-    tasks materialize on demand and drop after use, outcomes stream.
+    One probe pool serves every instance and no per-task trace contexts
+    are attached; manifest tasks materialize on demand and drop after
+    use, and outcomes stream.
     """
     opened = None
     if store is None and store_spec is not None:
@@ -906,17 +915,15 @@ def _run_pooled(
     cost_hints: Dict[Tuple[str, str], float],
 ) -> None:
     if store is not None and store_spec is None:
-        raise ValueError(
-            "a live store cannot cross process workers; pass store_spec "
-            "(the picklable recipe) to share a store at jobs != 1"
-        )
-    if store_spec is not None and store is None:
+        # The live handle's layout already exists on disk.
+        store_spec = StoreSpec.of(store)
+    elif store_spec is not None and store is None:
         # Materialize the on-disk layout before workers race to open it.
         store_spec.open().close()
 
     probe_workers = None
     if budget is not None and config.speculate > 1:
-        probe_workers = budget.probe_pool_cap(jobs, shared=False)
+        probe_workers = budget.probe_pool_cap(jobs)
 
     tracer = get_tracer()
     ctx = (

@@ -25,32 +25,24 @@ Key scheme (two-level, collision-resistant):
   of different types that happen to print alike (``1`` vs ``"1"``, or
   two item dataclasses sharing a bracket rendering).
 
-Three backends share one duck-typed interface (``lookup`` / ``record``
-/ ``close`` / context manager):
+One class implements the tier, :class:`ShardedPredicateStore` (opened
+through :func:`open_store`): a directory of N JSONL shard files
+selected by key hash, loaded *lazily* (startup cost is proportional to
+the shards a run actually touches, not to total history), with an LRU,
+size-bounded in-memory index (whole shards are evicted and re-faulted
+from disk, so eviction never loses outcomes) and threshold-triggered
+compaction (a shard whose dead or duplicate lines exceed a ratio is
+rewritten in place, guarded by an exclusive lock file).  Opening an
+older single-file (v1) store migrates it into shards automatically
+(the original is kept as ``<path>.v1``).
 
-- :class:`PredicateStore` — the v1 single-file JSONL store.  Eagerly
-  scans its whole history at startup; fine for a laptop, kept for
-  compatibility and as the migration source.
-- :class:`ShardedPredicateStore` — the cache tier.  A directory of N
-  JSONL shard files selected by key hash, loaded *lazily* (startup
-  cost is proportional to the shards a run actually touches, not to
-  total history), with an LRU, size-bounded in-memory index (whole
-  shards are evicted and re-faulted from disk, so eviction never loses
-  outcomes) and threshold-triggered compaction (a shard whose dead or
-  duplicate lines exceed a ratio is rewritten in place, guarded by an
-  exclusive lock file).  Opening a v1 single-file store migrates it
-  into shards automatically (the original is kept as ``<path>.v1``).
-- :class:`SqlitePredicateStore` — the same interface over a sqlite
-  database in WAL mode, for deployments that prefer a real database
-  file to a shard directory.  Also migrates a v1 JSONL file in place.
-
-File format (JSONL backends): one JSON object per line, ``{"f":
-fingerprint, "k": key, "v": outcome}``.  Append-only, so concurrent
+File format: one JSON object per line, ``{"f": fingerprint, "k":
+key, "v": outcome}``.  Append-only, so concurrent
 writers on POSIX never corrupt earlier entries; a torn final line
 (killed process, full disk) is tolerated on load and repaired by the
 next opener.  Two processes that open the same torn shard
 simultaneously may *both* append the repair newline — the resulting
-blank line is tolerated on load too.  Within one process every store
+blank line is tolerated on load too.  Within one process the store
 is thread-safe (one lock around the memory index and the descriptors).
 
 Multi-process appends: each record is written as **one** ``os.write``
@@ -63,7 +55,7 @@ writers disagree on an outcome (a flaky oracle, a chaos run), the
 and the loader keeps the latest.  ``tests/parallel/test_store.py``
 hammers both properties with real concurrent appender processes.
 
-Telemetry: every backend feeds the active metrics registry —
+Telemetry: the store feeds the active metrics registry —
 ``store.lookups`` / ``store.hits`` / ``store.misses`` /
 ``store.records`` / ``store.evictions`` / ``store.compactions`` /
 ``store.shard_loads`` / ``store.lines_scanned`` /
@@ -76,7 +68,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import sqlite3
 import threading
 import time
 from collections import OrderedDict
@@ -86,9 +77,7 @@ from repro.observability import get_metrics
 
 __all__ = [
     "DEFAULT_SHARDS",
-    "PredicateStore",
     "ShardedPredicateStore",
-    "SqlitePredicateStore",
     "fingerprint_of",
     "key_of",
     "open_store",
@@ -151,15 +140,16 @@ def _drain_v1_file(path: str) -> Tuple[Dict[Tuple[str, str], bool], int]:
     """Read a v1 single-file store and move it aside to ``<path>.v1``.
 
     Returns the surviving entries (last write wins) and the count of
-    malformed lines.  Raises :class:`ValueError` when the file is a
-    sqlite database — that is a different backend, not a v1 store.
+    malformed lines.  Raises :class:`ValueError`, leaving the file in
+    place, when it is a sqlite database: an outside file handed in as a
+    store path, not a v1 store.
     """
     with open(path, "rb") as handle:
         head = handle.read(len(_SQLITE_MAGIC))
     if head.startswith(_SQLITE_MAGIC):
         raise ValueError(
-            f"{path} is a sqlite predicate store; open it with "
-            "backend='sqlite' (or open_store(path, backend='sqlite'))"
+            f"{path} is a sqlite database, not a predicate store; pass "
+            "a store directory (or a v1 JSONL file to migrate)"
         )
     entries: Dict[Tuple[str, str], bool] = {}
     corrupt = 0
@@ -176,156 +166,6 @@ def _drain_v1_file(path: str) -> Tuple[Dict[Tuple[str, str], bool], int]:
             entries[(fingerprint, key)] = outcome
     os.replace(path, path + ".v1")
     return entries, corrupt
-
-
-class PredicateStore:
-    """The v1 store: one append-only JSONL file, eagerly loaded.
-
-    Usage::
-
-        with PredicateStore("outcomes.jsonl") as store:
-            predicate = InstrumentedPredicate(
-                raw, store=store, fingerprint=fp
-            )
-            ...
-
-    The constructor loads every well-formed line of an existing file
-    (malformed lines — e.g. a truncated final line from a killed writer
-    — are skipped and counted in :attr:`corrupt_lines`), then reopens
-    the file for appending.  :meth:`record` writes through immediately,
-    one ``os.write`` per new outcome.
-
-    This is the compatibility/migration backend: startup scans *all*
-    history, the in-memory index is unbounded, and there is no
-    compaction.  Services and corpus runs should use
-    :class:`ShardedPredicateStore` (see :func:`open_store`).
-    """
-
-    def __init__(self, path) -> None:
-        self._path = os.fspath(path)
-        self._lock = threading.Lock()
-        self._entries: Dict[Tuple[str, str], bool] = {}
-        self.corrupt_lines = 0
-        self.hits = 0
-        self.misses = 0
-        self._needs_newline = False
-        self._load()
-        # An O_APPEND descriptor written with single os.write calls:
-        # every record lands as one atomic append, so concurrent
-        # multi-process appenders can never tear a line (a buffered
-        # text handle may split one line across two OS writes).
-        self._fd: Optional[int] = os.open(
-            self._path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-        )
-        if self._needs_newline:
-            # The file ends mid-line (torn write): start appends on a
-            # fresh line so the next record isn't corrupted too.
-            os.write(self._fd, b"\n")
-
-    key_of = staticmethod(key_of)
-
-    # -- lookup / record -----------------------------------------------------
-
-    def lookup(
-        self, fingerprint: str, sub_input: FrozenSet[VarName]
-    ) -> Optional[bool]:
-        """The stored outcome for this oracle + sub-input, or None.
-
-        Taken under the store lock: :meth:`record` mutates the entry
-        dict concurrently (instance-runner threads, probe commits), and
-        an unlocked read is only safe by CPython-GIL accident — not on
-        free-threaded builds.
-        """
-        key = (fingerprint, key_of(sub_input))
-        metrics = get_metrics()
-        metrics.counter("store.lookups").inc()
-        with self._lock:
-            outcome = self._entries.get(key)
-        if outcome is None:
-            self.misses += 1
-            metrics.counter("store.misses").inc()
-        else:
-            self.hits += 1
-            metrics.counter("store.hits").inc()
-        return outcome
-
-    def record(
-        self, fingerprint: str, sub_input: FrozenSet[VarName], outcome: bool
-    ) -> None:
-        """Persist an outcome (idempotent; last write wins on conflict).
-
-        The record is appended as a single ``os.write`` on the
-        ``O_APPEND`` descriptor — atomic against concurrent appenders
-        in other processes, and unbuffered so a killed process loses at
-        most the record it was writing.
-
-        Raises:
-            ValueError: the store has been :meth:`close`\\ d.
-        """
-        key = (fingerprint, key_of(sub_input))
-        line = json.dumps(
-            {"f": fingerprint, "k": key[1], "v": bool(outcome)}
-        )
-        payload = (line + "\n").encode("utf-8")
-        with self._lock:
-            if self._fd is None:
-                raise ValueError("store is closed")
-            if self._entries.get(key) == bool(outcome):
-                return
-            self._entries[key] = bool(outcome)
-            os.write(self._fd, payload)
-            get_metrics().counter("store.records").inc()
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def path(self) -> str:
-        return self._path
-
-    @property
-    def closed(self) -> bool:
-        return self._fd is None
-
-    def close(self) -> None:
-        """Release the append descriptor.  Idempotent.
-
-        A closed store still answers :meth:`lookup` from memory (the v1
-        index is fully resident), but :meth:`record` raises a clear
-        :class:`ValueError` instead of handing ``None`` to ``os.write``.
-        """
-        with self._lock:
-            if self._fd is not None:
-                os.close(self._fd)
-                self._fd = None
-
-    def __enter__(self) -> "PredicateStore":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # -- internals -----------------------------------------------------------
-
-    def _load(self) -> None:
-        try:
-            handle = open(self._path, "r", encoding="utf-8")
-        except FileNotFoundError:
-            return
-        with handle:
-            for line in handle:
-                self._needs_newline = not line.endswith("\n")
-                line = line.strip()
-                if not line:
-                    continue
-                parsed = _parse_line(line)
-                if parsed is None:
-                    self.corrupt_lines += 1
-                    continue
-                fingerprint, key, outcome = parsed
-                self._entries[(fingerprint, key)] = outcome
 
 
 class ShardedPredicateStore:
@@ -347,8 +187,7 @@ class ShardedPredicateStore:
     is scanned on the first lookup or record that touches it, so
     startup cost is proportional to the shards a run actually uses —
     not to total history (the v1 store's O(history) startup scan is
-    exactly what this tier removes; ``benchmarks/bench_store.py``
-    gates the ratio).
+    exactly what this tier removes).
 
     Eviction (``max_entries``): the in-memory index is an LRU over
     *whole shards*.  When resident entries exceed the bound, the
@@ -503,6 +342,10 @@ class ShardedPredicateStore:
     @property
     def shards(self) -> int:
         return self._shards
+
+    @property
+    def max_entries(self) -> Optional[int]:
+        return self._max_entries
 
     @property
     def closed(self) -> bool:
@@ -737,201 +580,17 @@ class ShardedPredicateStore:
             get_metrics().counter("store.migrated_entries").inc(len(entries))
 
 
-class SqlitePredicateStore:
-    """The cache tier over a sqlite database (WAL mode).
-
-    Same interface and key scheme as the JSONL backends; conflict
-    resolution is ``INSERT OR REPLACE`` (last write wins, like the
-    JSONL loaders), multi-process safety comes from sqlite's own WAL
-    locking, and a bounded in-memory LRU (``max_entries``) keeps hot
-    lookups off the database.  Pointing it at a v1 single-file JSONL
-    store migrates the entries and keeps the original as ``<path>.v1``.
-    """
-
-    def __init__(self, path, max_entries: Optional[int] = None) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(
-                f"max_entries must be >= 1, got {max_entries}"
-            )
-        self._path = os.fspath(path)
-        self._lock = threading.Lock()
-        self._max_entries = max_entries
-        self._cache: "OrderedDict[Tuple[str, str], bool]" = OrderedDict()
-        self.corrupt_lines = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.migrated_entries = 0
-        pending: Optional[Dict[Tuple[str, str], bool]] = None
-        if os.path.isfile(self._path) and os.path.getsize(self._path):
-            with open(self._path, "rb") as handle:
-                head = handle.read(len(_SQLITE_MAGIC))
-            if not head.startswith(_SQLITE_MAGIC):
-                pending, corrupt = _drain_v1_file(self._path)
-                self.corrupt_lines += corrupt
-        try:
-            self._conn: Optional[sqlite3.Connection] = sqlite3.connect(
-                self._path, check_same_thread=False
-            )
-            self._conn.execute("PRAGMA journal_mode=WAL")
-            self._conn.execute("PRAGMA synchronous=NORMAL")
-            self._conn.execute(
-                "CREATE TABLE IF NOT EXISTS outcomes ("
-                "f TEXT NOT NULL, k TEXT NOT NULL, v INTEGER NOT NULL, "
-                "PRIMARY KEY (f, k)) WITHOUT ROWID"
-            )
-            self._conn.commit()
-        except sqlite3.Error as exc:
-            raise OSError(
-                f"cannot open sqlite store {self._path}: {exc}"
-            ) from exc
-        if pending:
-            self._conn.executemany(
-                "INSERT OR REPLACE INTO outcomes (f, k, v) VALUES (?, ?, ?)",
-                [
-                    (fingerprint, key, int(outcome))
-                    for (fingerprint, key), outcome in pending.items()
-                ],
-            )
-            self._conn.commit()
-            self.migrated_entries = len(pending)
-            get_metrics().counter("store.migrated_entries").inc(len(pending))
-
-    key_of = staticmethod(key_of)
-
-    # -- lookup / record -----------------------------------------------------
-
-    def lookup(
-        self, fingerprint: str, sub_input: FrozenSet[VarName]
-    ) -> Optional[bool]:
-        """The stored outcome for this oracle + sub-input, or None.
-
-        Raises:
-            ValueError: the store has been :meth:`close`\\ d.
-        """
-        key = (fingerprint, key_of(sub_input))
-        metrics = get_metrics()
-        metrics.counter("store.lookups").inc()
-        with self._lock:
-            if self._conn is None:
-                raise ValueError("store is closed")
-            outcome = self._cache.get(key)
-            if outcome is not None:
-                self._cache.move_to_end(key)
-            else:
-                row = self._conn.execute(
-                    "SELECT v FROM outcomes WHERE f = ? AND k = ?", key
-                ).fetchone()
-                if row is not None:
-                    outcome = bool(row[0])
-                    self._cache_put(key, outcome)
-        if outcome is None:
-            self.misses += 1
-            metrics.counter("store.misses").inc()
-        else:
-            self.hits += 1
-            metrics.counter("store.hits").inc()
-        return outcome
-
-    def record(
-        self, fingerprint: str, sub_input: FrozenSet[VarName], outcome: bool
-    ) -> None:
-        """Persist an outcome (idempotent; last write wins on conflict).
-
-        Raises:
-            ValueError: the store has been :meth:`close`\\ d.
-        """
-        key = (fingerprint, key_of(sub_input))
-        outcome = bool(outcome)
-        with self._lock:
-            if self._conn is None:
-                raise ValueError("store is closed")
-            if self._cache.get(key) == outcome:
-                self._cache.move_to_end(key)
-                return
-            self._conn.execute(
-                "INSERT OR REPLACE INTO outcomes (f, k, v) VALUES (?, ?, ?)",
-                (key[0], key[1], int(outcome)),
-            )
-            self._conn.commit()
-            self._cache_put(key, outcome)
-            get_metrics().counter("store.records").inc()
-
-    def _cache_put(self, key: Tuple[str, str], outcome: bool) -> None:
-        self._cache[key] = outcome
-        self._cache.move_to_end(key)
-        if self._max_entries is None:
-            return
-        while len(self._cache) > self._max_entries:
-            self._cache.popitem(last=False)
-            self.evictions += 1
-            get_metrics().counter("store.evictions").inc()
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def __len__(self) -> int:
-        """Total entries in the database (0 once closed)."""
-        with self._lock:
-            if self._conn is None:
-                return 0
-            row = self._conn.execute(
-                "SELECT COUNT(*) FROM outcomes"
-            ).fetchone()
-            return int(row[0])
-
-    @property
-    def path(self) -> str:
-        return self._path
-
-    @property
-    def closed(self) -> bool:
-        return self._conn is None
-
-    def close(self) -> None:
-        """Commit and release the connection.  Idempotent."""
-        with self._lock:
-            if self._conn is None:
-                return
-            self._conn.commit()
-            self._conn.close()
-            self._conn = None
-
-    def __enter__(self) -> "SqlitePredicateStore":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
 def open_store(
     path,
-    backend: str = "sharded",
     shards: int = DEFAULT_SHARDS,
     max_entries: Optional[int] = None,
-):
-    """Open a predicate store of the requested backend.
+) -> ShardedPredicateStore:
+    """Open (or create) the sharded predicate store at ``path``.
 
-    - ``"sharded"`` (default) — :class:`ShardedPredicateStore`; a v1
-      single file at ``path`` is migrated into shards automatically.
-    - ``"sqlite"`` — :class:`SqlitePredicateStore`; likewise migrates a
-      v1 file.
-    - ``"v1"`` — the single-file :class:`PredicateStore` (``shards`` /
-      ``max_entries`` do not apply).
-
-    All backends share the ``lookup`` / ``record`` / ``close`` /
-    context-manager interface that
+    A v1 single file at ``path`` is migrated into shards automatically.
+    The store's ``lookup`` / ``record`` / ``close`` / context-manager
+    interface is what
     :class:`~repro.reduction.predicate.InstrumentedPredicate` and the
     harness duck-type against.
     """
-    if backend == "sharded":
-        return ShardedPredicateStore(
-            path, shards=shards, max_entries=max_entries
-        )
-    if backend == "sqlite":
-        return SqlitePredicateStore(path, max_entries=max_entries)
-    if backend == "v1":
-        return PredicateStore(path)
-    raise ValueError(
-        f"unknown store backend {backend!r} "
-        "(expected 'sharded', 'sqlite', or 'v1')"
-    )
+    return ShardedPredicateStore(path, shards=shards, max_entries=max_entries)

@@ -18,7 +18,7 @@ what the Figure 8b reproductions plot); without one, the timeline falls
 back to real time.
 
 Persistence: an optional *store* (see
-:class:`repro.parallel.store.PredicateStore`) makes outcomes survive
+:func:`repro.parallel.store.open_store`) makes outcomes survive
 across processes.  On an in-memory miss the wrapper reads through to the
 store; fresh outcomes are written back.  Store hits count as cache hits,
 not calls, so a warm store makes repeat runs cost zero fresh predicate

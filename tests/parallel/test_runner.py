@@ -1,11 +1,17 @@
-"""Tests for the parallel corpus runner: determinism and cache reuse."""
+"""Tests for the corpus runner at jobs > 1: determinism and cache reuse.
+
+``run_corpus_experiment`` is the corpus executor
+(:func:`repro.parallel.scheduler.run_scheduled_corpus_experiment`);
+``jobs=2`` runs whole instances on worker processes.
+"""
 
 import dataclasses
 
 import pytest
 
+import repro.parallel.scheduler as scheduler
 from repro.harness import ExperimentConfig, run_corpus_experiment, run_instance
-from repro.parallel import PredicateStore, resolve_jobs
+from repro.parallel import open_store, resolve_jobs
 from repro.workloads.corpus import CorpusConfig, build_corpus
 
 
@@ -44,7 +50,7 @@ class TestResolveJobs:
 class TestSerialParallelEquality:
     def test_outcomes_identical_except_real_seconds(self, tiny_corpus, config):
         serial = run_corpus_experiment(tiny_corpus, config)
-        parallel = run_corpus_experiment(tiny_corpus, config, jobs=4)
+        parallel = run_corpus_experiment(tiny_corpus, config, jobs=2)
         assert len(serial) == len(parallel)
         for expected, actual in zip(serial, parallel):
             assert comparable(expected) == comparable(actual)
@@ -57,7 +63,7 @@ class TestSerialParallelEquality:
             tiny_corpus, config, progress=serial_lines.append
         )
         run_corpus_experiment(
-            tiny_corpus, config, progress=parallel_lines.append, jobs=4
+            tiny_corpus, config, progress=parallel_lines.append, jobs=2
         )
         assert serial_lines == parallel_lines
 
@@ -74,7 +80,7 @@ class TestPersistentStoreReuse:
     ):
         benchmark = next(b for b in tiny_corpus if b.instances)
         instance = benchmark.instances[0]
-        with PredicateStore(tmp_path / "store.jsonl") as store:
+        with open_store(tmp_path / "store") as store:
             cold = run_instance(
                 benchmark, instance, "our-reducer", config, store
             )
@@ -94,10 +100,10 @@ class TestPersistentStoreReuse:
     ):
         benchmark = next(b for b in tiny_corpus if b.instances)
         instance = benchmark.instances[0]
-        path = tmp_path / "store.jsonl"
-        with PredicateStore(path) as store:
+        path = tmp_path / "store"
+        with open_store(path) as store:
             run_instance(benchmark, instance, "jreduce", config, store)
-        with PredicateStore(path) as reloaded:  # simulates a new process
+        with open_store(path) as reloaded:  # simulates a new process
             warm = run_instance(
                 benchmark, instance, "jreduce", config, reloaded
             )
@@ -110,7 +116,7 @@ class TestPersistentStoreReuse:
         # granularity) even though both run on the same oracle.
         benchmark = next(b for b in tiny_corpus if b.instances)
         instance = benchmark.instances[0]
-        with PredicateStore(tmp_path / "store.jsonl") as store:
+        with open_store(tmp_path / "store") as store:
             run_instance(benchmark, instance, "our-reducer", config, store)
             jreduce = run_instance(
                 benchmark, instance, "jreduce", config, store
@@ -119,12 +125,13 @@ class TestPersistentStoreReuse:
 
     def test_parallel_run_with_shared_store(self, tiny_corpus, config,
                                             tmp_path):
-        with PredicateStore(tmp_path / "store.jsonl") as store:
+        # Workers reopen the live handle's store from its recipe.
+        with open_store(tmp_path / "store") as store:
             first = run_corpus_experiment(
-                tiny_corpus, config, jobs=4, store=store
+                tiny_corpus, config, jobs=2, store=store
             )
             second = run_corpus_experiment(
-                tiny_corpus, config, jobs=4, store=store
+                tiny_corpus, config, jobs=2, store=store
             )
         assert all(o.predicate_calls == 0 for o in second)
         for cold, warm in zip(first, second):
@@ -132,13 +139,14 @@ class TestPersistentStoreReuse:
 
 
 class TestGracefulDegradation:
-    """A crashing worker must not take the bench down (with keep_going)."""
+    """A crashing instance run must not take the bench down (with
+    keep_going).  The failure is injected in-process, so these run
+    inline (``jobs=1``); ``test_scheduler.TestChaosLane`` covers
+    failures relayed from worker processes."""
 
     @staticmethod
     def _crash_one(target_benchmark, target_strategy):
-        import repro.parallel.runner as runner_module
-
-        real_run_instance = runner_module.run_instance
+        real_run_instance = scheduler.run_instance
 
         def flaky_run_instance(
             benchmark, instance, strategy, config, store, **kwargs
@@ -157,20 +165,16 @@ class TestGracefulDegradation:
     def test_injected_worker_exception_degrades_in_place(
         self, tiny_corpus, monkeypatch
     ):
-        import repro.parallel.runner as runner_module
-
         target = tiny_corpus[0].benchmark_id
         monkeypatch.setattr(
-            runner_module,
+            scheduler,
             "run_instance",
             self._crash_one(target, "jreduce"),
         )
         config = ExperimentConfig(
             strategies=("our-reducer", "jreduce"), keep_going=True
         )
-        outcomes = runner_module.run_parallel_corpus_experiment(
-            tiny_corpus, config, jobs=4
-        )
+        outcomes = run_corpus_experiment(tiny_corpus, config)
         expected_count = sum(len(b.instances) * 2 for b in tiny_corpus)
         assert len(outcomes) == expected_count
         # Error outcomes sit exactly where the serial order puts them.
@@ -192,25 +196,21 @@ class TestGracefulDegradation:
     def test_without_keep_going_the_exception_propagates(
         self, tiny_corpus, monkeypatch
     ):
-        import repro.parallel.runner as runner_module
-
         monkeypatch.setattr(
-            runner_module,
+            scheduler,
             "run_instance",
             self._crash_one(tiny_corpus[0].benchmark_id, "jreduce"),
         )
         config = ExperimentConfig(strategies=("our-reducer", "jreduce"))
         with pytest.raises(RuntimeError, match="worker exploded"):
-            runner_module.run_parallel_corpus_experiment(
-                tiny_corpus, config, jobs=4
-            )
+            run_corpus_experiment(tiny_corpus, config)
 
 
 class TestConcurrentTelemetryIsolation:
     def test_parallel_metrics_match_serial(self, tiny_corpus, config):
         """Per-run metrics must not leak across concurrent reductions."""
         serial = run_corpus_experiment(tiny_corpus, config)
-        parallel = run_corpus_experiment(tiny_corpus, config, jobs=8)
+        parallel = run_corpus_experiment(tiny_corpus, config, jobs=2)
         for expected, actual in zip(serial, parallel):
             assert expected.metrics == actual.metrics
             assert (
@@ -219,14 +219,13 @@ class TestConcurrentTelemetryIsolation:
             )
 
     def test_scoped_attribution_under_jobs_and_speculation(self, tiny_corpus):
-        """``scoped_metrics()`` attribution with --jobs 4 --speculate 4.
+        """``scoped_metrics()`` attribution with --jobs 2 --speculate 4.
 
-        Two layers of concurrency at once: four corpus workers, each
-        fanning probe batches onto a shared speculation pool.  Batch
-        results commit on the issuing worker's thread, so each
-        instance's scoped registry must see exactly its own probes —
-        comparing against a fully serial run catches any
-        cross-contamination.
+        Two layers of concurrency at once: two corpus workers, each
+        fanning probe batches onto its own speculation pool.  Batch
+        results commit on the issuing thread, so each instance's scoped
+        registry must see exactly its own probes — comparing against a
+        fully serial run catches any cross-contamination.
         """
         serial_config = ExperimentConfig(
             strategies=("our-reducer",), speculate=1
@@ -235,7 +234,7 @@ class TestConcurrentTelemetryIsolation:
             strategies=("our-reducer",), speculate=4
         )
         serial = run_corpus_experiment(tiny_corpus, serial_config)
-        concurrent = run_corpus_experiment(tiny_corpus, spec_config, jobs=4)
+        concurrent = run_corpus_experiment(tiny_corpus, spec_config, jobs=2)
         assert len(serial) == len(concurrent)
         for expected, actual in zip(serial, concurrent):
             assert actual.benchmark_id == expected.benchmark_id

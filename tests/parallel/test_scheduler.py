@@ -87,23 +87,23 @@ class TestWorkerBudget:
         assert budget.corpus_jobs(2) == 2
         assert budget.corpus_jobs(0) == 1
 
-    def test_probe_pool_cap_shared(self):
-        # One pool shared by all corpus workers: the whole leftover.
-        assert WorkerBudget(8).probe_pool_cap(2, shared=True) == 6
+    def test_probe_pool_cap_single_worker(self):
+        # One corpus worker: its pool gets the whole leftover.
+        assert WorkerBudget(8).probe_pool_cap(1) == 7
 
     def test_probe_pool_cap_divided(self):
         # Per-worker pools: leftover splits across corpus workers.
-        assert WorkerBudget(8).probe_pool_cap(2, shared=False) == 3
+        assert WorkerBudget(8).probe_pool_cap(2) == 3
 
     def test_probe_pool_cap_never_below_one(self):
         # A pool that cannot exist would change semantics; the budget
         # only sizes.
-        assert WorkerBudget(2).probe_pool_cap(4, shared=False) == 1
-        assert WorkerBudget(1).probe_pool_cap(1, shared=True) == 1
+        assert WorkerBudget(2).probe_pool_cap(4) == 1
+        assert WorkerBudget(1).probe_pool_cap(1) == 1
 
 
 class TestOversubscriptionRegression:
-    """corpus-jobs x speculate must respect one global budget."""
+    """jobs x speculate must respect one global budget."""
 
     def test_probe_cap_none_without_budget(self, config):
         assert probe_cap_for(config, 2) is None
@@ -112,9 +112,9 @@ class TestOversubscriptionRegression:
     def test_probe_cap_divides_for_process_scheduler(self):
         config = ExperimentConfig(worker_budget=6, speculate=4)
         # 2 corpus workers take 2 slots; 4 left, 2 per private pool.
-        assert probe_cap_for(config, 2, shared=False) == 2
-        # The thread runner's single shared pool gets the whole rest.
-        assert probe_cap_for(config, 2, shared=True) == 4
+        assert probe_cap_for(config, 2) == 2
+        # An inline run's single pool gets the whole rest.
+        assert probe_cap_for(config, 1) == 5
 
     def test_requested_jobs_clamped_by_budget(self, corpus, serial_reference):
         config = ExperimentConfig(
@@ -231,16 +231,63 @@ class TestWarmStoreLane:
         # Every probe answered from the shared store: zero fresh calls.
         assert all(o.predicate_calls == 0 for o in warm_pooled)
 
-    def test_live_store_needs_spec_for_worker_processes(
+    def test_live_store_reopened_by_worker_processes(
         self, corpus, config, tmp_path
     ):
         from repro.parallel import open_store
 
-        with open_store(str(tmp_path / "live")) as store:
-            with pytest.raises(ValueError):
-                run_scheduled_corpus_experiment(
-                    benchmarks=corpus, config=config, jobs=2, store=store
-                )
+        reference = run_scheduled_corpus_experiment(
+            benchmarks=corpus, config=config, jobs=1,
+            store_spec=StoreSpec(path=str(tmp_path / "reference")),
+        )
+        with open_store(str(tmp_path / "live"), shards=4) as store:
+            cold = run_scheduled_corpus_experiment(
+                benchmarks=corpus, config=config, jobs=2, store=store
+            )
+            warm_pooled = run_scheduled_corpus_experiment(
+                benchmarks=corpus, config=config, jobs=2, store=store
+            )
+            # Workers wrote through their own handles; the live one
+            # faults the same shards from disk.
+            warm_inline = run_scheduled_corpus_experiment(
+                benchmarks=corpus, config=config, jobs=1, store=store
+            )
+        assert signatures(cold) == signatures(reference)
+        assert all(o.predicate_calls == 0 for o in warm_pooled)
+        assert all(o.predicate_calls == 0 for o in warm_inline)
+
+    def test_store_spec_of_a_live_handle(self, tmp_path):
+        from repro.parallel import open_store
+
+        with open_store(str(tmp_path / "s"), shards=3, max_entries=9) as s:
+            assert StoreSpec.of(s) == StoreSpec(
+                path=str(tmp_path / "s"), shards=3, max_entries=9
+            )
+
+    def test_tenants_share_one_store_across_job_counts(
+        self, corpus, tmp_path
+    ):
+        # The tenant prefixes the oracle fingerprint inside the config
+        # that ships to workers, so a tenant's entries stay its own at
+        # any job count.
+        spec = StoreSpec(path=str(tmp_path / "store"))
+
+        def calls(tenant, jobs):
+            outcomes = run_scheduled_corpus_experiment(
+                benchmarks=corpus,
+                config=ExperimentConfig(
+                    strategies=("our-reducer",), tenant=tenant
+                ),
+                jobs=jobs,
+                store_spec=spec,
+            )
+            return sum(o.predicate_calls for o in outcomes)
+
+        cold_a = calls("a", jobs=2)
+        assert cold_a > 0
+        assert calls("a", jobs=1) == 0
+        assert calls("b", jobs=1) == cold_a
+        assert calls("b", jobs=2) == 0
 
 
 class TestSpeculateBudgetLane:

@@ -1,22 +1,34 @@
-"""Tests for the persistent predicate store (JSONL round-trip, corruption)."""
+"""Tests for the persistent predicate store (JSONL round-trip, corruption).
+
+Single-shard stores keep every record in one file, ``shard-000.jsonl``,
+so the on-disk checks below read exactly one file.
+"""
 
 import json
 import threading
 
 import pytest
 
-from repro.parallel import PredicateStore, fingerprint_of
+from repro.parallel import ShardedPredicateStore, fingerprint_of, key_of
 from repro.reduction.predicate import InstrumentedPredicate
+
+
+def _store(path):
+    return ShardedPredicateStore(path, shards=1)
+
+
+def _shard(path):
+    return path / "shard-000.jsonl"
 
 
 class TestKeying:
     def test_key_is_order_independent(self):
-        assert PredicateStore.key_of(["b", "a"]) == PredicateStore.key_of(
+        assert key_of(["b", "a"]) == key_of(
             ["a", "b"]
         )
 
     def test_key_distinguishes_sets(self):
-        assert PredicateStore.key_of(["a"]) != PredicateStore.key_of(
+        assert key_of(["a"]) != key_of(
             ["a", "b"]
         )
 
@@ -24,19 +36,19 @@ class TestKeying:
         # Regression: the old scheme joined str() renderings with
         # "\x1f", so one item containing the separator collided with
         # the two-item set it split into.
-        assert PredicateStore.key_of(["a\x1fb"]) != PredicateStore.key_of(
+        assert key_of(["a\x1fb"]) != key_of(
             ["a", "b"]
         )
 
     def test_key_distinguishes_item_types(self):
         # Regression: str() rendered 1 and "1" identically; repr keeps
         # them apart.
-        assert PredicateStore.key_of([1]) != PredicateStore.key_of(["1"])
+        assert key_of([1]) != key_of(["1"])
 
     def test_key_length_prefix_is_injective(self):
         # Adjacent renderings must not re-associate: {"1:", "x"} vs
         # {"1", ":x"} concatenate alike without length prefixes.
-        assert PredicateStore.key_of(["1:", "x"]) != PredicateStore.key_of(
+        assert key_of(["1:", "x"]) != key_of(
             ["1", ":x"]
         )
 
@@ -50,7 +62,7 @@ class TestKeying:
 
 class TestRoundTrip:
     def test_record_then_lookup(self, tmp_path):
-        with PredicateStore(tmp_path / "s.jsonl") as store:
+        with _store(tmp_path / "s") as store:
             store.record("oracle", frozenset({"a", "b"}), True)
             store.record("oracle", frozenset({"a"}), False)
             assert store.lookup("oracle", frozenset({"b", "a"})) is True
@@ -58,73 +70,75 @@ class TestRoundTrip:
             assert store.lookup("oracle", frozenset({"b"})) is None
 
     def test_fingerprints_namespace_entries(self, tmp_path):
-        with PredicateStore(tmp_path / "s.jsonl") as store:
+        with _store(tmp_path / "s") as store:
             store.record("one", frozenset({"a"}), True)
             assert store.lookup("two", frozenset({"a"})) is None
 
     def test_survives_reload(self, tmp_path):
-        path = tmp_path / "s.jsonl"
-        with PredicateStore(path) as store:
+        path = tmp_path / "s"
+        with _store(path) as store:
             store.record("oracle", frozenset({"a"}), True)
             store.record("oracle", frozenset({"b"}), False)
-        with PredicateStore(path) as reloaded:
-            assert len(reloaded) == 2
+        with _store(path) as reloaded:
             assert reloaded.lookup("oracle", frozenset({"a"})) is True
             assert reloaded.lookup("oracle", frozenset({"b"})) is False
+            assert len(reloaded) == 2
 
     def test_duplicate_records_write_once(self, tmp_path):
-        path = tmp_path / "s.jsonl"
-        with PredicateStore(path) as store:
+        path = tmp_path / "s"
+        with _store(path) as store:
             for _ in range(5):
                 store.record("oracle", frozenset({"a"}), True)
-        assert len(path.read_text().splitlines()) == 1
+        assert len(_shard(path).read_text().splitlines()) == 1
 
     def test_missing_file_starts_empty(self, tmp_path):
-        with PredicateStore(tmp_path / "new.jsonl") as store:
+        with _store(tmp_path / "new") as store:
             assert len(store) == 0
             assert store.corrupt_lines == 0
 
 
 class TestCorruptionTolerance:
     def test_truncated_last_line_is_skipped(self, tmp_path):
-        path = tmp_path / "s.jsonl"
-        with PredicateStore(path) as store:
+        path = tmp_path / "s"
+        with _store(path) as store:
             store.record("oracle", frozenset({"a"}), True)
             store.record("oracle", frozenset({"b"}), True)
         # Simulate a writer killed mid-append: chop the final line.
-        text = path.read_text()
-        path.write_text(text[: len(text) - 20])
-        with PredicateStore(path) as reloaded:
+        text = _shard(path).read_text()
+        _shard(path).write_text(text[: len(text) - 20])
+        with _store(path) as reloaded:
+            assert reloaded.lookup("oracle", frozenset({"a"})) is True
             assert reloaded.corrupt_lines == 1
             assert len(reloaded) == 1
-            assert reloaded.lookup("oracle", frozenset({"a"})) is True
 
     def test_garbage_lines_are_counted_not_fatal(self, tmp_path):
-        path = tmp_path / "s.jsonl"
-        path.write_text(
+        path = tmp_path / "s"
+        _store(path).close()
+        _shard(path).write_text(
             "not json at all\n"
-            + json.dumps({"f": "o", "k": PredicateStore.key_of(["a"]),
+            + json.dumps({"f": "o", "k": key_of(["a"]),
                           "v": True})
             + "\n"
             + json.dumps({"missing": "keys"})
             + "\n"
         )
-        with PredicateStore(path) as store:
-            assert store.corrupt_lines == 2
+        with _store(path) as store:
             assert store.lookup("o", frozenset({"a"})) is True
+            assert store.corrupt_lines == 2
 
     def test_appending_after_torn_line_recovers(self, tmp_path):
-        path = tmp_path / "s.jsonl"
-        path.write_text('{"f": "o", "k": "abc", "v": tr')  # torn write
-        with PredicateStore(path) as store:
+        path = tmp_path / "s"
+        _store(path).close()
+        _shard(path).write_text('{"f": "o", "k": "abc", "v": tr')  # torn
+        with _store(path) as store:
             store.record("o", frozenset({"x"}), False)
-        with PredicateStore(path) as reloaded:
+        with _store(path) as reloaded:
             assert reloaded.lookup("o", frozenset({"x"})) is False
 
 
 class TestLifecycle:
     def test_record_after_close_raises_clearly(self, tmp_path):
-        store = PredicateStore(tmp_path / "s.jsonl")
+        store = _store(tmp_path / "s")
         store.close()
         # Regression: a late record() used to hand the None descriptor
         # to os.write and die with an opaque TypeError.
@@ -132,21 +146,22 @@ class TestLifecycle:
             store.record("oracle", frozenset({"a"}), True)
 
     def test_close_is_idempotent(self, tmp_path):
-        store = PredicateStore(tmp_path / "s.jsonl")
+        store = _store(tmp_path / "s")
         store.record("oracle", frozenset({"a"}), True)
         store.close()
         store.close()  # second close must not raise (or double-close the fd)
         assert store.closed
 
-    def test_lookup_after_close_still_answers_from_memory(self, tmp_path):
-        store = PredicateStore(tmp_path / "s.jsonl")
+    def test_lookup_after_close_raises_clearly(self, tmp_path):
+        store = _store(tmp_path / "s")
         store.record("oracle", frozenset({"a"}), True)
         store.close()
-        assert store.lookup("oracle", frozenset({"a"})) is True
+        with pytest.raises(ValueError, match="closed"):
+            store.lookup("oracle", frozenset({"a"}))
 
     def test_context_manager_closes_on_error(self, tmp_path):
         with pytest.raises(RuntimeError):
-            with PredicateStore(tmp_path / "s.jsonl") as store:
+            with _store(tmp_path / "s") as store:
                 store.record("oracle", frozenset({"a"}), True)
                 raise RuntimeError("mid-run crash")
         assert store.closed
@@ -156,7 +171,7 @@ class TestLifecycle:
         # bare while record() mutated it under the lock — safe only by
         # CPython-GIL accident).  Hammer both paths together and assert
         # every read returns a value that was actually written.
-        store = PredicateStore(tmp_path / "s.jsonl")
+        store = _store(tmp_path / "s")
         stop = threading.Event()
         errors = []
 
@@ -186,7 +201,7 @@ class TestLifecycle:
 
 class TestLastWriteWins:
     def test_conflicting_records_last_write_wins_in_memory(self, tmp_path):
-        with PredicateStore(tmp_path / "s.jsonl") as store:
+        with _store(tmp_path / "s") as store:
             store.record("oracle", frozenset({"a"}), True)
             store.record("oracle", frozenset({"a"}), False)
             assert store.lookup("oracle", frozenset({"a"})) is False
@@ -194,21 +209,21 @@ class TestLastWriteWins:
     def test_conflicting_records_last_write_wins_across_reload(
         self, tmp_path
     ):
-        path = tmp_path / "s.jsonl"
-        with PredicateStore(path) as store:
+        path = tmp_path / "s"
+        with _store(path) as store:
             store.record("oracle", frozenset({"a"}), True)
             store.record("oracle", frozenset({"a"}), False)
             store.record("oracle", frozenset({"a"}), True)
         # Three lines on disk; the loader must keep the latest.
-        assert len(path.read_text().splitlines()) == 3
-        with PredicateStore(path) as reloaded:
+        assert len(_shard(path).read_text().splitlines()) == 3
+        with _store(path) as reloaded:
             assert reloaded.lookup("oracle", frozenset({"a"})) is True
 
 
 class TestThreadSafety:
     def test_concurrent_records_all_land(self, tmp_path):
-        path = tmp_path / "s.jsonl"
-        store = PredicateStore(path)
+        path = tmp_path / "s"
+        store = _store(path)
 
         def worker(tag):
             for i in range(50):
@@ -222,11 +237,11 @@ class TestThreadSafety:
         for thread in threads:
             thread.join()
         store.close()
-        with PredicateStore(path) as reloaded:
-            assert len(reloaded) == 8 * 50
-            assert reloaded.corrupt_lines == 0
+        with _store(path) as reloaded:
             assert reloaded.lookup("oracle", frozenset({"3-4"})) is True
             assert reloaded.lookup("oracle", frozenset({"3-5"})) is False
+            assert len(reloaded) == 8 * 50
+            assert reloaded.corrupt_lines == 0
 
 
 def _append_records(path, tag, count):
@@ -234,7 +249,7 @@ def _append_records(path, tag, count):
 
     Module-level so the spawn start method can pickle it by reference.
     """
-    with PredicateStore(path) as store:
+    with ShardedPredicateStore(path, shards=1) as store:
         for i in range(count):
             store.record("oracle", frozenset({f"{tag}-{i}"}), i % 2 == 0)
 
@@ -248,7 +263,7 @@ class TestMultiProcessAppends:
     def test_concurrent_appender_processes_never_tear_lines(self, tmp_path):
         import multiprocessing
 
-        path = str(tmp_path / "shared.jsonl")
+        path = str(tmp_path / "shared")
         spawn = multiprocessing.get_context("spawn")
         workers, per_worker = 4, 100
         processes = [
@@ -260,9 +275,7 @@ class TestMultiProcessAppends:
         for process in processes:
             process.join(timeout=120)
             assert process.exitcode == 0
-        with PredicateStore(path) as reloaded:
-            assert reloaded.corrupt_lines == 0
-            assert len(reloaded) == workers * per_worker
+        with ShardedPredicateStore(path) as reloaded:
             for tag in range(workers):
                 assert reloaded.lookup(
                     "oracle", frozenset({f"{tag}-0"})
@@ -270,21 +283,23 @@ class TestMultiProcessAppends:
                 assert reloaded.lookup(
                     "oracle", frozenset({f"{tag}-{per_worker - 1}"})
                 ) is False
+            assert reloaded.corrupt_lines == 0
+            assert len(reloaded) == workers * per_worker
 
     def test_every_line_is_whole_json(self, tmp_path):
         import multiprocessing
 
-        path = str(tmp_path / "shared.jsonl")
+        path = tmp_path / "shared"
         spawn = multiprocessing.get_context("spawn")
         processes = [
-            spawn.Process(target=_append_records, args=(path, tag, 50))
+            spawn.Process(target=_append_records, args=(str(path), tag, 50))
             for tag in range(3)
         ]
         for process in processes:
             process.start()
         for process in processes:
             process.join(timeout=120)
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(_shard(path), "r", encoding="utf-8") as handle:
             for line in handle:
                 entry = json.loads(line)  # any tear would explode here
                 assert set(entry) == {"f", "k", "v"}
@@ -349,7 +364,7 @@ class TestMultiProcessConflicts:
             assert reloaded.corrupt_lines == 0
             for i in range(keys):
                 sub_input = frozenset({f"k-{i}"})
-                key = ("oracle", ShardedPredicateStore.key_of(sub_input))
+                key = ("oracle", key_of(sub_input))
                 assert reloaded.lookup("oracle", sub_input) is bool(
                     last_line_value[key]
                 )
@@ -422,7 +437,7 @@ class TestMultiProcessConflicts:
 
 class TestPredicateIntegration:
     def test_wrapper_requires_fingerprint_with_store(self, tmp_path):
-        with PredicateStore(tmp_path / "s.jsonl") as store:
+        with _store(tmp_path / "s") as store:
             with pytest.raises(ValueError):
                 InstrumentedPredicate(lambda s: True, store=store)
 
@@ -433,7 +448,7 @@ class TestPredicateIntegration:
             calls.append(sub_input)
             return "x" in sub_input
 
-        with PredicateStore(tmp_path / "s.jsonl") as store:
+        with _store(tmp_path / "s") as store:
             first = InstrumentedPredicate(raw, store=store, fingerprint="fp")
             assert first(frozenset({"x", "y"})) is True
             assert first(frozenset({"y"})) is False
@@ -448,7 +463,7 @@ class TestPredicateIntegration:
             assert len(calls) == 2
 
     def test_store_hit_still_updates_best_and_timeline(self, tmp_path):
-        with PredicateStore(tmp_path / "s.jsonl") as store:
+        with _store(tmp_path / "s") as store:
             warmer = InstrumentedPredicate(
                 lambda s: True, store=store, fingerprint="fp"
             )

@@ -1,6 +1,6 @@
 """The sharded cache tier: layout, eviction, compaction, migration,
-backends, and the differential guarantee that *which* store backend sits
-behind a reduction never changes its result.
+and the differential guarantee that a store behind a reduction — cold
+or warm — never changes its result.
 """
 
 import json
@@ -18,9 +18,8 @@ from repro.harness.experiments import (
 from repro.observability.metrics import MetricsRegistry, scoped_metrics
 from repro.parallel import (
     DEFAULT_SHARDS,
-    PredicateStore,
     ShardedPredicateStore,
-    SqlitePredicateStore,
+    key_of,
     open_store,
 )
 from repro.workloads.corpus import CorpusConfig, build_corpus
@@ -204,9 +203,14 @@ class TestCompaction:
 
 class TestMigration:
     def _make_v1(self, path, count=30):
-        with PredicateStore(path) as v1:
+        # The v1 format: one JSONL file of {"f", "k", "v"} records.
+        with open(path, "w", encoding="utf-8") as handle:
             for i in range(count):
-                v1.record("oracle", frozenset({f"k-{i}"}), i % 2 == 0)
+                handle.write(json.dumps({
+                    "f": "oracle",
+                    "k": key_of(frozenset({f"k-{i}"})),
+                    "v": i % 2 == 0,
+                }) + "\n")
 
     def test_v1_file_migrates_into_sharded_layout(self, tmp_path):
         path = tmp_path / "outcomes.jsonl"
@@ -220,23 +224,22 @@ class TestMigration:
         assert path.is_dir()
         assert (tmp_path / "outcomes.jsonl.v1").is_file()
 
-    def test_v1_file_migrates_into_sqlite(self, tmp_path):
-        path = tmp_path / "outcomes.jsonl"
-        self._make_v1(path)
-        with SqlitePredicateStore(path) as store:
-            assert len(store) == 30
-            for i in range(30):
-                assert store.lookup(
-                    "oracle", frozenset({f"k-{i}"})
-                ) is (i % 2 == 0)
-        assert (tmp_path / "outcomes.jsonl.v1").is_file()
-
     def test_sqlite_file_refused_by_sharded_backend(self, tmp_path):
+        # A sqlite database handed in as a store path is outside input,
+        # not a v1 store: refuse it and leave the file untouched.
         path = tmp_path / "outcomes.db"
-        with SqlitePredicateStore(path) as store:
-            store.record("oracle", frozenset({"a"}), True)
+        conn = sqlite3.connect(path)
+        try:
+            conn.execute("CREATE TABLE outcomes (f TEXT, k TEXT, v INT)")
+            conn.commit()
+        finally:
+            conn.close()
+        before = path.read_bytes()
         with pytest.raises(ValueError, match="sqlite"):
-            ShardedPredicateStore(path)
+            open_store(path)
+        assert path.is_file()
+        assert path.read_bytes() == before
+        assert not (tmp_path / "outcomes.db.v1").exists()
 
     def test_migration_counter_flows_to_metrics(self, tmp_path):
         path = tmp_path / "outcomes.jsonl"
@@ -248,78 +251,16 @@ class TestMigration:
         assert registry.counter_values()["store.migrated_entries"] == 12
 
 
-class TestSqliteBackend:
-    def test_round_trip_and_reopen(self, tmp_path):
-        path = tmp_path / "outcomes.db"
-        with SqlitePredicateStore(path) as store:
-            _fill(store, 50)
-            assert len(store) == 50
-        with SqlitePredicateStore(path) as reopened:
-            for i in range(50):
-                assert reopened.lookup(
-                    "oracle", frozenset({f"k-{i}"})
-                ) is (i % 3 == 0)
-
-    def test_last_write_wins(self, tmp_path):
-        path = tmp_path / "outcomes.db"
-        with SqlitePredicateStore(path) as store:
-            store.record("oracle", frozenset({"a"}), True)
-            store.record("oracle", frozenset({"a"}), False)
-            assert store.lookup("oracle", frozenset({"a"})) is False
-            assert len(store) == 1
-        with SqlitePredicateStore(path) as reopened:
-            assert reopened.lookup("oracle", frozenset({"a"})) is False
-
-    def test_wal_mode_enabled(self, tmp_path):
-        path = tmp_path / "outcomes.db"
-        with SqlitePredicateStore(path):
-            pass
-        conn = sqlite3.connect(path)
-        try:
-            mode = conn.execute("PRAGMA journal_mode").fetchone()[0]
-        finally:
-            conn.close()
-        assert mode.lower() == "wal"
-
-    def test_closed_store_raises_clearly(self, tmp_path):
-        store = SqlitePredicateStore(tmp_path / "outcomes.db")
-        store.close()
-        store.close()  # idempotent
-        with pytest.raises(ValueError, match="closed"):
-            store.record("oracle", frozenset({"a"}), True)
-        with pytest.raises(ValueError, match="closed"):
-            store.lookup("oracle", frozenset({"a"}))
-
-
 class TestOpenStoreFactory:
     def test_dispatch(self, tmp_path):
-        with open_store(tmp_path / "a", backend="sharded") as store:
+        with open_store(tmp_path / "a") as store:
             assert isinstance(store, ShardedPredicateStore)
             assert store.shards == DEFAULT_SHARDS
-        with open_store(tmp_path / "b", backend="sqlite") as store:
-            assert isinstance(store, SqlitePredicateStore)
-        with open_store(tmp_path / "c.jsonl", backend="v1") as store:
-            assert isinstance(store, PredicateStore)
 
     def test_options_forwarded(self, tmp_path):
-        with open_store(
-            tmp_path / "a", backend="sharded", shards=3, max_entries=7
-        ) as store:
+        with open_store(tmp_path / "a", shards=3, max_entries=7) as store:
             assert store.shards == 3
-            assert store._max_entries == 7
-
-    def test_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="backend"):
-            open_store(tmp_path / "a", backend="redis")
-
-    def test_backends_interchange_through_v1_format(self, tmp_path):
-        # v1 writes, sharded migrates and reads: the upgrade path CI
-        # smoke runs exercise implicitly.
-        path = tmp_path / "outcomes.jsonl"
-        with open_store(path, backend="v1") as v1:
-            v1.record("oracle", frozenset({"a"}), True)
-        with open_store(path, backend="sharded") as upgraded:
-            assert upgraded.lookup("oracle", frozenset({"a"})) is True
+            assert store.max_entries == 7
 
 
 class TestTenantNamespace:
@@ -379,9 +320,10 @@ def _comparable(outcome):
 
 
 class TestDifferentialBackends:
-    """Byte-identical reduction results regardless of store backend,
-    across sequential, speculative-thread, and speculative-process
-    probe configurations (acceptance criterion of the cache tier)."""
+    """Byte-identical reduction results with no store, a cold store, and
+    a warm one, across sequential, speculative-thread, and
+    speculative-process probe configurations (acceptance criterion of
+    the cache tier)."""
 
     @pytest.mark.parametrize(
         "probe_config",
@@ -400,40 +342,28 @@ class TestDifferentialBackends:
         instance = benchmark.instances[0]
         config = ExperimentConfig(**probe_config)
         pool = probe_pool(config)
+
+        def run(store):
+            return run_instance(
+                benchmark, instance, "our-reducer", config, store,
+                probe_executor=pool,
+            )
+
         try:
-            results = {}
-            warm = {}
-            for backend in ("v1", "sharded", "sqlite"):
-                suffix = "jsonl" if backend == "v1" else backend
-                path = tmp_path / f"store-{backend}.{suffix}"
-                with open_store(path, backend=backend) as store:
-                    results[backend] = run_instance(
-                        benchmark,
-                        instance,
-                        "our-reducer",
-                        config,
-                        store,
-                        probe_executor=pool,
-                    )
-                # Reopen: the warm run must replay entirely from disk.
-                with open_store(path, backend=backend) as store:
-                    warm[backend] = run_instance(
-                        benchmark,
-                        instance,
-                        "our-reducer",
-                        config,
-                        store,
-                        probe_executor=pool,
-                    )
+            storeless = run(None)
+            path = tmp_path / "store"
+            with open_store(path) as store:
+                cold = run(store)
+            # Reopen: the warm run must replay entirely from disk.
+            with open_store(path) as store:
+                warm = run(store)
         finally:
             if pool is not None:
                 pool.shutdown(wait=True)
 
-        baseline = _comparable(results["v1"])
-        assert _comparable(results["sharded"]) == baseline
-        assert _comparable(results["sqlite"]) == baseline
+        baseline = _comparable(storeless)
+        assert _comparable(cold) == baseline
         assert baseline[4] == "complete"
-        for backend in ("v1", "sharded", "sqlite"):
-            assert warm[backend].predicate_calls == 0
-            assert warm[backend].final_bytes == baseline[0]
-            assert warm[backend].final_classes == baseline[1]
+        assert warm.predicate_calls == 0
+        assert warm.final_bytes == baseline[0]
+        assert warm.final_classes == baseline[1]

@@ -64,7 +64,7 @@ class TestChaosEquivalence:
             chaos=FaultPlan(kind="flaky", rate=0.2, seed=7),
         )
         serial = run_corpus_experiment(tiny_corpus, config)
-        parallel = run_corpus_experiment(tiny_corpus, config, jobs=4)
+        parallel = run_corpus_experiment(tiny_corpus, config, jobs=2)
         for expected, actual in zip(serial, parallel):
             assert comparable(expected) == comparable(actual)
 
@@ -128,7 +128,7 @@ class TestCrashDegradation:
             strategies=STRATEGIES, keep_going=True, chaos=self.CRASH
         )
         serial = run_corpus_experiment(tiny_corpus, config)
-        parallel = run_corpus_experiment(tiny_corpus, config, jobs=4)
+        parallel = run_corpus_experiment(tiny_corpus, config, jobs=2)
         for expected, actual in zip(serial, parallel):
             assert comparable(expected) == comparable(actual)
 

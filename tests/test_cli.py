@@ -213,7 +213,7 @@ class TestBenchParallel:
         self, tiny_corpus, capsys
     ):
         serial = self._outcomes(capsys)
-        parallel = self._outcomes(capsys, "--jobs", "4")
+        parallel = self._outcomes(capsys, "--jobs", "2")
         assert len(serial) == len(parallel)
         for expected, actual in zip(serial, parallel):
             expected.pop("real_seconds")
@@ -223,10 +223,22 @@ class TestBenchParallel:
     def test_warm_store_second_run_makes_no_fresh_calls(
         self, tiny_corpus, tmp_path, capsys
     ):
-        store_file = str(tmp_path / "store.jsonl")
-        cold = self._outcomes(capsys, "--jobs", "2", "--store", store_file)
+        from repro.harness.experiments import (
+            InstanceOutcome,
+            outcome_signature,
+        )
+
+        def signatures(rows):
+            return [outcome_signature(InstanceOutcome(**r)) for r in rows]
+
+        inline = self._outcomes(
+            capsys, "--jobs", "1", "--store", str(tmp_path / "inline")
+        )
+        store_dir = str(tmp_path / "store")
+        cold = self._outcomes(capsys, "--jobs", "2", "--store", store_dir)
         assert any(o["predicate_calls"] > 0 for o in cold)
-        warm = self._outcomes(capsys, "--jobs", "2", "--store", store_file)
+        assert signatures(cold) == signatures(inline)
+        warm = self._outcomes(capsys, "--jobs", "2", "--store", store_dir)
         assert all(o["predicate_calls"] == 0 for o in warm)
 
     def test_negative_jobs_rejected(self, capsys):
@@ -633,7 +645,7 @@ class TestParser:
 
 
 class TestCorpusScheduler:
-    """The --corpus-jobs / corpus generate / report surface."""
+    """The --corpus-dir / --debloat / corpus generate / report surface."""
 
     def test_corpus_generate_then_scheduled_bench_then_report(
         self, tmp_path, capsys
@@ -647,7 +659,7 @@ class TestCorpusScheduler:
         assert "persisted 2 benchmarks" in capsys.readouterr().out
 
         assert main([
-            "bench", "--corpus-jobs", "1", "--corpus-dir", corpus_dir,
+            "bench", "--corpus-dir", corpus_dir,
             "--debloat", "--results", results,
         ]) == 0
         out = capsys.readouterr().out
@@ -660,7 +672,7 @@ class TestCorpusScheduler:
 
     def test_scheduled_bench_in_memory_json(self, capsys):
         assert main([
-            "bench", "--corpus-jobs", "1", "--num-benchmarks", "1",
+            "bench", "--jobs", "1", "--num-benchmarks", "1",
             "--json",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -669,47 +681,55 @@ class TestCorpusScheduler:
             o["scenario"] == "reduction" for o in payload["outcomes"]
         )
 
-    def test_corpus_dir_requires_corpus_jobs(self, capsys):
-        assert main(["bench", "--corpus-dir", "/nope"]) == 1
-        assert "--corpus-jobs" in capsys.readouterr().err
+    @pytest.fixture()
+    def tiny_corpus(self, monkeypatch):
+        from repro.workloads.corpus import CorpusConfig
 
-    def test_debloat_requires_corpus_jobs(self, capsys):
-        assert main(["bench", "--debloat"]) == 1
-        assert "--corpus-jobs" in capsys.readouterr().err
+        monkeypatch.setattr(
+            CorpusConfig,
+            "small",
+            classmethod(
+                lambda cls: cls(
+                    num_benchmarks=1, min_classes=8, max_classes=12
+                )
+            ),
+        )
+
+    def test_corpus_dir_runs_at_default_jobs(self, tiny_corpus, tmp_path,
+                                             capsys):
+        corpus_dir = str(tmp_path / "corpus")
+        assert main([
+            "corpus", "generate", corpus_dir, "--profile", "small",
+        ]) == 0
+        capsys.readouterr()
+        assert main(["bench", "--corpus-dir", corpus_dir, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["outcomes"]
+
+    def test_debloat_runs_at_default_jobs(self, tiny_corpus, capsys):
+        assert main(["bench", "--debloat"]) == 0
+        out = capsys.readouterr().out
+        assert "scenario: reduction" in out
+        assert "scenario: debloat" in out
 
     def test_missing_manifest_reported(self, tmp_path, capsys):
-        assert main([
-            "bench", "--corpus-jobs", "1",
-            "--corpus-dir", str(tmp_path),
-        ]) == 1
+        assert main(["bench", "--corpus-dir", str(tmp_path)]) == 1
         assert "manifest" in capsys.readouterr().err
 
     def test_report_missing_file(self, capsys):
         assert main(["report", "/nonexistent.jsonl"]) == 1
         assert "cannot read" in capsys.readouterr().err
 
-    def test_negative_corpus_jobs_rejected(self, capsys):
-        assert main(["bench", "--corpus-jobs", "-1"]) == 1
-        assert "--corpus-jobs" in capsys.readouterr().err
-
     def test_worker_budget_validated(self, capsys):
-        assert main(["bench", "--corpus-jobs", "1",
-                     "--worker-budget", "0"]) == 1
+        assert main(["bench", "--worker-budget", "0"]) == 1
         assert "--worker-budget" in capsys.readouterr().err
-
-    def test_store_tenant_incompatible(self, tmp_path, capsys):
-        assert main([
-            "bench", "--corpus-jobs", "1",
-            "--store", str(tmp_path / "s"), "--store-tenant", "t",
-        ]) == 1
-        assert "--store-tenant" in capsys.readouterr().err
 
 
 class TestTraceSummarizeInstances:
     def test_summarize_lists_slowest_instances(self, tmp_path, capsys):
         trace = str(tmp_path / "t.jsonl")
         assert main([
-            "bench", "--corpus-jobs", "2", "--num-benchmarks", "1",
+            "bench", "--jobs", "2", "--num-benchmarks", "1",
             "--trace", trace,
         ]) == 0
         capsys.readouterr()
@@ -717,3 +737,24 @@ class TestTraceSummarizeInstances:
         out = capsys.readouterr().out
         assert "slowest instances" in out
         assert "b000" in out
+
+
+class TestServeStore:
+    def test_store_dir_becomes_a_spec_that_opens(self, tmp_path,
+                                                 monkeypatch):
+        import repro.service.server as server
+
+        captured = {}
+
+        def fake_serve(config, **kwargs):
+            captured["config"] = config
+            return 0
+
+        monkeypatch.setattr(server, "serve", fake_serve)
+        store_dir = str(tmp_path / "store")
+        assert main(["serve", "--port", "0", "--store", store_dir,
+                     "--store-shards", "4"]) == 0
+        spec = captured["config"].store_spec
+        with spec.open() as store:
+            assert store.path == store_dir
+            assert store.shards == 4
