@@ -893,7 +893,7 @@ def _reduce(
             print(f"jlreduce: {exc}", file=sys.stderr)
             return 1
         predicate = ResilientPredicate(predicate, budget=budget)
-    if probe_backend == "process" and speculate > 1:
+    if speculate > 1:
         # GBR's _instrument passes a pre-built InstrumentedPredicate
         # through, so this is where the picklable task spec (the raw
         # containment oracle — a limiting budget serializes speculation
@@ -913,16 +913,11 @@ def _reduce(
     )
     probes = None
     if speculate > 1:
-        if probe_backend == "process":
-            from repro.parallel.procpool import ProcessProbePool
+        from repro.harness.experiments import ExperimentConfig, probe_pool
 
-            probes = ProcessProbePool(max_workers=speculate)
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-
-            probes = ThreadPoolExecutor(
-                max_workers=speculate, thread_name_prefix="jlreduce-probe"
-            )
+        probes = probe_pool(
+            ExperimentConfig(speculate=speculate, probe_backend=probe_backend)
+        )
     try:
         if trace_path:
             trace_handle = _open_trace(trace_path)

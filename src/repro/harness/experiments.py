@@ -53,8 +53,7 @@ from repro.reduction.gbr import generalized_binary_reduction
 from repro.reduction.lossy import LossyVariant, lossy_reduce
 from repro.reduction.predicate import InstrumentedPredicate
 from repro.reduction.problem import ReductionProblem, Stopwatch
-from repro.resilience import Budget, FaultPlan, ResilientPredicate
-from repro.resilience.faults import derive_seed
+from repro.resilience import Budget, FaultPlan
 from repro.decompiler.oracle import build_reduction_problem
 from repro.workloads.corpus import Benchmark, BuggyInstance
 
@@ -143,16 +142,6 @@ class ExperimentConfig:
     #: ``speculate`` workers, which deliberately oversubscribes CPUs to
     #: overlap external tool latency.  Set it on CPU-bound runs.
     worker_budget: Optional[int] = None
-
-    @property
-    def wants_resilience(self) -> bool:
-        """Does any knob require the ResilientPredicate layer?"""
-        return (
-            self.budget_calls is not None
-            or self.budget_seconds is not None
-            or self.retries > 0
-            or self.deadline_seconds is not None
-        )
 
 
 #: ExperimentConfig fields a service job payload may carry / override.
@@ -399,6 +388,10 @@ def _run_instance_inner(
     watch: Stopwatch,
     probe_executor=None,
 ) -> InstanceOutcome:
+    # Lazy: repro.parallel imports the scheduler, which imports this
+    # module.
+    from repro.parallel.procpool import ProbeTaskSpec, build_chain
+
     tracer = get_tracer()
     app = benchmark.app
     oracle = instance.oracle
@@ -415,66 +408,45 @@ def _run_instance_inner(
             app, instance.decompiler, granularity, tenant=config.tenant
         )
 
-    def _chaos_key(granularity: str) -> str:
-        return (
-            f"{benchmark.benchmark_id}:{instance.decompiler}:"
-            f"{strategy}:{granularity}"
+    scenario = getattr(instance, "scenario", "reduction")
+
+    def _knobs(granularity: str) -> Dict[str, Any]:
+        """The chain knobs, shared by the parent chain and its spec."""
+        return dict(
+            tool_latency_seconds=config.tool_latency_seconds,
+            chaos=config.chaos,
+            chaos_key=(
+                f"{benchmark.benchmark_id}:{instance.decompiler}:"
+                f"{strategy}:{granularity}"
+            ),
+            retries=config.retries,
+            deadline_seconds=config.deadline_seconds,
         )
 
-    def _resilient(raw, granularity: str):
+    def _chain(raw, granularity: str):
         """Layer tool latency, chaos, and fault handling under the cache."""
-        key = _chaos_key(granularity)
-        wrapped = raw
-        if config.tool_latency_seconds > 0:
-            from repro.parallel.procpool import ToolLatencyPredicate
-
-            wrapped = ToolLatencyPredicate(
-                wrapped, config.tool_latency_seconds
-            )
-        if config.chaos is not None:
-            wrapped = config.chaos.apply(wrapped, key)
-        if config.wants_resilience or config.chaos is not None:
-            budget = Budget(
-                max_calls=config.budget_calls,
-                max_seconds=config.budget_seconds,
-                seconds_per_call=config.simulated_seconds_per_run,
-            )
-            wrapped = ResilientPredicate(
-                wrapped,
-                budget=budget,
-                retries=config.retries,
-                deadline_seconds=config.deadline_seconds,
-                seed=derive_seed(0, key),
-            )
-        return wrapped
+        budget = Budget(
+            max_calls=config.budget_calls,
+            max_seconds=config.budget_seconds,
+            seconds_per_call=config.simulated_seconds_per_run,
+        )
+        return build_chain(raw, budget, **_knobs(granularity))
 
     def _task_spec(granularity: str):
-        """The picklable probe recipe for the process backend, or None.
-
-        Workers rebuild the same chain :func:`_resilient` layers here —
-        oracle, tool latency, chaos, retries/deadline — from this spec
-        (see :func:`repro.parallel.procpool.build_worker_predicate`).
-        Budgets stay parent-side: a limiting budget serializes
-        speculation before any task reaches the pool.
+        """The picklable recipe a process probe pool rebuilds the chain
+        from; None unless probes run on processes (serializing the app
+        is not free).  Budgets stay parent-side: a limiting budget
+        serializes speculation before any task reaches the pool.
         """
         if config.probe_backend != "process" or config.speculate <= 1:
             return None
-        if getattr(instance, "scenario", "reduction") != "reduction":
-            # Worker processes rebuild predicates from decompiler names;
-            # scenario oracles (debloat) have no registry entry, so
-            # their probes stay in-parent (thread-pool semantics).
-            return None
-        from repro.parallel.procpool import ProbeTaskSpec
-
         return ProbeTaskSpec(
             app_bytes=serialize_application(app),
             decompiler=instance.decompiler,
             granularity=granularity,
-            chaos=config.chaos,
-            chaos_key=_chaos_key(granularity),
-            retries=config.retries,
-            deadline_seconds=config.deadline_seconds,
-            tool_latency_seconds=config.tool_latency_seconds,
+            scenario=scenario,
+            benchmark_id=benchmark.benchmark_id,
+            **_knobs(granularity),
         )
 
     # The run's virtual clock, installed on the tracer before the
@@ -498,7 +470,7 @@ def _run_instance_inner(
         if strategy == "jreduce":
             with tracer.span("instance.setup", strategy=strategy):
                 instrumented = InstrumentedPredicate(
-                    _resilient(oracle.class_predicate, "class"),
+                    _chain(oracle.class_predicate, "class"),
                     cost_per_call=config.simulated_seconds_per_run,
                     size_of=serializer.size_of_classes,
                     store=store,
@@ -534,7 +506,7 @@ def _run_instance_inner(
                 else:
                     problem = build_reduction_problem(app, oracle.decompiler)
                 instrumented = InstrumentedPredicate(
-                    _resilient(problem.predicate, "item"),
+                    _chain(problem.predicate, "item"),
                     cost_per_call=config.simulated_seconds_per_run,
                     size_of=serializer.size_of_items,
                     store=store,
@@ -570,7 +542,7 @@ def _run_instance_inner(
         benchmark_id=benchmark.benchmark_id,
         decompiler=instance.decompiler,
         strategy=strategy,
-        scenario=getattr(instance, "scenario", "reduction"),
+        scenario=scenario,
         total_bytes=total_bytes,
         total_classes=total_classes,
         final_bytes=application_size_bytes(reduced),

@@ -429,8 +429,8 @@ class Tracer:
     def adopt(self, payload: Dict[str, Any]) -> Optional[str]:
         """Re-emit a worker-built span payload under this tracer.
 
-        Process-pool workers have no live tracer — they handcraft span
-        payload dicts (see
+        Probe-pool workers (threads and processes alike) never touch a
+        live tracer — they handcraft span payload dicts (see
         :func:`repro.parallel.procpool._evaluate_probe`) and ship them
         back with their results.  The parent adopts each payload at the
         probe's serial commit position: a fresh tracer-wide ``seq`` is

@@ -26,12 +26,13 @@ kept items).  This package amortizes both axes:
   GBR's inner binary search (``--speculate K``): k probes per round run
   concurrently on a dedicated pool, committed in deterministic serial
   order so results stay byte-identical to sequential runs,
-- :mod:`repro.parallel.procpool` — the ``--probe-backend process``
-  pool: fresh physical probes run in spawn-safe worker processes that
-  rebuild the predicate chain from a picklable :class:`ProbeTaskSpec`,
-  beating the GIL on the pure-Python probe work the thread pool cannot
-  overlap; the parent commits results serially, so outcomes stay
-  byte-identical across backends.
+- :mod:`repro.parallel.procpool` — probe dispatch: one worker
+  function for both ``--probe-backend`` pools.  A thread pool runs the
+  parent's chain; the process pool's spawn-safe workers rebuild it from
+  a picklable :class:`ProbeTaskSpec`, beating the GIL on the
+  pure-Python probe work the thread pool cannot overlap; the parent
+  commits results serially, so outcomes stay byte-identical across
+  backends.
 
 All of them lean on the concurrency-safe telemetry in
 :mod:`repro.observability`: lock-protected metrics and thread-scoped

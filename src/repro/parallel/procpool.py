@@ -1,4 +1,4 @@
-"""Process-parallel probe evaluation: beat the GIL on physical probes.
+"""Probe dispatch: one worker function for thread and process pools.
 
 BENCH_5's blunt lesson: speculative probing wins 2.38x in *simulated*
 seconds but loses wall-clock (0.85x), because probe materialization +
@@ -6,39 +6,39 @@ decompile + javac are pure-Python CPU work — a ``ThreadPoolExecutor``
 overlaps none of it under the GIL.  The paper's premise is the
 opposite: the predicate is an external ~33-second tool invocation, and
 k of them genuinely run at once.  This module makes that real by
-moving *fresh* physical probes onto a ``ProcessPoolExecutor``.
+letting *fresh* physical probes run on a process pool too.
 
 The contract (DESIGN.md §10) has three parts:
 
-- **Task pickling.**  A :class:`ProbeTaskSpec` is a frozen, picklable
-  recipe for rebuilding the predicate chain inside a worker process:
-  the serialized application bytes (``serialize_application`` round-
-  trips exactly), the decompiler *name* (resolved via
-  ``get_decompiler``), the granularity, and the resilience knobs
-  (seeded :class:`~repro.resilience.faults.FaultPlan`, retries,
-  deadline, tool latency).  Workers cache the rebuilt chain per spec,
-  so one pickle+rebuild amortizes over every probe of a run.  Probe
-  *inputs* are frozensets of the frozen item dataclasses from
-  :mod:`repro.bytecode.items` — picklable by construction — plus the
-  picklable :class:`~repro.observability.context.TraceContext` payload
-  for the telemetry hop.
+- **One dispatch.**  :meth:`~repro.reduction.predicate
+  .InstrumentedPredicate.evaluate_batch` submits :func:`_evaluate_probe`
+  with a :class:`ProbeTask` to whatever executor it is given.  A thread
+  pool runs the task's live chain.  A process pool pickles the task,
+  which keeps only its :class:`ProbeTaskSpec` — a frozen, picklable
+  recipe: the serialized application bytes (``serialize_application``
+  round-trips exactly), the scenario and decompiler *name* (resolved by
+  :func:`build_oracle`), the granularity, and the chain knobs (seeded
+  :class:`~repro.resilience.faults.FaultPlan`, retries, deadline, tool
+  latency).  Workers rebuild the chain with :func:`build_chain` and
+  cache it per spec, so one pickle+rebuild amortizes over every probe
+  of a run.  Probe *inputs* are frozensets of the frozen item
+  dataclasses from :mod:`repro.bytecode.items` — picklable by
+  construction.
 - **Worker results.**  :func:`_evaluate_probe` returns a
   :class:`ProbeResult` — verdict (or the raised exception, relayed
   rather than thrown so its metrics survive), wall latency, the
-  worker-side metrics *delta* (recorded under a fresh
-  ``scoped_metrics`` child), and handcrafted ``predicate.call`` span
-  payloads the parent re-emits via
+  probe's counter *delta* (recorded under a detached registry), and a
+  handcrafted ``predicate.call`` span payload the parent re-emits via
   :meth:`~repro.observability.spans.Tracer.adopt`.
-- **Serial commit.**  The parent —
-  :meth:`~repro.reduction.predicate.InstrumentedPredicate
-  .evaluate_batch` — commits results in serial index order exactly as
-  the thread backend does: cache writes, store write-back (the
-  persistent cache tier of :mod:`repro.parallel.store` stays entirely
-  parent-side — workers never open the store, so its single-``os.write``
-  shard-append discipline holds per parent process), virtual
-  clock, and the probe provenance ledger all evolve as if the round
-  had been issued sequentially, so results stay byte-identical across
-  ``--probe-backend {thread,process}`` and sequential runs.
+- **Serial commit.**  The parent folds the deltas and payloads in and
+  commits results in serial index order: cache writes, store
+  write-back (the persistent cache tier of :mod:`repro.parallel.store`
+  stays entirely parent-side — workers never open the store, so its
+  single-``os.write`` shard-append discipline holds per parent
+  process), virtual clock, and the probe provenance ledger all evolve
+  as if the round had been issued sequentially, so results stay
+  byte-identical across ``--probe-backend {thread,process}`` and
+  sequential runs.
 
 Chaos parity: a worker rebuilds its *own* seeded fault injector (same
 derived seed, fresh call counter), so the per-call fault schedule is
@@ -69,13 +69,18 @@ from typing import (
     Optional,
 )
 
+from repro.observability import MetricsRegistry, scoped_metrics
+from repro.resilience import Budget, ResilientPredicate
 from repro.resilience.faults import FaultPlan, derive_seed
 
 __all__ = [
+    "ProbeTask",
     "ProbeTaskSpec",
     "ProbeResult",
     "ProcessProbePool",
     "ToolLatencyPredicate",
+    "build_chain",
+    "build_oracle",
     "build_worker_predicate",
     "worker_label",
 ]
@@ -106,14 +111,71 @@ class ToolLatencyPredicate:
         return self._predicate(sub_input)
 
 
+def build_chain(
+    raw: Predicate,
+    budget: Budget,
+    *,
+    tool_latency_seconds: float = 0.0,
+    chaos: Optional[FaultPlan] = None,
+    chaos_key: str = "",
+    retries: int = 0,
+    deadline_seconds: Optional[float] = None,
+) -> Predicate:
+    """The predicate chain below the cache, for parent and worker alike.
+
+    Raw oracle → tool latency → chaos injector →
+    :class:`~repro.resilience.ResilientPredicate`, each layer only when
+    a knob asks for it.  The parent passes the run's budget; a worker
+    passes a fresh unlimited one — a *limiting* budget never reaches a
+    pool, because ``speculation_allowed`` serializes it.  The
+    :class:`~repro.reduction.predicate.InstrumentedPredicate` layer
+    stays parent-side: memoization, the store, and the clocks are
+    committed serially there.
+    """
+    wrapped = raw
+    if tool_latency_seconds > 0:
+        wrapped = ToolLatencyPredicate(wrapped, tool_latency_seconds)
+    if chaos is not None:
+        wrapped = chaos.apply(wrapped, chaos_key)
+    if (
+        chaos is not None
+        or retries > 0
+        or deadline_seconds is not None
+        or budget.limited
+    ):
+        wrapped = ResilientPredicate(
+            wrapped,
+            budget=budget,
+            retries=retries,
+            deadline_seconds=deadline_seconds,
+            seed=derive_seed(0, chaos_key),
+        )
+    return wrapped
+
+
+def build_oracle(app, scenario: str, decompiler: str, benchmark_id: str):
+    """The one recipe for rebuilding an instance's oracle from its app.
+
+    ``"debloat"`` instances get the coverage oracle (seeded by the
+    benchmark id, so every process derives the same profile); the
+    paper's reduction scenario gets the named decompiler's oracle.
+    """
+    if scenario == "debloat":
+        from repro.workloads.debloat import DebloatOracle
+
+        return DebloatOracle(app, benchmark_id)
+    from repro.decompiler.oracle import DecompilerOracle
+
+    return DecompilerOracle(app, decompiler)
+
+
 @dataclass(frozen=True)
 class ProbeTaskSpec:
     """A picklable recipe for rebuilding a predicate chain in a worker.
 
-    ``kind == "oracle"`` rebuilds a
-    :class:`~repro.decompiler.oracle.DecompilerOracle` from
-    ``app_bytes`` (the exact ``serialize_application`` round-trip) and
-    the decompiler *name*; ``kind == "callable"`` ships a small
+    ``kind == "oracle"`` rebuilds the instance's oracle from
+    ``app_bytes`` (the exact ``serialize_application`` round-trip) via
+    :func:`build_oracle`; ``kind == "callable"`` ships a small
     picklable predicate directly (the CLI's containment oracle).
 
     The spec doubles as the worker-side cache key (it is frozen and
@@ -127,6 +189,8 @@ class ProbeTaskSpec:
     app_bytes: Optional[bytes] = None
     decompiler: Optional[str] = None
     granularity: str = "item"
+    scenario: str = "reduction"
+    benchmark_id: str = ""
     predicate: Optional[Predicate] = None
     chaos: Optional[FaultPlan] = None
     chaos_key: str = ""
@@ -154,14 +218,38 @@ class ProbeTaskSpec:
             raise ValueError("a 'callable' task spec needs a predicate")
 
 
+class ProbeTask:
+    """What a probe pool runs: the parent's live chain and its recipe.
+
+    A thread pool receives the task as is and runs the live ``chain``.
+    Pickling — the hop into a worker process — keeps only the ``spec``,
+    from which the worker rebuilds the chain.  The parent therefore
+    submits the same function and the same task to either backend.
+    """
+
+    def __init__(
+        self, chain: Optional[Predicate], spec: Optional[ProbeTaskSpec]
+    ) -> None:
+        self.chain = chain
+        self.spec = spec
+
+    def __reduce__(self):
+        if self.spec is None:
+            raise ValueError(
+                "a process probe pool needs an InstrumentedPredicate "
+                "built with task_spec= (the picklable chain recipe)"
+            )
+        return (ProbeTask, (None, self.spec))
+
+
 @dataclass
 class ProbeResult:
-    """What one worker probe sends back for the serial commit.
+    """What one probe sends back for the serial commit.
 
     ``error`` relays a raised exception instead of letting it escape
     through the future, so the attempt's metrics delta (retries,
     timeouts) still reaches the parent; the parent re-raises it at the
-    probe's serial commit position, exactly like the thread backend.
+    probe's serial commit position.
     """
 
     outcome: Optional[bool]
@@ -172,50 +260,32 @@ class ProbeResult:
 
 
 def build_worker_predicate(spec: ProbeTaskSpec) -> Predicate:
-    """Rebuild the parent's predicate chain (below the cache) from a spec.
-
-    Mirrors ``repro.harness.experiments._run_instance_inner`` layer for
-    layer: raw oracle → tool latency → chaos injector →
-    :class:`~repro.resilience.ResilientPredicate` (fresh unlimited
-    budget — a *limiting* budget never reaches this backend, because
-    ``speculation_allowed`` serializes it).  The
-    :class:`~repro.reduction.predicate.InstrumentedPredicate` layer
-    stays parent-side: memoization, the store, and the clocks are
-    committed serially there.
-    """
+    """Rebuild the parent's predicate chain (below the cache) from a spec."""
     if spec.kind == "callable":
         raw = spec.predicate
     else:
         from repro.bytecode.serializer import deserialize_application
-        from repro.decompiler.oracle import DecompilerOracle
 
-        app = deserialize_application(spec.app_bytes)
-        oracle = DecompilerOracle(app, spec.decompiler)
+        oracle = build_oracle(
+            deserialize_application(spec.app_bytes),
+            spec.scenario,
+            spec.decompiler,
+            spec.benchmark_id,
+        )
         raw = (
             oracle.item_predicate
             if spec.granularity == "item"
             else oracle.class_predicate
         )
-    wrapped: Predicate = raw
-    if spec.tool_latency_seconds > 0:
-        wrapped = ToolLatencyPredicate(wrapped, spec.tool_latency_seconds)
-    if spec.chaos is not None:
-        wrapped = spec.chaos.apply(wrapped, spec.chaos_key)
-    if (
-        spec.chaos is not None
-        or spec.retries > 0
-        or spec.deadline_seconds is not None
-    ):
-        from repro.resilience import Budget, ResilientPredicate
-
-        wrapped = ResilientPredicate(
-            wrapped,
-            budget=Budget(),
-            retries=spec.retries,
-            deadline_seconds=spec.deadline_seconds,
-            seed=derive_seed(0, spec.chaos_key),
-        )
-    return wrapped
+    return build_chain(
+        raw,
+        Budget(),
+        tool_latency_seconds=spec.tool_latency_seconds,
+        chaos=spec.chaos,
+        chaos_key=spec.chaos_key,
+        retries=spec.retries,
+        deadline_seconds=spec.deadline_seconds,
+    )
 
 
 def worker_label() -> str:
@@ -237,24 +307,27 @@ def _worker_predicate(spec: ProbeTaskSpec) -> Predicate:
 
 
 def _evaluate_probe(
-    spec: ProbeTaskSpec,
+    task: ProbeTask,
     sub_input: FrozenSet[VarName],
     ctx_payload: Optional[Dict[str, Any]] = None,
 ) -> ProbeResult:
-    """One physical probe, evaluated inside a pool worker process.
+    """One physical probe, on a pool thread or in a worker process.
 
-    Runs under a fresh ``scoped_metrics`` child so the returned metrics
-    dict is exactly this probe's delta; with a traced parent
-    (``ctx_payload``), also handcrafts the ``predicate.call`` span
-    payload the parent re-emits via ``Tracer.adopt`` — the worker has
-    no live tracer of its own, only the picklable context capsule.
+    Runs under a *detached* metrics registry, so the returned counters
+    are exactly this probe's delta and reach the parent only through
+    its fold.  (A bare ``scoped_metrics()`` child on a pool thread
+    would forward to the global registry, which the fold then counts a
+    second time.)  With a traced parent (``ctx_payload``), also
+    handcrafts the ``predicate.call`` span payload the parent re-emits
+    via ``Tracer.adopt`` — the probe never touches a live tracer, only
+    the picklable context capsule.
     """
-    from repro.observability import scoped_metrics
-
-    predicate = _worker_predicate(spec)
+    in_process = task.chain is not None
+    predicate = task.chain if in_process else _worker_predicate(task.spec)
     outcome: Optional[bool] = None
     error: Optional[BaseException] = None
-    with scoped_metrics() as registry:
+    with scoped_metrics(MetricsRegistry()) as registry:
+        started = time.time()
         start = time.perf_counter()
         try:
             outcome = predicate(sub_input)
@@ -263,24 +336,24 @@ def _evaluate_probe(
         wall = time.perf_counter() - start
     events: List[Dict[str, Any]] = []
     if ctx_payload is not None:
-        ctx = ctx_payload.get("ctx") or {}
+        ctx = ctx_payload["ctx"]
         events.append(
             {
                 "type": "span",
                 "name": "predicate.call",
-                "start": time.time() - ctx_payload.get("epoch_unix", 0.0),
+                "start": started - ctx_payload["epoch_unix"],
                 "duration": wall,
-                "vstart": ctx_payload.get("vt", 0.0),
+                "vstart": ctx_payload["vt"],
                 "vduration": 0.0,
-                "parent_span_id": ctx.get("span_id"),
-                "run_id": ctx.get("run_id", ""),
-                "trace_id": ctx.get("trace_id", ""),
-                "serial": ctx.get("serial", -1),
-                "worker": worker_label(),
+                "parent_span_id": ctx["span_id"],
+                "run_id": ctx["run_id"],
+                "trace_id": ctx["trace_id"],
+                "serial": ctx["serial"],
+                "worker": ctx["worker"] if in_process else worker_label(),
                 "attrs": {
                     "size": len(sub_input),
                     "outcome": outcome,
-                    "backend": "process",
+                    "backend": "thread" if in_process else "process",
                     "pid": os.getpid(),
                 },
             }
@@ -301,35 +374,28 @@ def _evaluate_probe(
 class ProcessProbePool:
     """A spawn-safe process pool for physical probe evaluation.
 
-    Duck-typed by ``InstrumentedPredicate.evaluate_batch`` via
-    :meth:`submit_probe` (a plain ``ThreadPoolExecutor`` exposes
-    ``submit`` instead — that is how the batch picks its backend).
-    ``spawn`` is the default start method: it is the only one that is
-    both fork-safe under threads (a thread-backend instance pool shares
-    one probe pool across its threads) and portable, and it forces the pickling
-    contract to hold — a worker only ever sees what the spec carries.
+    A plain executor: ``evaluate_batch`` submits :func:`_evaluate_probe`
+    to it exactly as to a ``ThreadPoolExecutor``; only the pickling of
+    the :class:`ProbeTask` differs.  ``spawn`` is the default start
+    method: it is the only one that is both fork-safe under threads (a
+    thread-backend instance pool shares one probe pool across its
+    threads) and portable, and it forces the pickling contract to hold
+    — a worker only ever sees what the spec carries.
     """
 
     def __init__(self, max_workers: int, mp_context: str = "spawn") -> None:
+        # Imported here, not at module level: the process machinery
+        # adds ~2 MB resident to every importer, and most never spawn.
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        if max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        self.max_workers = max_workers
         self._pool = ProcessPoolExecutor(
             max_workers=max_workers,
             mp_context=multiprocessing.get_context(mp_context),
         )
 
-    def submit_probe(
-        self,
-        spec: ProbeTaskSpec,
-        sub_input: FrozenSet[VarName],
-        ctx_payload: Optional[Dict[str, Any]] = None,
-    ):
-        """Schedule one probe; returns a future of :class:`ProbeResult`."""
-        return self._pool.submit(_evaluate_probe, spec, sub_input, ctx_payload)
+    def submit(self, fn, *args):
+        return self._pool.submit(fn, *args)
 
     def shutdown(self, wait: bool = True) -> None:
         self._pool.shutdown(wait=wait)

@@ -84,6 +84,7 @@ from repro.harness.experiments import (
 )
 from repro.observability import get_metrics, get_tracer
 from repro.observability.context import TraceContext
+from repro.parallel.procpool import build_oracle, worker_label
 from repro.parallel.store import DEFAULT_SHARDS
 from repro.workloads.corpus import Benchmark, BuggyInstance, load_manifest
 
@@ -309,19 +310,12 @@ def _materialize(spec: InstanceTaskSpec) -> Tuple[Benchmark, BuggyInstance]:
     benchmark = Benchmark(
         benchmark_id=spec.benchmark_id, seed=spec.app_seed, app=app
     )
-    if spec.scenario == "debloat":
-        from repro.workloads.debloat import DebloatOracle
-
-        oracle = DebloatOracle(app, spec.benchmark_id)
-    else:
-        from repro.decompiler.decompile import DECOMPILERS
-        from repro.decompiler.oracle import DecompilerOracle
-
-        oracle = DecompilerOracle(app, DECOMPILERS[spec.decompiler])
     instance = BuggyInstance(
         benchmark_id=spec.benchmark_id,
         decompiler=spec.decompiler,
-        oracle=oracle,
+        oracle=build_oracle(
+            app, spec.scenario, spec.decompiler, spec.benchmark_id
+        ),
         scenario=spec.scenario,
     )
     return benchmark, instance
@@ -340,7 +334,6 @@ def _run_instance_task(spec: InstanceTaskSpec) -> InstanceTaskResult:
     """
     from concurrent.futures.process import BrokenProcessPool  # noqa: F401
     from repro.observability import scoped_metrics
-    from repro.parallel.procpool import worker_label
 
     start = time.perf_counter()
     label = worker_label()

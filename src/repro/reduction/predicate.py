@@ -24,14 +24,16 @@ store; fresh outcomes are written back.  Store hits count as cache hits,
 not calls, so a warm store makes repeat runs cost zero fresh predicate
 invocations.
 
-Batch backends: :meth:`evaluate_batch` runs one speculative round's
-fresh probes on either a thread pool (the wrapped predicate itself, on
-pool threads) or — given a ``task_spec`` and a
-:class:`~repro.parallel.procpool.ProcessProbePool` — on worker
-*processes* that rebuild the chain from the picklable spec.  Either way
-the outcomes are committed parent-side in serial index order, so
-results, clocks, store writes, and the provenance ledger stay
-byte-identical across backends (see DESIGN.md §10).
+Batch backends: :meth:`evaluate_batch` dispatches one speculative
+round's fresh probes one way — it submits
+:func:`repro.parallel.procpool._evaluate_probe` to the executor it is
+given.  A thread pool runs the wrapped chain itself; a
+:class:`~repro.parallel.procpool.ProcessProbePool` rebuilds it from the
+picklable ``task_spec``.  Either way the probes' counter deltas and
+span payloads are folded in and the outcomes committed parent-side in
+serial index order, so results, clocks, store writes, and the
+provenance ledger stay byte-identical across backends (see DESIGN.md
+§10).
 
 Telemetry: every query also feeds the active metrics registry
 (``predicate.calls`` / ``predicate.queries`` / ``predicate.cache_hits``
@@ -70,7 +72,6 @@ from repro.observability import (
     current_probe_fields,
     get_metrics,
     get_tracer,
-    scoped_metrics,
 )
 
 __all__ = ["InstrumentedPredicate", "best_so_far"]
@@ -150,19 +151,6 @@ def _stat_deltas(
     return {key: after[key] - before.get(key, 0) for key in after}
 
 
-class _NoAttach:
-    """Null context manager for untraced batch workers."""
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None
-
-
-_NO_ATTACH = _NoAttach()
-
-
 class InstrumentedPredicate:
     """Counting / caching / timeline wrapper around a predicate.
 
@@ -184,7 +172,7 @@ class InstrumentedPredicate:
         task_spec: optional picklable
             :class:`~repro.parallel.procpool.ProbeTaskSpec` describing
             how a worker *process* rebuilds this predicate's chain;
-            required for :meth:`evaluate_batch` to accept a
+            required for :meth:`evaluate_batch` to run on a
             :class:`~repro.parallel.procpool.ProcessProbePool`.
     """
 
@@ -228,28 +216,10 @@ class InstrumentedPredicate:
             metrics.counter("predicate.cache_hits").inc()
             return cached
         tracer = get_tracer()
-        if self._store is not None:
-            stored = self._store.lookup(self._fingerprint, sub_input)
-            if stored is None:
-                metrics.counter("predicate.store_misses").inc()
-            else:
-                self.store_hits += 1
-                metrics.counter("predicate.cache_hits").inc()
-                metrics.counter("predicate.store_hits").inc()
-                self._cache[sub_input] = stored
-                if stored:
-                    self._note_success(sub_input)
-                if tracer.enabled:
-                    tracer.event(
-                        "probe",
-                        key=_probe_key(sub_input, self._key_cache),
-                        cache="store",
-                        outcome=stored,
-                        wall_seconds=0.0,
-                        virtual_charge=0.0,
-                        **current_probe_fields(),
-                    )
-                return stored
+        fields = current_probe_fields() if tracer.enabled else {}
+        stored = self._lookup(sub_input, metrics, tracer, **fields)
+        if stored is not None:
+            return stored
         before_stats = _chain_stats(self._predicate) if tracer.enabled else {}
         with tracer.span("predicate.call", size=len(sub_input)) as sp:
             before = time.perf_counter()
@@ -266,15 +236,9 @@ class InstrumentedPredicate:
         metrics.counter("predicate.virtual_seconds").inc(self._cost_per_call)
         metrics.histogram("predicate.latency_seconds").observe(latency)
         if tracer.enabled:
-            tracer.event(
-                "probe",
-                span_id=sp.span_id,
-                key=_probe_key(sub_input, self._key_cache),
-                cache="fresh",
-                outcome=outcome,
-                wall_seconds=latency,
-                virtual_charge=self._cost_per_call,
-                **current_probe_fields(),
+            self._ledger(
+                tracer, sub_input, "fresh", outcome, latency,
+                self._cost_per_call, span_id=sp.span_id, **fields,
                 **_stat_deltas(before_stats, _chain_stats(self._predicate)),
             )
         self._cache[sub_input] = outcome
@@ -283,6 +247,43 @@ class InstrumentedPredicate:
         if outcome:
             self._note_success(sub_input)
         return outcome
+
+    def _lookup(self, sub_input, metrics, tracer, **fields) -> Optional[bool]:
+        """Read a memo miss through to the store; the outcome or None.
+
+        A store hit counts as a cache hit, lands in the memo, and emits
+        a ``cache="store"`` ledger entry annotated with ``fields``.
+        """
+        if self._store is None:
+            return None
+        stored = self._store.lookup(self._fingerprint, sub_input)
+        if stored is None:
+            metrics.counter("predicate.store_misses").inc()
+            return None
+        self.store_hits += 1
+        metrics.counter("predicate.cache_hits").inc()
+        metrics.counter("predicate.store_hits").inc()
+        self._cache[sub_input] = stored
+        if stored:
+            self._note_success(sub_input)
+        if tracer.enabled:
+            self._ledger(tracer, sub_input, "store", stored, 0.0, 0.0, **fields)
+        return stored
+
+    def _ledger(
+        self, tracer, sub_input, cache, outcome, wall_seconds,
+        virtual_charge, **fields,
+    ) -> None:
+        """Emit one probe provenance ledger entry (tracing is on)."""
+        tracer.event(
+            "probe",
+            key=_probe_key(sub_input, self._key_cache),
+            cache=cache,
+            outcome=outcome,
+            wall_seconds=wall_seconds,
+            virtual_charge=virtual_charge,
+            **fields,
+        )
 
     def peek(self, sub_input: FrozenSet[VarName]) -> Optional[bool]:
         """The in-memory cached outcome for a sub-input, or None.
@@ -323,18 +324,24 @@ class InstrumentedPredicate:
           ledger's "one event per physical probe" invariant holds even
           for work an earlier failure threw away.
 
-        Backends: a plain ``concurrent.futures`` pool runs the wrapped
-        predicate on worker threads under the caller's active metrics
-        registry (``scoped_metrics`` survives the thread hop).  An
-        executor exposing ``submit_probe`` (a
-        :class:`~repro.parallel.procpool.ProcessProbePool`) instead
-        ships this predicate's picklable ``task_spec`` to worker
-        processes; their returned metrics deltas are merged into the
-        active registry and their span payloads re-emitted via
-        ``Tracer.adopt``, in serial order, before the common commit
-        loop runs.  Either backend commits through the same loop, so
-        results are byte-identical across backends.
+        Dispatch: every fresh probe is one
+        ``executor.submit(_evaluate_probe, task, sub_input, ctx)`` of
+        :func:`repro.parallel.procpool._evaluate_probe`, whatever the
+        executor.  A thread pool (any ``concurrent.futures`` executor
+        that does not pickle) runs this predicate's own chain; a
+        :class:`~repro.parallel.procpool.ProcessProbePool` pickles the
+        :class:`~repro.parallel.procpool.ProbeTask` down to its
+        ``task_spec`` and rebuilds the chain in the worker.  Each probe
+        returns its counter delta and ``predicate.call`` span payload;
+        they are folded into the active registry and re-emitted via
+        ``Tracer.adopt`` in serial order (committed or not — counters
+        move as probes *run*), and the outcomes then go through
+        :meth:`_commit_settled`.
         """
+        # Lazy: repro.parallel imports the harness, which imports this
+        # module.
+        from repro.parallel.procpool import ProbeTask, _evaluate_probe
+
         inputs = [frozenset(s) for s in sub_inputs]
         results: List[Optional[bool]] = [None] * len(inputs)
         fresh: List[Tuple[int, FrozenSet[VarName]]] = []
@@ -344,7 +351,7 @@ class InstrumentedPredicate:
         tracer = get_tracer()
         # Captured once on the issuing thread: the speculation engine's
         # probe_scope (round number) annotates every ledger entry this
-        # round commits, even though the calls run on pool threads.
+        # round commits, even though the calls run on the pool.
         scope = current_probe_fields() if tracer.enabled else {}
         for position, sub_input in enumerate(inputs):
             self.queries += 1
@@ -360,145 +367,51 @@ class InstrumentedPredicate:
                 metrics.counter("predicate.cache_hits").inc()
                 aliases.append((position, pending[sub_input]))
                 continue
-            if self._store is not None:
-                stored = self._store.lookup(self._fingerprint, sub_input)
-                if stored is None:
-                    metrics.counter("predicate.store_misses").inc()
-                else:
-                    self.store_hits += 1
-                    metrics.counter("predicate.cache_hits").inc()
-                    metrics.counter("predicate.store_hits").inc()
-                    self._cache[sub_input] = stored
-                    if stored:
-                        self._note_success(sub_input)
-                    results[position] = stored
-                    if tracer.enabled:
-                        tracer.event(
-                            "probe",
-                            key=_probe_key(sub_input, self._key_cache),
-                            cache="store",
-                            outcome=stored,
-                            wall_seconds=0.0,
-                            virtual_charge=0.0,
-                            batch_pos=position,
-                            **scope,
-                        )
-                    continue
+            stored = self._lookup(
+                sub_input, metrics, tracer, batch_pos=position, **scope
+            )
+            if stored is not None:
+                results[position] = stored
+                continue
             pending[sub_input] = position
             fresh.append((position, sub_input))
 
         if fresh:
-            if hasattr(executor, "submit_probe"):
-                settled = self._execute_fresh_process(fresh, executor, tracer)
-            else:
-                settled = self._execute_fresh_threads(
-                    fresh, executor, tracer, metrics
+            task = ProbeTask(self._predicate, self._task_spec)
+            ctx_payload = None
+            if tracer.enabled:
+                # The issuing task's causal position and virtual clock,
+                # so each probe's ``predicate.call`` span parents onto
+                # the open ``speculate.round`` span.
+                ctx_payload = {
+                    "ctx": tracer.current_context().to_dict(),
+                    "epoch_unix": tracer.epoch_unix,
+                    "vt": tracer.virtual_now(),
+                }
+            futures = [
+                executor.submit(_evaluate_probe, task, sub_input, ctx_payload)
+                for _, sub_input in fresh
+            ]
+            settled = []
+            for (position, sub_input), future in zip(fresh, futures):
+                try:
+                    probe = future.result()
+                except BaseException as exc:  # noqa: BLE001 — pool failure
+                    settled.append((position, sub_input, None, 0.0, exc))
+                    continue
+                settled.append(
+                    (position, sub_input, probe.outcome, probe.wall_seconds,
+                     probe.error)
                 )
+                for name, value in probe.metrics.items():
+                    metrics.counter(name).inc(value)
+                for payload in probe.events:
+                    tracer.adopt(payload)
             self._commit_settled(settled, results, tracer, metrics, scope)
 
         for position, source in aliases:
             results[position] = results[source]
         return [bool(r) for r in results]
-
-    def _execute_fresh_threads(self, fresh, executor, tracer, metrics):
-        """Run fresh probes on a thread pool (the wrapped chain itself)."""
-        registry = metrics
-        # The issuing task's causal position and virtual clock,
-        # carried onto the probe-pool threads so their
-        # ``predicate.call`` spans parent onto the open
-        # ``speculate.round`` span instead of floating free.
-        ctx = tracer.current_context() if tracer.enabled else None
-        vclock = tracer.current_clock()
-
-        def run_one(sub_input: FrozenSet[VarName]):
-            # The worker thread sees the global registry by default;
-            # install the caller's so the run's scoped counters (and
-            # any per-run attribution above them) stay exact.
-            with scoped_metrics(registry):
-                if ctx is not None:
-                    attach = tracer.attach(ctx, clock=vclock)
-                else:
-                    attach = _NO_ATTACH
-                with attach:
-                    with tracer.span(
-                        "predicate.call", size=len(sub_input)
-                    ) as sp:
-                        before = time.perf_counter()
-                        outcome = self._predicate(sub_input)
-                        sp.set_attr("outcome", outcome)
-                return outcome, time.perf_counter() - before
-
-        futures = [
-            (position, sub_input, executor.submit(run_one, sub_input))
-            for position, sub_input in fresh
-        ]
-        settled = []
-        for position, sub_input, future in futures:
-            try:
-                outcome, latency = future.result()
-                settled.append((position, sub_input, outcome, latency, None))
-            except BaseException as exc:  # noqa: BLE001 — re-raised on commit
-                settled.append((position, sub_input, None, 0.0, exc))
-        return settled
-
-    def _execute_fresh_process(self, fresh, executor, tracer):
-        """Run fresh probes on worker processes via the task spec.
-
-        Each worker rebuilds the chain from ``task_spec`` (cached per
-        process) and sends back a
-        :class:`~repro.parallel.procpool.ProbeResult`; the worker-side
-        metrics deltas and span payloads are folded into the parent's
-        registry/tracer here, in serial order, so the merged telemetry
-        is deterministic — the outcomes themselves go through the same
-        commit loop as the thread backend.
-        """
-        if self._task_spec is None:
-            raise ValueError(
-                "a process probe pool needs an InstrumentedPredicate "
-                "built with task_spec= (the picklable chain recipe)"
-            )
-        ctx_payload = None
-        if tracer.enabled:
-            ctx_payload = {
-                "ctx": tracer.current_context().to_dict(),
-                "epoch_unix": tracer.epoch_unix,
-                "vt": tracer.virtual_now(),
-            }
-        futures = [
-            (
-                position,
-                sub_input,
-                executor.submit_probe(self._task_spec, sub_input, ctx_payload),
-            )
-            for position, sub_input in fresh
-        ]
-        settled = []
-        metrics = get_metrics()
-        for position, sub_input, future in futures:
-            try:
-                probe = future.result()
-            except BaseException as exc:  # noqa: BLE001 — pool infrastructure
-                settled.append((position, sub_input, None, 0.0, exc))
-                continue
-            settled.append(
-                (
-                    position,
-                    sub_input,
-                    probe.outcome,
-                    probe.wall_seconds,
-                    probe.error,
-                )
-            )
-            # Counters moved in the worker (retries, timeouts, oracle
-            # internals) merge here whether or not the probe commits —
-            # the thread backend's counters also move as probes *run*.
-            for name, value in probe.metrics.items():
-                if value:
-                    metrics.counter(name).inc(value)
-            if tracer.enabled:
-                for payload in probe.events:
-                    tracer.adopt(payload)
-        return settled
 
     def _commit_settled(self, settled, results, tracer, metrics, scope):
         """Commit one round's fresh outcomes in serial index order.
@@ -523,19 +436,12 @@ class InstrumentedPredicate:
                         later_latency,
                         later_error,
                     ) in settled[index + 1:]:
-                        if later_error is not None:
-                            continue
-                        tracer.event(
-                            "probe",
-                            key=_probe_key(later_input, self._key_cache),
-                            cache="fresh",
-                            outcome=later_outcome,
-                            wall_seconds=later_latency,
-                            virtual_charge=0.0,
-                            batch_pos=later_position,
-                            discarded=True,
-                            **scope,
-                        )
+                        if later_error is None:
+                            self._ledger(
+                                tracer, later_input, "fresh", later_outcome,
+                                later_latency, 0.0, batch_pos=later_position,
+                                discarded=True, **scope,
+                            )
                 raise error
             self.calls += 1
             metrics.counter("predicate.calls").inc()
@@ -561,15 +467,9 @@ class InstrumentedPredicate:
                 # merged ledger reads like a sequential run.  Per-probe
                 # resilience deltas are skipped here — concurrent
                 # attempts make bracketing snapshots racy.
-                tracer.event(
-                    "probe",
-                    key=_probe_key(sub_input, self._key_cache),
-                    cache="fresh",
-                    outcome=outcome,
-                    wall_seconds=latency,
-                    virtual_charge=round_charge,
-                    batch_pos=position,
-                    **scope,
+                self._ledger(
+                    tracer, sub_input, "fresh", outcome, latency,
+                    round_charge, batch_pos=position, **scope,
                 )
 
     def _note_success(self, sub_input: FrozenSet[VarName]) -> None:

@@ -8,7 +8,8 @@ byte-identically to the sequential run and to the thread backend.
 These tests pin the claim down across speculation widths, chaos fault
 injection, and warm/cold persistent stores, plus the contract pieces:
 task-spec pickling, worker-side chain rebuilding, and the guard rails
-(missing task_spec, limiting budgets still serializing).
+(missing task_spec, limiting budgets still serializing), and the one
+dispatch both backends share (worker counters folded exactly once).
 """
 
 import dataclasses
@@ -22,6 +23,7 @@ from repro.parallel.procpool import (
     ProbeTaskSpec,
     ProcessProbePool,
     ToolLatencyPredicate,
+    build_chain,
     build_worker_predicate,
 )
 from repro.reduction.predicate import InstrumentedPredicate
@@ -41,6 +43,16 @@ def corpus():
 def pair(corpus):
     benchmark = corpus[0]
     assert benchmark.instances, "corpus produced no buggy instances"
+    return benchmark, benchmark.instances[0]
+
+
+@pytest.fixture(scope="module")
+def debloat_pair(corpus):
+    from repro.workloads.debloat import add_debloat_instances
+
+    # A private copy: the module corpus keeps its reduction instances.
+    benchmark = dataclasses.replace(corpus[0], instances=[])
+    add_debloat_instances([benchmark])
     return benchmark, benchmark.instances[0]
 
 
@@ -220,6 +232,36 @@ class TestEvaluateBatchProcessBackend:
         assert wrapped.virtual_now() == 0.0
 
 
+class TestEvaluateBatchThreadBackend:
+    def test_worker_counters_land_exactly_once(self):
+        """A pool thread's probe counters reach the caller's scoped
+        registry and the global registry once each: the probe must not
+        forward them itself before the parent folds its delta in."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.observability import get_metrics, scoped_metrics
+
+        chain = build_chain(
+            _SizePredicate(1),
+            Budget(),
+            chaos=FaultPlan(kind="flaky", rate=0.5, seed=11),
+            chaos_key="k",
+            retries=16,
+        )
+        wrapped = InstrumentedPredicate(chain)
+        global_retries = get_metrics().counter("predicate.retries")
+        before = global_retries.value
+        with ThreadPoolExecutor(max_workers=4) as executor, (
+            scoped_metrics()
+        ) as scoped:
+            wrapped.evaluate_batch(
+                [frozenset({i}) for i in range(8)], executor=executor
+            )
+        assert chain.retries > 0
+        assert scoped.counter_values()["predicate.retries"] == chain.retries
+        assert global_retries.value - before == chain.retries
+
+
 class _Crasher:
     """Picklable predicate that raises on inputs containing 'BOOM'."""
 
@@ -334,17 +376,30 @@ class TestBackendDifferential:
 
         assert ledger("process") == ledger("thread")
 
-    def test_process_backend_emits_worker_spans(self, pair):
+    def test_debloat_runs_identical_across_backends(self, debloat_pair):
+        """Workers rebuild the debloat scenario's coverage oracle from
+        the spec, so its process runs complete like thread runs."""
+        seq = _run(debloat_pair)
+        thread = _run(debloat_pair, speculate=2)
+        process = _run(debloat_pair, speculate=2, probe_backend="process")
+        assert _comparable(process) == _comparable(thread)
+        assert process.status == "complete"
+        assert process.final_bytes == seq.final_bytes
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_backend_emits_worker_spans(self, pair, backend):
         with tracing_session() as (tracer, _):
-            _run(pair, speculate=4, probe_backend="process")
-            adopted = [
-                e for e in tracer.events()
-                if e.name == "predicate.call"
-                and e.attrs.get("backend") == "process"
-            ]
+            _run(pair, speculate=4, probe_backend=backend)
+            events = tracer.events()
+        adopted = [
+            e for e in events
+            if e.name == "predicate.call" and e.attrs.get("backend") == backend
+        ]
         assert adopted, "no adopted worker spans in the trace"
-        assert all(e.worker.startswith("p") for e in adopted)
-        assert all(e.parent_id for e in adopted)
+        if backend == "process":
+            assert all(e.worker.startswith("p") for e in adopted)
+        span_ids = {e.span_id for e in events}
+        assert all(e.parent_id in span_ids for e in adopted)
 
 
 class TestProcessProbePoolGuards:
