@@ -54,9 +54,8 @@ Subcommands:
   (spans indented under parents, both clocks, probes inlined).
 - ``jlreduce trace flame FILE...`` — folded-stacks output for
   flamegraph renderers (``--clock wall|virtual``).
-- ``jlreduce trace diff A B`` — compare two runs on both clocks (wall
-  and simulated) with per-span deltas; either side may be a trace or a
-  BENCH_*.json baseline payload.
+- ``jlreduce trace diff A B`` — compare two traces on both clocks
+  (wall and simulated) with per-span deltas.
 - ``jlreduce trace explain HANDLE FILE...`` — resolve one probe's full
   provenance chain (why it ran, what it cost on both clocks) by
   ``event_id`` or key prefix.
@@ -454,10 +453,10 @@ def build_parser() -> argparse.ArgumentParser:
         "diff", help="compare two runs on both clocks"
     )
     diff_cmd.add_argument(
-        "a", metavar="A", help="baseline: a trace file/glob or BENCH json"
+        "a", metavar="A", help="baseline: a trace file or glob"
     )
     diff_cmd.add_argument(
-        "b", metavar="B", help="candidate: a trace file/glob or BENCH json"
+        "b", metavar="B", help="candidate: a trace file or glob"
     )
     diff_cmd.add_argument(
         "--json",
@@ -1382,78 +1381,17 @@ def _trace_flame(patterns: List[str], clock: str = "wall") -> int:
     return 0
 
 
-def _load_diff_side(arg: str):
-    """A diff operand: a trace (event list) or a bench baseline payload.
-
-    A file holding one JSON object (a BENCH_*.json) yields
-    ``("baseline", clocks)``; anything else is treated as trace
-    files/globs and yields ``("trace", events)``.  Returns None (after
-    printing) when neither works.
-    """
-    import os
-
-    from repro.observability import load_traces
-    from repro.observability.tooling import baseline_totals
-
-    if os.path.isfile(arg):
-        try:
-            with open(arg, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            payload = None
-        if isinstance(payload, dict) and payload.get("type") != "meta":
-            clocks = baseline_totals(payload)
-            if clocks is None:
-                print(
-                    f"jlreduce: {arg}: no wall_seconds/simulated_seconds "
-                    "in baseline payload",
-                    file=sys.stderr,
-                )
-                return None
-            return "baseline", clocks
-    try:
-        return "trace", load_traces([arg])
-    except (OSError, ValueError) as exc:
-        print(f"jlreduce: {arg}: {exc}", file=sys.stderr)
-        return None
-
-
 def _trace_diff(a: str, b: str, json_output: bool = False) -> int:
-    from repro.observability import clock_totals, diff_traces, render_diff
+    from repro.observability import diff_traces, load_traces, render_diff
 
-    side_a = _load_diff_side(a)
-    if side_a is None:
-        return 1
-    side_b = _load_diff_side(b)
-    if side_b is None:
-        return 1
-
-    if side_a[0] == "trace" and side_b[0] == "trace":
-        diff = diff_traces(side_a[1], side_b[1], a_label=a, b_label=b)
-    else:
-        # At least one side is a bench baseline: clocks only, no spans.
-        clocks = {}
-        resolved = {
-            "a": (
-                side_a[1]
-                if side_a[0] == "baseline"
-                else clock_totals(side_a[1])
-            ),
-            "b": (
-                side_b[1]
-                if side_b[0] == "baseline"
-                else clock_totals(side_b[1])
-            ),
-        }
-        for key in ("wall", "simulated"):
-            a_val = resolved["a"][key]
-            b_val = resolved["b"][key]
-            clocks[key] = {
-                "a": a_val,
-                "b": b_val,
-                "speedup": (a_val / b_val) if b_val else 0.0,
-            }
-        diff = {"labels": [a, b], "clocks": clocks, "spans": []}
+    sides = []
+    for arg in (a, b):
+        try:
+            sides.append(load_traces([arg]))
+        except (OSError, ValueError) as exc:
+            print(f"jlreduce: {arg}: {exc}", file=sys.stderr)
+            return 1
+    diff = diff_traces(sides[0], sides[1], a_label=a, b_label=b)
     if json_output:
         print(json.dumps(diff, indent=2, sort_keys=True))
     else:

@@ -121,8 +121,8 @@ class ExperimentConfig:
     #: paper's external decompile+compile tool (whose ~33 s the
     #: simulated clock only *charges*).  Unlike the virtual cost, the
     #: sleep is observable wall time that concurrent probes genuinely
-    #: overlap — ``benchmarks/bench_procpool.py`` measures the probe
-    #: backends against it.  0 (the default) sleeps nothing.
+    #: overlap, so it is what the probe backends' wall-clock speedups
+    #: are measured against.  0 (the default) sleeps nothing.
     tool_latency_seconds: float = 0.0
     #: Opt-in per-phase cProfile capture: each instance's reduce phase
     #: emits a ``profile`` event (top hotspots) into the trace.  Far

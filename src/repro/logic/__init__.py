@@ -32,9 +32,8 @@ from repro.logic.formula import (
 )
 from repro.logic.cnf import CNF, Clause, Lit, neg, pos
 from repro.logic.assignment import Assignment
-from repro.logic.propagation import PropagationResult, unit_propagate
 from repro.logic.session import SolverSession
-from repro.logic.solver import SatResult, solve, is_satisfiable, solve_legacy
+from repro.logic.solver import SatResult, solve, is_satisfiable
 from repro.logic.msa import minimal_satisfying_assignment, minimize_model
 from repro.logic.counting import count_models
 from repro.logic.dimacs import to_dimacs, from_dimacs
@@ -57,10 +56,7 @@ __all__ = [
     "pos",
     "neg",
     "Assignment",
-    "unit_propagate",
-    "PropagationResult",
     "solve",
-    "solve_legacy",
     "is_satisfiable",
     "SatResult",
     "SolverSession",

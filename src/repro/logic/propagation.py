@@ -4,122 +4,21 @@ Both the DPLL solver and the MSA procedure lean on unit propagation.  We
 work on the integer-indexed clause form (:class:`repro.logic.cnf.IndexedCNF`
 encoding): a literal is ``idx + 1`` or ``-(idx + 1)``.
 
-Two engines live here:
-
-- :class:`WatchedIndex` + :func:`propagate_watched` — the two-watched-
-  literal scheme (MiniSat-style) used by
-  :class:`repro.logic.session.SolverSession`.  Watches are built once
-  per clause database and never undone on backtracking, which is what
-  makes repeated ``solve(assume...)`` calls on one session cheap.
-- :class:`OccurrenceIndex` + :func:`unit_propagate` — the original
-  occurrence-list engine, kept as the executable reference: the
-  differential tests assert both engines reach the same fixpoints and
-  detect the same conflicts, and the hot-path benchmark uses it as the
-  pre-session baseline.
+:class:`WatchedIndex` + :func:`propagate_watched` implement the
+two-watched-literal scheme (MiniSat-style) used by
+:class:`repro.logic.session.SolverSession`.  Watches are built once per
+clause database and never undone on backtracking, which is what makes
+repeated ``solve(assume...)`` calls on one session cheap.  The original
+occurrence-list engine lives on in ``tests/reference_engines.py``: the
+differential tests assert both engines reach the same fixpoints and
+detect the same conflicts.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-__all__ = [
-    "PropagationResult",
-    "unit_propagate",
-    "OccurrenceIndex",
-    "WatchedIndex",
-    "propagate_watched",
-    "watched_propagate_from_seed",
-]
-
-
-class PropagationResult(NamedTuple):
-    """Outcome of a propagation run.
-
-    ``conflict`` is True when a clause became empty.  ``assignment`` maps
-    variable index -> bool for every variable assigned so far (including
-    the seed literals).
-    """
-
-    conflict: bool
-    assignment: Dict[int, bool]
-
-
-class OccurrenceIndex:
-    """Occurrence lists for a clause database (built once, reused)."""
-
-    def __init__(self, clauses: Sequence[Tuple[int, ...]], num_vars: int):
-        self.clauses = list(clauses)
-        self.num_vars = num_vars
-        # occurrences[var][polarity] -> clause indices where (var, polarity)
-        # appears; polarity 1 = positive, 0 = negative.
-        self.occurrences: List[Tuple[List[int], List[int]]] = [
-            ([], []) for _ in range(num_vars)
-        ]
-        for ci, clause in enumerate(self.clauses):
-            for lit in clause:
-                var = abs(lit) - 1
-                self.occurrences[var][1 if lit > 0 else 0].append(ci)
-
-
-def unit_propagate(
-    index: OccurrenceIndex,
-    seed: Iterable[Tuple[int, bool]],
-    base: Optional[Dict[int, bool]] = None,
-) -> PropagationResult:
-    """Propagate units from ``seed`` on top of the partial assignment ``base``.
-
-    ``seed`` is an iterable of (variable index, value) decisions.  The
-    returned assignment includes ``base``, the seeds, and everything
-    implied.  Detects conflicts (a clause with every literal falsified).
-    """
-    assignment: Dict[int, bool] = dict(base) if base else {}
-    queue: List[Tuple[int, bool]] = []
-
-    def assign(var: int, value: bool) -> bool:
-        existing = assignment.get(var)
-        if existing is not None:
-            return existing == value
-        assignment[var] = value
-        queue.append((var, value))
-        return True
-
-    for var, value in seed:
-        if not assign(var, value):
-            return PropagationResult(True, assignment)
-
-    clauses = index.clauses
-    occurrences = index.occurrences
-
-    while queue:
-        var, value = queue.pop()
-        # Clauses where the assigned literal is falsified may become unit.
-        affected = occurrences[var][0 if value else 1]
-        for ci in affected:
-            clause = clauses[ci]
-            unit_lit = None
-            satisfied = False
-            for lit in clause:
-                lvar = abs(lit) - 1
-                lval = assignment.get(lvar)
-                if lval is None:
-                    if unit_lit is not None:
-                        unit_lit = 0  # at least two free literals
-                    else:
-                        unit_lit = lit
-                elif lval == (lit > 0):
-                    satisfied = True
-                    break
-            if satisfied:
-                continue
-            if unit_lit is None:
-                return PropagationResult(True, assignment)  # all falsified
-            if unit_lit == 0:
-                continue  # still has 2+ free literals
-            uvar = abs(unit_lit) - 1
-            if not assign(uvar, unit_lit > 0):
-                return PropagationResult(True, assignment)
-
-    return PropagationResult(False, assignment)
+__all__ = ["WatchedIndex", "propagate_watched"]
 
 
 class WatchedIndex:
@@ -227,105 +126,3 @@ def propagate_watched(
                 return False, qhead
         watches[false_lit] = kept
     return True, qhead
-
-
-def _repair_watches(
-    index: WatchedIndex,
-    values: List[Optional[bool]],
-    base: Dict[int, bool],
-) -> None:
-    """Move watches off literals falsified by an unpropagated base.
-
-    ``propagate_watched`` relies on the invariant that a clause's first
-    watch is only falsified while its falsifying assignment is still
-    pending in the queue.  A base installed directly into ``values``
-    breaks that (nothing is pending), so a clause can end up watched on
-    two literals where one is already false — a later watch move would
-    then skip a unit implication.  This pass re-points such watches at
-    non-false literals where any exist.  Clauses with at most one
-    non-false literal are left alone (unit under the base): asserting
-    them would derive more than the occurrence-list reference does.
-    """
-    clause_lits = index.clause_lits
-    watches = index.watches
-    for var, value in base.items():
-        false_lit = -(var + 1) if value else (var + 1)
-        watchers = watches.get(false_lit)
-        if not watchers:
-            continue
-        kept: List[int] = []
-        for ci in watchers:
-            lits = clause_lits[ci]
-            if lits[0] == false_lit:
-                lits[0], lits[1] = lits[1], lits[0]
-            moved = False
-            for k in range(2, len(lits)):
-                other = lits[k]
-                ovar = other - 1 if other > 0 else -other - 1
-                oval = values[ovar]
-                if oval is None or oval == (other > 0):
-                    lits[1] = other
-                    lits[k] = false_lit
-                    watches.setdefault(other, []).append(ci)
-                    moved = True
-                    break
-            if not moved:
-                kept.append(ci)
-        watches[false_lit] = kept
-
-
-def watched_propagate_from_seed(
-    index: WatchedIndex,
-    seed: Iterable[Tuple[int, bool]],
-    base: Optional[Dict[int, bool]] = None,
-) -> PropagationResult:
-    """Drop-in :func:`unit_propagate` twin running on watched literals.
-
-    Exists so the differential tests can compare the two engines
-    call-for-call; the solver session drives :func:`propagate_watched`
-    directly (no dict copies, trail-based backtracking).
-
-    Parity notes: like ``unit_propagate``, base literals are not
-    re-queued, and length-1 clauses assert nothing on their own — but an
-    assignment made *during this call* against a unit clause is a
-    conflict (``unit_propagate`` sees it through the occurrence lists;
-    units are outside the watch database, so we check them explicitly).
-    """
-    values: List[Optional[bool]] = [None] * index.num_vars
-    trail: List[int] = []
-    if base:
-        for var, value in base.items():
-            values[var] = value
-            trail.append(var + 1 if value else -(var + 1))
-        # Base literals are installed without propagation, which can
-        # leave clauses watched on base-falsified literals.  Repair the
-        # watch invariant (move watches off falsified literals) without
-        # asserting anything: implications that follow from the base
-        # alone stay underived, matching ``unit_propagate``.
-        _repair_watches(index, values, base)
-    start = len(trail)
-    conflict = False
-    for var, value in seed:
-        existing = values[var]
-        if existing is None:
-            values[var] = value
-            trail.append(var + 1 if value else -(var + 1))
-        elif existing != value:
-            conflict = True
-            break
-    if not conflict:
-        ok, _ = propagate_watched(index, values, trail, start)
-        conflict = not ok
-    if not conflict and index.unit_literals:
-        assigned_now = {
-            lit - 1 if lit > 0 else -lit - 1 for lit in trail[start:]
-        }
-        for lit in index.unit_literals:
-            var = lit - 1 if lit > 0 else -lit - 1
-            if var in assigned_now and values[var] != (lit > 0):
-                conflict = True
-                break
-    assignment = {
-        var: value for var, value in enumerate(values) if value is not None
-    }
-    return PropagationResult(conflict, assignment)

@@ -45,7 +45,7 @@ from typing import (
     Tuple,
 )
 
-from repro.logic.cnf import CNF, Clause, IndexedCNF
+from repro.logic.cnf import CNF, Clause
 from repro.logic.propagation import WatchedIndex, propagate_watched
 from repro.observability import get_metrics, get_tracer
 from repro.observability.spans import NULL_SPAN
@@ -104,8 +104,6 @@ class SolverSession:
             CNF, so sessions over the same CNF share the compilation.
         order: optional explicit variable order (defaults to the CNF's
             deterministic repr-sort).
-        indexed: pre-compiled form; mutually exclusive with ``cnf``
-            being required (used by ``solve_indexed`` interop).
 
     The session owns private scan/watch structures — the shared
     ``IndexedCNF`` is never mutated — so clauses may be appended to the
@@ -113,16 +111,8 @@ class SolverSession:
     memoized compilation.
     """
 
-    def __init__(
-        self,
-        cnf: Optional[CNF] = None,
-        order: Optional[Sequence[VarName]] = None,
-        indexed: Optional[IndexedCNF] = None,
-    ):
-        if indexed is None:
-            if cnf is None:
-                raise ValueError("SolverSession needs a CNF or an IndexedCNF")
-            indexed = cnf.to_indexed(order)
+    def __init__(self, cnf: CNF, order: Optional[Sequence[VarName]] = None):
+        indexed = cnf.to_indexed(order)
         self.cnf = cnf
         self.indexed = indexed
         #: Pristine clause tuples for the branch heuristic scan;
@@ -164,10 +154,6 @@ class SolverSession:
         clauses the removed variable can break.
         """
         if self._pos_occurrences is None:
-            if self.cnf is None:
-                raise ValueError(
-                    "positive_occurrences needs a session built from a CNF"
-                )
             occurrences: Dict[VarName, List[Clause]] = {}
             for clause in self.cnf.clauses:
                 for var in clause.positives:

@@ -7,46 +7,22 @@ benchmarks), which BCP handles almost entirely on its own.  The solver
 branches false-first, which biases discovered models toward *small* true
 sets — useful because callers in :mod:`repro.logic.msa` minimize models.
 
-Two engines answer queries:
-
-- :class:`repro.logic.session.SolverSession` — the production engine:
-  persistent compilation, two-watched-literal propagation, trail-based
-  backtracking.  :func:`solve` runs every one-shot query through a
-  session over the CNF's memoized compilation.
-- the occurrence-list engine below (:func:`solve_indexed`,
-  :func:`solve_legacy`) — the original per-call implementation, kept as
-  the executable reference baseline: differential tests assert the two
-  engines return byte-identical models, and the hot-path benchmark
-  (``benchmarks/bench_solver_hotpath.py``) reports the session's speedup
-  over it.
+:class:`repro.logic.session.SolverSession` is the engine: persistent
+compilation, two-watched-literal propagation, trail-based backtracking.
+:func:`solve` runs every one-shot query through a session over the CNF's
+memoized compilation.  The original per-call occurrence-list engine is
+kept in ``tests/reference_engines.py``, where differential tests assert
+the two engines return byte-identical models.
 """
 
 from __future__ import annotations
 
-from typing import (
-    AbstractSet,
-    Dict,
-    FrozenSet,
-    Hashable,
-    Iterable,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import AbstractSet, Hashable
 
-from repro.logic.cnf import CNF, IndexedCNF
-from repro.logic.propagation import OccurrenceIndex, unit_propagate
-from repro.logic.session import SatResult, SolverSession, _SolverStats
-from repro.observability import get_tracer
-from repro.observability.spans import NULL_SPAN
+from repro.logic.cnf import CNF
+from repro.logic.session import SatResult, SolverSession
 
-__all__ = [
-    "SatResult",
-    "solve",
-    "is_satisfiable",
-    "solve_indexed",
-    "solve_legacy",
-]
+__all__ = ["SatResult", "solve", "is_satisfiable"]
 
 VarName = Hashable
 
@@ -73,146 +49,3 @@ def is_satisfiable(
 ) -> bool:
     """Shorthand for ``solve(...).satisfiable``."""
     return solve(cnf, assume_true, assume_false).satisfiable
-
-
-def solve_legacy(
-    cnf: CNF,
-    assume_true: AbstractSet[VarName] = frozenset(),
-    assume_false: AbstractSet[VarName] = frozenset(),
-) -> SatResult:
-    """The pre-session code path, preserved verbatim as a baseline.
-
-    Pays the original per-call costs on purpose — a fresh repr-sort of
-    the universe, a fresh :class:`OccurrenceIndex`, dict-copy
-    backtracking — so benchmarks and differential tests measure against
-    the real former behaviour, not a half-accelerated one.
-    """
-    indexed = IndexedCNF(cnf, sorted(cnf.variables, key=repr))
-    seed: List[Tuple[int, bool]] = []
-    for name in assume_true:
-        if name in indexed.index:
-            seed.append((indexed.index[name], True))
-    for name in assume_false:
-        if name in indexed.index:
-            seed.append((indexed.index[name], False))
-        if name in assume_true:
-            return SatResult(False, None)
-    sat, model_indices = solve_indexed(indexed, seed)
-    if not sat:
-        return SatResult(False, None)
-    assert model_indices is not None
-    return SatResult(True, indexed.decode(model_indices))
-
-
-def solve_indexed(
-    indexed: IndexedCNF,
-    seed: Iterable[Tuple[int, bool]] = (),
-) -> Tuple[bool, Optional[FrozenSet[int]]]:
-    """DPLL over the integer-indexed form (occurrence-list engine).
-
-    Returns (satisfiable, set of true variable indices).  Unconstrained
-    variables are left false, biasing the model toward small true sets.
-    """
-    stats = _SolverStats()
-    tracer = get_tracer()
-    if tracer.enabled:
-        cm = tracer.span(
-            "solver.solve",
-            variables=indexed.num_vars,
-            clauses=len(indexed.clauses),
-        )
-    else:
-        cm = NULL_SPAN
-    with cm as sp:
-        satisfiable, model = _solve_indexed(indexed, seed, stats)
-        sp.set_attr("satisfiable", satisfiable)
-        sp.set_attr("decisions", stats.decisions)
-        sp.set_attr("conflicts", stats.conflicts)
-    stats.publish(satisfiable)
-    return satisfiable, model
-
-
-def _solve_indexed(
-    indexed: IndexedCNF,
-    seed: Iterable[Tuple[int, bool]],
-    stats: _SolverStats,
-) -> Tuple[bool, Optional[FrozenSet[int]]]:
-    if any(not clause for clause in indexed.clauses):
-        return False, None  # an empty clause is trivially unsatisfiable
-    index = OccurrenceIndex(indexed.clauses, indexed.num_vars)
-    seed = list(seed)
-    result = unit_propagate(index, seed)
-    if result.conflict:
-        stats.conflicts += 1
-        return False, None
-    stats.propagations += len(result.assignment) - len(seed)
-    assignment = result.assignment
-    final = _dpll(index, assignment, stats)
-    if final is None:
-        return False, None
-    true_indices = frozenset(v for v, val in final.items() if val)
-    return True, true_indices
-
-
-def _dpll(
-    index: OccurrenceIndex,
-    assignment: Dict[int, bool],
-    stats: _SolverStats,
-) -> Optional[Dict[int, bool]]:
-    """Recursive DPLL search on top of a propagated partial assignment."""
-    branch_var = _pick_branch_variable(index, assignment)
-    if branch_var is None:
-        return assignment  # every clause satisfied
-    for value in (False, True):  # false-first: prefer small models
-        stats.decisions += 1
-        result = unit_propagate(index, [(branch_var, value)], base=assignment)
-        if result.conflict:
-            stats.conflicts += 1
-            continue
-        # Everything newly assigned beyond the decision itself was implied.
-        stats.propagations += len(result.assignment) - len(assignment) - 1
-        final = _dpll(index, result.assignment, stats)
-        if final is not None:
-            return final
-    return None
-
-
-def _pick_branch_variable(
-    index: OccurrenceIndex, assignment: Dict[int, bool]
-) -> Optional[int]:
-    """Pick a free variable from the shortest unsatisfied clause.
-
-    Returns None when all clauses are satisfied (so any remaining free
-    variables can default to false).
-    """
-    best_var: Optional[int] = None
-    best_free = None
-    for clause in index.clauses:
-        free: List[int] = []
-        satisfied = False
-        for lit in clause:
-            var = abs(lit) - 1
-            value = assignment.get(var)
-            if value is None:
-                free.append(var)
-            elif value == (lit > 0):
-                satisfied = True
-                break
-        if satisfied:
-            continue
-        if not free:
-            # Propagation detects every falsified clause before we branch.
-            free_conflict(clause)
-        if best_free is None or len(free) < best_free:
-            best_free = len(free)
-            best_var = free[0]
-            if best_free == 1:
-                break
-    return best_var
-
-
-def free_conflict(clause: Tuple[int, ...]) -> int:
-    """Unreachable guard: a falsified clause survived propagation."""
-    raise AssertionError(
-        f"falsified clause {clause!r} reached the branching step"
-    )

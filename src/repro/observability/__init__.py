@@ -99,7 +99,6 @@ from repro.observability.spans import (
     span,
 )
 from repro.observability.tooling import (
-    baseline_totals,
     clock_totals,
     diff_traces,
     folded_stacks,
@@ -143,7 +142,6 @@ __all__ = [
     "get_tracer",
     "set_tracer",
     "span",
-    "baseline_totals",
     "clock_totals",
     "diff_traces",
     "folded_stacks",

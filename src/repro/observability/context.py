@@ -1,9 +1,9 @@
 """Causal trace contexts that survive thread and process hops.
 
-BENCH_5 exposed the diagnostic gap this module closes: speculation is
-2.38x in simulated seconds but 0.85x in wall-clock, and the old
-telemetry could not say *where* the wall time went because span parent
-links never crossed threads — a probe evaluated on the speculation pool
+Thread speculation measured 2.38x in simulated seconds but 0.85x in
+wall-clock, and that exposed the diagnostic gap this module closes: the
+old telemetry could not say *where* the wall time went because span
+parent links never crossed threads — a probe evaluated on the speculation pool
 produced a root span, causally orphaned from the ``speculate.round``
 that issued it.
 

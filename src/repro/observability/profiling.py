@@ -1,9 +1,9 @@
 """Opt-in per-phase cProfile capture, emitted into the trace stream.
 
 Tracing answers *which phase* is slow; profiling answers *which
-function inside the phase*.  BENCH_5's finding — speculation wins 2.38x
-on the simulated clock but loses 0.85x on wall-clock — is exactly the
-kind of question that needs both: the trace shows ``speculate.round``
+function inside the phase*.  Thread speculation winning 2.38x on the
+simulated clock but losing 0.85x on wall-clock is exactly the kind of
+finding that needs both: the trace shows ``speculate.round``
 eating the time, the profile shows the GIL-bound batch plumbing inside
 it.
 

@@ -20,8 +20,8 @@ What changed in Observability v2 (see DESIGN.md §9):
   (``vstart``/``vduration``, read from a per-task virtual-clock
   provider installed with :meth:`Tracer.clock` — the harness installs
   the run's :meth:`InstrumentedPredicate.virtual_now`).  This is what
-  lets ``trace diff`` reproduce the BENCH_5 wall-vs-simulated gap from
-  telemetry alone.
+  lets ``trace diff`` show a wall-vs-simulated gap from telemetry
+  alone.
 - **Streaming shard sinks.**  With :meth:`Tracer.set_shards`, finished
   events stream to per-worker JSONL shard files instead of
   accumulating in memory (see :mod:`repro.observability.shard`).

@@ -10,22 +10,21 @@ dependencies:
 - :func:`folded_stacks` — Brendan-Gregg-style folded stacks
   (``root;child;leaf <self_weight>``), the interchange format every
   flamegraph renderer accepts;
-- :func:`diff_traces` / :func:`render_diff` — compare two runs (or a
-  run against a BENCH_* baseline JSON) on both clocks; this is what
-  reproduces the BENCH_5 wall-vs-simulated gap from telemetry alone;
+- :func:`diff_traces` / :func:`render_diff` — compare two runs on both
+  clocks; this is what shows a wall-vs-simulated gap (a win on the
+  probe model that wall time does not share) from telemetry alone;
 - :func:`prometheus_exposition` — metric events as Prometheus text
   exposition format, for scraping or pushgateway-style upload.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 __all__ = [
     "render_timeline",
     "folded_stacks",
     "clock_totals",
-    "baseline_totals",
     "diff_traces",
     "render_diff",
     "prometheus_exposition",
@@ -189,42 +188,6 @@ def _span_totals(events: Sequence[Dict[str, Any]]) -> Dict[str, float]:
     return totals
 
 
-def baseline_totals(payload: Dict[str, Any]) -> Optional[Dict[str, float]]:
-    """Clock totals from a BENCH_* baseline JSON, if it carries them.
-
-    Finds the first sub-object (depth-first in key insertion order, up
-    to three levels deep) carrying ``wall_seconds`` and/or
-    ``simulated_seconds``/``virtual_seconds`` — the clock keys every
-    BENCH_* payload variant uses, at whatever nesting level (e.g.
-    BENCH_5's ``corpus_end_to_end.sequential.wall_seconds``).
-    """
-
-    def _extract(obj: Dict[str, Any]) -> Optional[Dict[str, float]]:
-        wall = obj.get("wall_seconds")
-        sim = obj.get("simulated_seconds", obj.get("virtual_seconds"))
-        if wall is None and sim is None:
-            return None
-        return {
-            "wall": float(wall or 0.0),
-            "simulated": float(sim or 0.0),
-        }
-
-    def _search(obj: Dict[str, Any], depth: int):
-        found = _extract(obj)
-        if found is not None:
-            return found
-        if depth == 0:
-            return None
-        for value in obj.values():
-            if isinstance(value, dict):
-                found = _search(value, depth - 1)
-                if found is not None:
-                    return found
-        return None
-
-    return _search(payload, 3)
-
-
 def diff_traces(
     a_events: Sequence[Dict[str, Any]],
     b_events: Sequence[Dict[str, Any]],
@@ -236,8 +199,9 @@ def diff_traces(
     Returns ``{"labels", "clocks": {wall: {a, b, speedup}, simulated:
     {...}}, "spans": [{name, a, b, delta}...]}``.  ``speedup`` is
     ``a / b`` (how much faster ``b`` is), 0.0 when ``b`` spent nothing.
-    The wall-vs-simulated disagreement — speculation 2.38x simulated but
-    0.85x wall in BENCH_5 — falls straight out of the two speedups.
+    A wall-vs-simulated disagreement — thread speculation once measured
+    2.38x simulated but 0.85x wall — falls straight out of the two
+    speedups.
     """
     a_clocks = clock_totals(a_events)
     b_clocks = clock_totals(b_events)

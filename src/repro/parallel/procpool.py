@@ -1,7 +1,7 @@
 """Probe dispatch: one worker function for thread and process pools.
 
-BENCH_5's blunt lesson: speculative probing wins 2.38x in *simulated*
-seconds but loses wall-clock (0.85x), because probe materialization +
+The blunt lesson of thread speculation: speculative probing wins 2.38x
+in *simulated* seconds but loses wall-clock (0.85x), because probe materialization +
 decompile + javac are pure-Python CPU work — a ``ThreadPoolExecutor``
 overlaps none of it under the GIL.  The paper's premise is the
 opposite: the predicate is an external ~33-second tool invocation, and
@@ -50,8 +50,8 @@ not the parent's — but the supported chaos modes are truth-preserving
 :class:`ToolLatencyPredicate` models the paper's external tool as a
 real per-invocation sleep (``--tool-latency-ms``): unlike the
 simulated virtual clock, a sleep is *observable* wall time that a
-process (or thread) pool genuinely overlaps — it is what
-``benchmarks/bench_procpool.py`` measures its wall speedup against.
+process (or thread) pool genuinely overlaps, so it is what a pool's
+wall speedup is measured against.
 """
 
 from __future__ import annotations

@@ -25,8 +25,8 @@ session), and the learned clauses for a whole run.  Each iteration only
 re-materializing ``constraint.restrict(scope)`` plus a fresh solver per
 rebuild, the engine scopes the persistent solver with assumptions
 (out-of-scope variables false) — same results, none of the per-rebuild
-compilation.  :func:`build_progression_reference` preserves the
-materializing implementation for differential tests and benchmarks.
+compilation.  ``tests/reference_engines.py`` keeps the materializing
+implementation for the differential tests.
 """
 
 from __future__ import annotations
@@ -39,9 +39,7 @@ from typing import (
     Hashable,
     Iterable,
     List,
-    Optional,
     Sequence,
-    Tuple,
 )
 
 from repro.logic.cnf import CNF, Clause
@@ -53,7 +51,6 @@ __all__ = [
     "Progression",
     "ProgressionEngine",
     "build_progression",
-    "build_progression_reference",
 ]
 
 VarName = Hashable
@@ -259,61 +256,3 @@ def build_progression(
     for learned_set in learned:
         engine.learn(frozenset(learned_set))
     return engine.build(frozenset(scope), require_true)
-
-
-def build_progression_reference(
-    constraint: CNF,
-    order: Sequence[VarName],
-    learned: Iterable[FrozenSet[VarName]],
-    scope: FrozenSet[VarName],
-    require_true: FrozenSet[VarName] = frozenset(),
-) -> Progression:
-    """The pre-engine implementation, preserved as a baseline.
-
-    Materializes ``constraint.restrict(scope)`` plus the learned clauses
-    and builds a fresh :class:`MsaSolver` per call — the differential
-    tests assert :class:`ProgressionEngine` produces identical entries,
-    and the hot-path benchmark measures the engine's speedup over this.
-    """
-    scope = frozenset(scope)
-    learned = list(learned)
-    get_metrics().counter("progression.rebuilds").inc()
-    with get_tracer().span(
-        "progression.build", scope=len(scope), learned=len(learned)
-    ) as sp:
-        strengthened = constraint.restrict(scope)
-        for learned_set in learned:
-            inside = frozenset(learned_set) & scope
-            if not inside:
-                raise ReductionError(
-                    "learned set fell fully outside the search space"
-                )
-            strengthened.add_clause(Clause.implication([], inside))
-
-        scoped_order = [v for v in order if v in scope]
-        solver = MsaSolver(strengthened, scoped_order)
-        stragglers = sorted(scope - set(scoped_order), key=solver.rank)
-
-        first = solver.compute(require_true=frozenset(require_true) & scope)
-        if first is None:
-            raise ReductionError(
-                "R+ is unsatisfiable: no valid sub-input in the search space"
-            )
-
-        entries: List[FrozenSet[VarName]] = [first]
-        covered = set(first)
-        for var in scoped_order + stragglers:
-            if var in covered:
-                continue
-            extended = solver.extend(covered, [var])
-            if extended is None:
-                raise ReductionError(
-                    f"could not extend progression with {var!r}; "
-                    "is R(J) violated?"
-                )
-            entry = frozenset(extended - covered)
-            entries.append(entry)
-            covered = set(extended)
-        sp.set_attr("entries", len(entries))
-
-    return Progression(entries)

@@ -21,8 +21,7 @@ over one shared warm predicate store, tenant-namespaced.
 - :mod:`repro.service.client` — the blocking ``http.client`` client
   behind ``jlreduce submit``.
 - :mod:`repro.service.loadgen` — the concurrent load generator behind
-  ``jlreduce loadgen`` and ``benchmarks/bench_service.py`` (BENCH_10's
-  jobs/sec + p50/p95/p99 curve).
+  ``jlreduce loadgen`` (a jobs/sec + p50/p95/p99 latency curve).
 """
 
 from repro.service.admission import (

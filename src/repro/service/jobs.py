@@ -12,8 +12,8 @@ Two request kinds share one schema:
   generated server-side with the id-keyed corpus generator
   (:func:`repro.workloads.corpus.build_benchmark`), so the same
   ``(profile, benchmark_id)`` names the same application bytes here as
-  in an offline ``jlreduce bench`` — the property BENCH_10's identity
-  lane checks.
+  in an offline ``jlreduce bench`` — so a service result can be checked
+  against an offline run of the same spec.
 - **app** — ``app_b64`` carries the serialized application itself
   (``repro.bytecode.serializer`` format, base64); the tenant ships
   arbitrary bytecode and the service never needs to know where it

@@ -1,6 +1,6 @@
 """An asyncio load generator for the reduction service.
 
-BENCH_10's whole point is a measured curve — jobs/sec and p50/p95/p99
+A service load test needs a measured curve — jobs/sec and p50/p95/p99
 end-to-end latency at 100+ *concurrent* jobs — and a blocking client
 cannot produce one.  This module drives the service the way a fleet of
 tenants would: up to ``concurrency`` jobs in flight at once (submit →
@@ -9,8 +9,8 @@ attribution, and honest handling of backpressure (a 429 sleeps the
 server's ``retry_after`` hint and resubmits; the retries are counted,
 not hidden).
 
-Used by ``jlreduce loadgen`` and ``benchmarks/bench_service.py``; tests
-point it at a thread-backend server for speed.
+Used by ``jlreduce loadgen``; tests point it at a thread-backend server
+for speed.
 """
 
 from __future__ import annotations
@@ -266,8 +266,8 @@ def run_loadgen(
     """Drive a job list at the service; returns the measured curve.
 
     ``concurrency`` bounds jobs simultaneously in their submit→done
-    lifetime — the "100+ concurrent jobs" axis of BENCH_10.  Latency is
-    end-to-end per job (submission attempt through observed terminal
+    lifetime — the "100+ concurrent jobs" axis of the curve.  Latency
+    is end-to-end per job (submission attempt through observed terminal
     status), so queueing and backpressure show up in the percentiles,
     exactly as a tenant would experience them.
     """

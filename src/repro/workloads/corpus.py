@@ -96,8 +96,8 @@ class CorpusConfig:
     def tiny(cls) -> "CorpusConfig":
         """Sub-second apps for service latency/throughput benches.
 
-        The service tier's BENCH_10 holds 100+ jobs in flight; at that
-        fan-in the interesting costs are queueing, dispatch, and
+        A service load test holds 100+ jobs in flight; at that fan-in
+        the interesting costs are queueing, dispatch, and
         store-hit latency — not GBR search depth — so its jobs must be
         cheap enough that a curve finishes in CI time.
         """

@@ -14,10 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.logic.cnf import CNF, Clause, Lit
-from repro.logic.propagation import (
+from repro.logic.propagation import WatchedIndex, propagate_watched
+from tests.reference_engines import (
     OccurrenceIndex,
-    WatchedIndex,
-    propagate_watched,
     unit_propagate,
     watched_propagate_from_seed,
 )

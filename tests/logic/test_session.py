@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from repro.logic.cnf import CNF, Clause
 from repro.logic.session import SolverSession
-from repro.logic.solver import solve, solve_legacy
+from repro.logic.solver import solve
+from tests.reference_engines import solve_legacy
 from tests.strategies import VAR_NAMES, cnfs
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 
 from repro.logic import CNF, Clause, is_satisfiable, solve
 from repro.logic.counting import enumerate_models
-from repro.logic.propagation import OccurrenceIndex, unit_propagate
+from tests.reference_engines import OccurrenceIndex, unit_propagate
 from tests.strategies import cnfs, satisfiable_cnfs
 
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.observability import (
-    baseline_totals,
     clock_totals,
     diff_traces,
     folded_stacks,
@@ -106,34 +105,6 @@ class TestClockTotals:
 
     def test_simulated_falls_back_to_span_vclock(self):
         assert clock_totals(_simple_trace())["simulated"] == 99.0
-
-
-class TestBaselineTotals:
-    def test_flat_payload(self):
-        totals = baseline_totals(
-            {"wall_seconds": 1.5, "simulated_seconds": 40.0}
-        )
-        assert totals == {"wall": 1.5, "simulated": 40.0}
-
-    def test_bench5_style_nesting(self):
-        payload = {
-            "profile": "small",
-            "corpus_end_to_end": {
-                "sequential": {
-                    "wall_seconds": 1.72,
-                    "simulated_seconds": 3135.0,
-                },
-                "speculate4": {
-                    "wall_seconds": 2.02,
-                    "simulated_seconds": 1317.0,
-                },
-            },
-        }
-        totals = baseline_totals(payload)
-        assert totals == {"wall": 1.72, "simulated": 3135.0}
-
-    def test_no_clock_keys(self):
-        assert baseline_totals({"profile": "small"}) is None
 
 
 class TestDiff:

@@ -7,11 +7,8 @@ from hypothesis import strategies as st
 from repro.logic import CNF, Clause
 from repro.reduction import build_progression
 from repro.reduction.problem import ReductionError
-from repro.reduction.progression import (
-    Progression,
-    ProgressionEngine,
-    build_progression_reference,
-)
+from repro.reduction.progression import Progression, ProgressionEngine
+from tests.reference_engines import build_progression_reference
 from tests.strategies import implication_cnfs
 
 

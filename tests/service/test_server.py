@@ -3,8 +3,8 @@
 The thread backend gives byte-identical results without spawn cost, so
 these tests exercise the whole stack — asyncio HTTP front-end,
 admission control, fair dispatch, pool fan-out, commit, graceful drain
-— in seconds.  Process-backend coverage lives in the CI smoke job and
-``benchmarks/bench_service.py``.
+— in seconds.  Process-backend coverage lives in the CI ``service`` job
+and the perfbench ``service-mix`` workload.
 """
 
 import threading

@@ -507,14 +507,18 @@ class TestTraceMergeAndDiff:
 
     def test_diff_against_bench_baseline(self, traced_run, tmp_path,
                                          capsys):
-        baseline = tmp_path / "BENCH_X.json"
+        """A bench-style JSON payload is not a trace: diff rejects it."""
+        baseline = tmp_path / "bench.json"
         baseline.write_text(json.dumps({
             "results": {"wall_seconds": 1.0, "simulated_seconds": 30.0},
-        }))
+        }, indent=2))
         capsys.readouterr()
-        assert main(["trace", "diff", str(baseline), traced_run]) == 0
-        out = capsys.readouterr().out
-        assert "speedup" in out
+        assert main(["trace", "diff", str(baseline), traced_run]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert "\n" not in err
+        assert err.startswith(f"jlreduce: {baseline}: ")
 
     def test_diff_json_output(self, fji_file, tmp_path, capsys):
         a = str(tmp_path / "a.jsonl")

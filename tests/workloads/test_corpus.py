@@ -58,7 +58,8 @@ class TestNjrProfile:
         """Small-N geo-means land near the paper's Table 1 statistics.
 
         Deterministic (id-keyed seeds) — 6 samples, loose tolerance;
-        benchmarks/bench_corpus_scale.py runs the full-tolerance check.
+        ``benchmarks/bench_table_statistics.py::test_njr_table1_fidelity``
+        runs the full-tolerance check.
         """
         import math
         import statistics
