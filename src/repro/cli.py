@@ -111,8 +111,89 @@ def build_parser() -> argparse.ArgumentParser:
     )
     count.add_argument("file", help="path to an .fji source file")
 
+    # Flags shared by reduce and bench: each names an ExperimentConfig
+    # field (or the trace the run writes).
+    run_flags = argparse.ArgumentParser(add_help=False)
+    run_flags.add_argument(
+        "--trace",
+        metavar="FILE.jsonl",
+        help="write span/metric telemetry for the run as JSONL",
+    )
+    run_flags.add_argument(
+        "--json",
+        action="store_true",
+        help="print the result as JSON instead of the human-readable "
+        "output",
+    )
+    run_flags.add_argument(
+        "--budget-calls",
+        type=int,
+        metavar="N",
+        help="per-run cap on fresh predicate attempts; an exhausted run "
+        "returns its best-so-far result (status: partial)",
+    )
+    run_flags.add_argument(
+        "--budget-seconds",
+        type=float,
+        metavar="S",
+        help="per-run cap on simulated seconds (33 s per attempt); an "
+        "exhausted run returns its best-so-far result (status: partial)",
+    )
+    run_flags.add_argument(
+        "--speculate",
+        type=int,
+        default=1,
+        metavar="K",
+        help="evaluate up to K GBR prefix-search probes concurrently per "
+        "round; results are byte-identical to sequential (default 1)",
+    )
+    run_flags.add_argument(
+        "--probe-backend",
+        choices=("thread", "process"),
+        default="thread",
+        help="where speculative probes physically run: 'thread' (GIL-"
+        "bound pool) or 'process' (spawn-safe worker processes); "
+        "results are byte-identical (default thread)",
+    )
+    run_flags.add_argument(
+        "--profile-phases",
+        action="store_true",
+        help="capture cProfile hotspot tables of the reduction into the "
+        "trace (requires --trace; adds noticeable overhead)",
+    )
+
+    # Flags shared by bench and serve: the persistent predicate store.
+    store_flags = argparse.ArgumentParser(add_help=False)
+    store_flags.add_argument(
+        "--store",
+        metavar="PATH",
+        help="persistent predicate cache; warm entries skip fresh "
+        "predicate invocations.  A directory of hash-selected shard "
+        "files (a v1 single-file store at PATH is migrated "
+        "automatically)",
+    )
+    store_flags.add_argument(
+        "--store-shards",
+        type=int,
+        default=None,
+        metavar="N",
+        help="shard files for a new sharded store (default 16; an "
+        "existing store keeps its manifest's count)",
+    )
+    store_flags.add_argument(
+        "--store-max-entries",
+        type=int,
+        default=None,
+        metavar="M",
+        help="bound the store's in-memory index to ~M entries; "
+        "least-recently-used shards are evicted and re-faulted from "
+        "disk on demand (default: unbounded)",
+    )
+
     reduce_cmd = sub.add_parser(
-        "reduce", help="reduce an FJI file around required items"
+        "reduce",
+        parents=[run_flags],
+        help="reduce an FJI file around required items",
     )
     reduce_cmd.add_argument("file", help="path to an .fji source file")
     reduce_cmd.add_argument(
@@ -122,55 +203,11 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="ITEM",
         help="item that must survive, e.g. '[A.m()!code]' (repeatable)",
     )
-    reduce_cmd.add_argument(
-        "--trace",
-        metavar="FILE.jsonl",
-        help="write span/metric telemetry for the run as JSONL",
-    )
-    reduce_cmd.add_argument(
-        "--json",
-        action="store_true",
-        help="print the result as JSON instead of the reduced program",
-    )
-    reduce_cmd.add_argument(
-        "--budget-calls",
-        type=int,
-        metavar="N",
-        help="stop after N fresh predicate calls and return the "
-        "best-so-far result (status: partial)",
-    )
-    reduce_cmd.add_argument(
-        "--budget-seconds",
-        type=float,
-        metavar="S",
-        help="stop once the simulated clock passes S seconds and return "
-        "the best-so-far result (status: partial)",
-    )
-    reduce_cmd.add_argument(
-        "--speculate",
-        type=int,
-        default=1,
-        metavar="K",
-        help="evaluate up to K prefix-search probes concurrently per "
-        "round; results are byte-identical to sequential (default 1)",
-    )
-    reduce_cmd.add_argument(
-        "--probe-backend",
-        choices=("thread", "process"),
-        default="thread",
-        help="where speculative probes physically run: 'thread' (GIL-"
-        "bound pool) or 'process' (spawn-safe worker processes); "
-        "results are byte-identical (default thread)",
-    )
-    reduce_cmd.add_argument(
-        "--profile-phases",
-        action="store_true",
-        help="capture a cProfile hotspot table of the reduction into "
-        "the trace (requires --trace; adds noticeable overhead)",
-    )
 
     bench = sub.add_parser(
-        "bench", help="run the corpus experiment and print the reports"
+        "bench",
+        parents=[run_flags, store_flags],
+        help="run the corpus experiment and print the reports",
     )
     bench.add_argument(
         "--profile",
@@ -226,59 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
         "predicate)",
     )
     bench.add_argument(
-        "--store",
-        metavar="PATH",
-        help="persistent predicate cache; warm entries skip fresh "
-        "predicate invocations.  A directory of hash-selected shard "
-        "files (a v1 single-file store at PATH is migrated "
-        "automatically)",
-    )
-    bench.add_argument(
-        "--store-shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard files for a new sharded store (default 16; an "
-        "existing store keeps its manifest's count)",
-    )
-    bench.add_argument(
-        "--store-max-entries",
-        type=int,
-        default=None,
-        metavar="M",
-        help="bound the store's in-memory index to ~M entries; "
-        "least-recently-used shards are evicted and re-faulted from "
-        "disk on demand (default: unbounded)",
-    )
-    bench.add_argument(
         "--store-tenant",
         default="",
         metavar="NAME",
         help="namespace store entries under a tenant, so many tenants "
         "can share one warm store without mixing cached outcomes",
-    )
-    bench.add_argument(
-        "--trace",
-        metavar="FILE.jsonl",
-        help="write span/metric telemetry for the experiment as JSONL",
-    )
-    bench.add_argument(
-        "--json",
-        action="store_true",
-        help="print per-instance outcomes as JSON instead of the reports",
-    )
-    bench.add_argument(
-        "--budget-calls",
-        type=int,
-        metavar="N",
-        help="per-run cap on fresh predicate attempts; exhausted runs "
-        "return their best-so-far result (status: partial)",
-    )
-    bench.add_argument(
-        "--budget-seconds",
-        type=float,
-        metavar="S",
-        help="per-run cap on simulated seconds (33 s per attempt)",
     )
     bench.add_argument(
         "--retries",
@@ -323,23 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="master seed for the fault schedule (default 2021)",
     )
     bench.add_argument(
-        "--speculate",
-        type=int,
-        default=1,
-        metavar="K",
-        help="evaluate up to K GBR prefix-search probes concurrently per "
-        "round on a shared probe pool; outcomes are byte-identical to "
-        "sequential runs (default 1)",
-    )
-    bench.add_argument(
-        "--probe-backend",
-        choices=("thread", "process"),
-        default="thread",
-        help="where speculative probes physically run: 'thread' (GIL-"
-        "bound pool) or 'process' (spawn-safe worker processes); "
-        "outcomes are byte-identical (default thread)",
-    )
-    bench.add_argument(
         "--tool-latency-ms",
         type=float,
         default=0.0,
@@ -347,12 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="real milliseconds each fresh predicate attempt sleeps, "
         "modelling the paper's external ~33 s tool; concurrent probes "
         "overlap the sleep (default 0)",
-    )
-    bench.add_argument(
-        "--profile-phases",
-        action="store_true",
-        help="capture per-instance cProfile hotspot tables into the "
-        "trace (requires --trace; adds noticeable overhead)",
     )
 
     corpus_cmd = sub.add_parser(
@@ -502,6 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve_cmd = sub.add_parser(
         "serve",
+        parents=[store_flags],
         help="run the reduction-as-a-service asyncio job server",
     )
     serve_cmd.add_argument("--host", default="127.0.0.1")
@@ -512,22 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument(
         "--workers", type=int, default=2, metavar="N",
         help="pool workers == max concurrently running jobs (default 2)",
-    )
-    serve_cmd.add_argument(
-        "--backend", choices=("process", "thread"), default="process",
-        help="instance pool backend (default process)",
-    )
-    serve_cmd.add_argument(
-        "--store", metavar="DIR",
-        help="shared warm predicate store, namespaced per tenant",
-    )
-    serve_cmd.add_argument(
-        "--store-shards", type=int, default=None, metavar="N",
-        help="shard files for a new store (default 16)",
-    )
-    serve_cmd.add_argument(
-        "--store-max-entries", type=int, default=None, metavar="N",
-        help="in-memory cache-tier bound per store handle",
     )
     serve_cmd.add_argument(
         "--queue-depth", type=int, default=64, metavar="N",
@@ -656,45 +607,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "count":
         return _count(args.file)
     if args.command == "reduce":
-        return _reduce(
-            args.file,
-            args.keep,
-            args.trace,
-            args.json,
-            budget_calls=args.budget_calls,
-            budget_seconds=args.budget_seconds,
-            speculate=args.speculate,
-            probe_backend=args.probe_backend,
-            profile_phases=args.profile_phases,
-        )
+        return _reduce(args)
     if args.command == "bench":
-        return _bench(
-            args.profile,
-            args.trace,
-            args.json,
-            args.jobs,
-            args.store,
-            num_benchmarks=args.num_benchmarks,
-            worker_budget=args.worker_budget,
-            results_path=args.results,
-            corpus_dir=args.corpus_dir,
-            debloat=args.debloat,
-            store_shards=args.store_shards,
-            store_max_entries=args.store_max_entries,
-            store_tenant=args.store_tenant,
-            budget_calls=args.budget_calls,
-            budget_seconds=args.budget_seconds,
-            retries=args.retries,
-            deadline_seconds=args.deadline_seconds,
-            keep_going=args.keep_going,
-            chaos=args.chaos,
-            chaos_rate=args.chaos_rate,
-            chaos_seed=args.chaos_seed,
-            speculate=args.speculate,
-            probe_backend=args.probe_backend,
-            tool_latency_ms=args.tool_latency_ms,
-            profile_phases=args.profile_phases,
-        )
+        return _bench(args)
     if args.command == "corpus":
         if args.corpus_command == "generate":
             return _corpus_generate(
@@ -832,27 +747,73 @@ def _count(path: str) -> int:
     return 0
 
 
-def _reduce(
-    path: str,
-    keep: List[str],
-    trace_path: Optional[str] = None,
-    json_output: bool = False,
-    budget_calls: Optional[int] = None,
-    budget_seconds: Optional[float] = None,
-    speculate: int = 1,
-    probe_backend: str = "thread",
-    profile_phases: bool = False,
-) -> int:
+def _experiment_config(args):
+    """The run's :class:`ExperimentConfig` from ``reduce``/``bench`` flags,
+    or None after printing why a flag is refused.
+
+    The flags go through :func:`config_from_payload`, the path a service
+    job's ``config`` object takes, so a bad value is refused with the
+    same message (naming field and flag) either way.
+    """
+    from repro.harness.experiments import (
+        CONFIG_PAYLOAD_FIELDS,
+        ExperimentConfig,
+        config_from_payload,
+    )
+
+    flags = vars(args)
+    payload = {
+        name: flags[name] for name in CONFIG_PAYLOAD_FIELDS if name in flags
+    }
+    if flags.get("chaos") is not None:
+        payload["chaos"] = {
+            "kind": args.chaos, "rate": args.chaos_rate, "seed": args.chaos_seed
+        }
+    if "tool_latency_ms" in flags:
+        payload["tool_latency_seconds"] = args.tool_latency_ms / 1000.0
+    try:
+        if args.profile_phases and not args.trace:
+            raise ValueError("--profile-phases needs --trace (profiles are "
+                             "recorded into the trace)")
+        base = ExperimentConfig(
+            tenant=flags.get("store_tenant", ""),
+            worker_budget=flags.get("worker_budget"),
+        )
+        return config_from_payload(payload, base=base)
+    except ValueError as exc:
+        print(f"jlreduce: {exc}", file=sys.stderr)
+        return None
+
+
+def _open_store(args):
+    """The store the ``--store*`` flags name, opened; None without
+    ``--store``.  Raises ``ValueError`` when it cannot be opened."""
+    if not args.store:
+        return None
+    from repro.parallel import DEFAULT_SHARDS, open_store
+
+    shards = DEFAULT_SHARDS if args.store_shards is None else args.store_shards
+    try:
+        return open_store(
+            args.store, shards=shards, max_entries=args.store_max_entries
+        )
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot open store {args.store}: {exc}") from None
+
+
+def _reduce(args) -> int:
+    from contextlib import nullcontext
+
     from repro.fji.pretty import pretty_program
     from repro.fji.reducer import reduce_program
     from repro.fji.variables import variables_of
-    from repro.observability import (
-        profiled_phase,
-        tracing_session,
-        write_trace,
-    )
+    from repro.harness.experiments import probe_pool
+    from repro.observability import profiled_phase
+    from repro.parallel.procpool import ProbeTaskSpec, build_chain
     from repro.reduction import ReductionProblem, generalized_binary_reduction
+    from repro.reduction.predicate import InstrumentedPredicate
 
+    path = args.file
     loaded = _load_program(path)
     if loaded is None:
         return 1
@@ -860,7 +821,7 @@ def _reduce(
     variables = variables_of(program)
     by_name = {str(v): v for v in variables}
     required = set()
-    for name in keep:
+    for name in args.keep:
         if name not in by_name:
             known = ", ".join(sorted(by_name))
             print(f"jlreduce: unknown item {name!r}; known items: {known}",
@@ -868,38 +829,17 @@ def _reduce(
             return 1
         required.add(by_name[name])
 
-    if speculate < 1:
-        print(f"jlreduce: --speculate must be >= 1, got {speculate}",
-              file=sys.stderr)
-        return 1
-    if profile_phases and not trace_path:
-        print("jlreduce: --profile-phases needs --trace (the profile is "
-              "recorded into the trace)", file=sys.stderr)
+    config = _experiment_config(args)
+    if config is None:
         return 1
     target = frozenset(required)
     containment = _ContainmentPredicate(target)
-    predicate = containment
-    if budget_calls is not None or budget_seconds is not None:
-        from repro.resilience import Budget, ResilientPredicate
-
-        try:
-            budget = Budget(
-                max_calls=budget_calls,
-                max_seconds=budget_seconds,
-                seconds_per_call=33.0,  # the paper's mean tool-run cost
-            )
-        except ValueError as exc:
-            print(f"jlreduce: {exc}", file=sys.stderr)
-            return 1
-        predicate = ResilientPredicate(predicate, budget=budget)
-    if speculate > 1:
+    predicate = build_chain(containment, config.budget())
+    if config.speculate > 1:
         # GBR's _instrument passes a pre-built InstrumentedPredicate
         # through, so this is where the picklable task spec (the raw
         # containment oracle — a limiting budget serializes speculation
         # before the pool sees a task) attaches to the cache layer.
-        from repro.parallel.procpool import ProbeTaskSpec
-        from repro.reduction.predicate import InstrumentedPredicate
-
         predicate = InstrumentedPredicate(
             predicate,
             task_spec=ProbeTaskSpec(kind="callable", predicate=containment),
@@ -910,52 +850,33 @@ def _reduce(
         constraint=constraints,
         description=path,
     )
-    probes = None
-    if speculate > 1:
-        from repro.harness.experiments import ExperimentConfig, probe_pool
+    probes = probe_pool(config)
 
-        probes = probe_pool(
-            ExperimentConfig(speculate=speculate, probe_backend=probe_backend)
+    def run():
+        capture = (
+            profiled_phase("reduce") if config.profile_phases
+            else nullcontext()
         )
-    try:
-        if trace_path:
-            trace_handle = _open_trace(trace_path)
-            if trace_handle is None:
-                return 1
-            with trace_handle:
-                with tracing_session() as (tracer, metrics):
-                    from contextlib import nullcontext
-
-                    capture = (
-                        profiled_phase("reduce", tracer=tracer)
-                        if profile_phases
-                        else nullcontext()
-                    )
-                    with capture:
-                        result = generalized_binary_reduction(
-                            problem,
-                            require_true=target,
-                            speculate=speculate,
-                            probe_executor=probes,
-                        )
-                write_trace(
-                    trace_handle, tracer, metrics, label=f"reduce {path}"
-                )
-        else:
-            result = generalized_binary_reduction(
+        with capture:
+            return generalized_binary_reduction(
                 problem,
                 require_true=target,
-                speculate=speculate,
+                speculate=config.speculate,
                 probe_executor=probes,
             )
+
+    try:
+        result = _traced(args.trace, 1, f"reduce {path}", run)
     finally:
         if probes is not None:
             probes.shutdown(wait=True)
+    if result is None:
+        return 1
 
-    if json_output:
+    if args.json:
         payload = {
             "file": path,
-            "keep": sorted(keep),
+            "keep": sorted(args.keep),
             "total_items": len(variables),
             "kept_items": len(result.solution),
             "solution": sorted(str(v) for v in result.solution),
@@ -974,33 +895,7 @@ def _reduce(
     return 0
 
 
-def _bench(
-    profile: str,
-    trace_path: Optional[str] = None,
-    json_output: bool = False,
-    jobs: int = 1,
-    store_path: Optional[str] = None,
-    num_benchmarks: Optional[int] = None,
-    worker_budget: Optional[int] = None,
-    results_path: Optional[str] = None,
-    corpus_dir: Optional[str] = None,
-    debloat: bool = False,
-    store_shards: Optional[int] = None,
-    store_max_entries: Optional[int] = None,
-    store_tenant: str = "",
-    budget_calls: Optional[int] = None,
-    budget_seconds: Optional[float] = None,
-    retries: int = 0,
-    deadline_seconds: Optional[float] = None,
-    keep_going: bool = False,
-    chaos: Optional[str] = None,
-    chaos_rate: float = 0.2,
-    chaos_seed: int = 2021,
-    speculate: int = 1,
-    probe_backend: str = "thread",
-    tool_latency_ms: float = 0.0,
-    profile_phases: bool = False,
-) -> int:
+def _bench(args) -> int:
     """``bench``: one corpus run through the corpus executor.
 
     The corpus source picks the report: a persisted corpus
@@ -1011,61 +906,22 @@ def _bench(
     """
     import os
 
-    from repro.harness.experiments import (
-        ExperimentConfig,
-        run_corpus_experiment,
-    )
+    from repro.harness.experiments import run_corpus_experiment
     from repro.harness.report import ResultsWriter, StreamingReport
     from repro.reduction import ReductionError
-    from repro.resilience import Budget, OracleCrash, TransientOracleError
+    from repro.resilience import OracleCrash, TransientOracleError
     from repro.workloads.corpus import MANIFEST_NAME, CorpusConfig
 
+    jobs, json_output, corpus_dir = args.jobs, args.json, args.corpus_dir
     if jobs < 0:
         print(f"jlreduce: --jobs must be >= 0, got {jobs}", file=sys.stderr)
         return 1
-    if worker_budget is not None and worker_budget <= 0:
-        print(f"jlreduce: --worker-budget must be > 0, got {worker_budget}",
-              file=sys.stderr)
-        return 1
-    if num_benchmarks is not None and num_benchmarks <= 0:
+    if args.num_benchmarks is not None and args.num_benchmarks <= 0:
         print(f"jlreduce: --num-benchmarks must be > 0, got "
-              f"{num_benchmarks}", file=sys.stderr)
+              f"{args.num_benchmarks}", file=sys.stderr)
         return 1
-    plan = None
-    if chaos is not None:
-        from repro.resilience import FaultPlan
-
-        try:
-            plan = FaultPlan(kind=chaos, rate=chaos_rate, seed=chaos_seed)
-        except ValueError as exc:
-            print(f"jlreduce: {exc}", file=sys.stderr)
-            return 1
-    if retries < 0:
-        print(f"jlreduce: --retries must be >= 0, got {retries}",
-              file=sys.stderr)
-        return 1
-    if speculate < 1:
-        print(f"jlreduce: --speculate must be >= 1, got {speculate}",
-              file=sys.stderr)
-        return 1
-    if tool_latency_ms < 0:
-        print(f"jlreduce: --tool-latency-ms must be >= 0, got "
-              f"{tool_latency_ms}", file=sys.stderr)
-        return 1
-    if profile_phases and not trace_path:
-        print("jlreduce: --profile-phases needs --trace (profiles are "
-              "recorded into the trace)", file=sys.stderr)
-        return 1
-    try:
-        # Validate the budget/deadline values once, up front, instead of
-        # per-instance deep inside the run.
-        Budget(max_calls=budget_calls, max_seconds=budget_seconds)
-        if deadline_seconds is not None and deadline_seconds <= 0:
-            raise ValueError(
-                f"--deadline-seconds must be > 0, got {deadline_seconds}"
-            )
-    except ValueError as exc:
-        print(f"jlreduce: {exc}", file=sys.stderr)
+    experiment = _experiment_config(args)
+    if experiment is None:
         return 1
     if corpus_dir is not None and not os.path.isfile(
         os.path.join(corpus_dir, MANIFEST_NAME)
@@ -1076,39 +932,21 @@ def _bench(
             file=sys.stderr,
         )
         return 1
-    experiment = ExperimentConfig(
-        budget_calls=budget_calls,
-        budget_seconds=budget_seconds,
-        retries=retries,
-        deadline_seconds=deadline_seconds,
-        keep_going=keep_going,
-        chaos=plan,
-        speculate=speculate,
-        probe_backend=probe_backend,
-        tool_latency_seconds=tool_latency_ms / 1000.0,
-        profile_phases=profile_phases,
-        tenant=store_tenant,
-        worker_budget=worker_budget,
-    )
-    streaming = corpus_dir is not None or debloat
+    streaming = corpus_dir is not None or args.debloat
     if corpus_dir is not None:
-        source = {"corpus_path": corpus_dir, "include_debloat": debloat}
+        source = {"corpus_path": corpus_dir, "include_debloat": args.debloat}
     else:
         from repro.workloads.corpus import build_corpus
 
-        config = {
-            "paper": CorpusConfig.paper,
-            "njr": CorpusConfig.njr,
-            "small": CorpusConfig.small,
-        }[profile]()
-        if num_benchmarks is not None:
+        config = CorpusConfig.named(args.profile)
+        if args.num_benchmarks is not None:
             from dataclasses import replace
 
-            config = replace(config, num_benchmarks=num_benchmarks)
+            config = replace(config, num_benchmarks=args.num_benchmarks)
         if not json_output:
-            print(f"building corpus ({profile} profile) ...")
+            print(f"building corpus ({args.profile} profile) ...")
         corpus = build_corpus(config)
-        if debloat:
+        if args.debloat:
             from repro.workloads.debloat import add_debloat_instances
 
             add_debloat_instances(corpus)
@@ -1126,34 +964,19 @@ def _bench(
     # The ExitStack closes the store's append descriptors and the
     # results file even when a reduction raises mid-run.
     with ExitStack() as stack:
-        store = None
-        if store_path:
-            from repro.parallel import DEFAULT_SHARDS, open_store
-
-            try:
-                store = stack.enter_context(
-                    open_store(
-                        store_path,
-                        shards=(
-                            store_shards
-                            if store_shards is not None
-                            else DEFAULT_SHARDS
-                        ),
-                        max_entries=store_max_entries,
-                    )
-                )
-            except (OSError, ValueError) as exc:
-                print(
-                    f"jlreduce: cannot open store {store_path}: {exc}",
-                    file=sys.stderr,
-                )
-                return 1
+        try:
+            store = _open_store(args)
+        except ValueError as exc:
+            print(f"jlreduce: {exc}", file=sys.stderr)
+            return 1
+        if store is not None:
+            stack.enter_context(store)
         writer = None
-        if results_path:
+        if args.results:
             try:
-                writer = stack.enter_context(ResultsWriter(results_path))
+                writer = stack.enter_context(ResultsWriter(args.results))
             except OSError as exc:
-                print(f"jlreduce: cannot write {results_path}: {exc}",
+                print(f"jlreduce: cannot write {args.results}: {exc}",
                       file=sys.stderr)
                 return 1
 
@@ -1174,7 +997,7 @@ def _bench(
             )
 
         try:
-            outcomes = _traced(trace_path, jobs, f"bench {profile}", run)
+            outcomes = _traced(args.trace, jobs, f"bench {args.profile}", run)
         except (ReductionError, OracleCrash, TransientOracleError) as exc:
             print(f"jlreduce: instance failed: {exc}", file=sys.stderr)
             print("jlreduce: rerun with --keep-going to record failed "
@@ -1190,7 +1013,7 @@ def _bench(
         from dataclasses import asdict
 
         payload = {
-            "profile": profile,
+            "profile": args.profile,
             "outcomes": [asdict(outcome) for outcome in outcomes],
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -1252,11 +1075,7 @@ def _corpus_generate(
         print(f"jlreduce: --num-benchmarks must be > 0, got "
               f"{num_benchmarks}", file=sys.stderr)
         return 1
-    config = {
-        "paper": CorpusConfig.paper,
-        "njr": CorpusConfig.njr,
-        "small": CorpusConfig.small,
-    }[profile]()
+    config = CorpusConfig.named(profile)
     overrides = {}
     if num_benchmarks is not None:
         overrides["num_benchmarks"] = num_benchmarks
@@ -1454,48 +1273,48 @@ def _parse_server(spec: str) -> tuple:
 
 
 def _serve(args) -> int:
+    from dataclasses import replace
+
     from repro.parallel.scheduler import StoreSpec
     from repro.service import ServiceConfig, TenantPolicy
     from repro.service.server import serve
 
-    policies = {}
-    for spec in args.tenant_weight:
-        name, sep, weight = spec.partition("=")
-        if not sep or not name:
-            print(
-                f"jlreduce: --tenant-weight must be NAME=WEIGHT, "
-                f"got {spec!r}",
-                file=sys.stderr,
-            )
-            return 1
-        policies[name] = TenantPolicy(
-            weight=float(weight),
+    # Every flag is checked here, before the server opens a socket.
+    try:
+        default_policy = TenantPolicy(
             max_queue_depth=args.queue_depth,
             max_jobs=args.tenant_quota_jobs,
             max_seconds=args.tenant_quota_seconds,
         )
-    store_spec = None
-    if args.store:
-        kwargs = {"path": args.store}
-        if args.store_shards is not None:
-            kwargs["shards"] = args.store_shards
-        if args.store_max_entries is not None:
-            kwargs["max_entries"] = args.store_max_entries
-        store_spec = StoreSpec(**kwargs)
-    config = ServiceConfig(
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        backend=args.backend,
-        store_spec=store_spec,
-        default_policy=TenantPolicy(
-            max_queue_depth=args.queue_depth,
-            max_jobs=args.tenant_quota_jobs,
-            max_seconds=args.tenant_quota_seconds,
-        ),
-        policies=policies,
-        sample_seconds=args.sample_seconds,
-    )
+        policies = {}
+        for spec in args.tenant_weight:
+            name, _, weight = spec.partition("=")
+            try:
+                if not name:
+                    raise ValueError(spec)
+                policies[name] = replace(default_policy, weight=float(weight))
+            except ValueError:
+                raise ValueError(
+                    f"--tenant-weight must be NAME=WEIGHT with WEIGHT > 0, "
+                    f"got {spec!r}"
+                ) from None
+        store = _open_store(args)
+        store_spec = None
+        if store is not None:
+            store.close()
+            store_spec = StoreSpec.of(store)
+        config = ServiceConfig(
+            host=args.host,
+            port=args.port,
+            workers=args.workers,
+            store_spec=store_spec,
+            default_policy=default_policy,
+            policies=policies,
+            sample_seconds=args.sample_seconds,
+        )
+    except ValueError as exc:
+        print(f"jlreduce: {exc}", file=sys.stderr)
+        return 1
 
     def _ready(host: str, port: int) -> None:
         print(f"jlreduce serve: listening on {host}:{port}", flush=True)
@@ -1544,11 +1363,19 @@ def _submit(args) -> int:
         # miscompiles — any other pair has no failure to preserve.
         from repro.service.jobs import workload_pairs
 
-        index = int(args.benchmark.lstrip("b") or 0)
-        pairs = [
-            pair for pair in workload_pairs(args.profile, index + 1)
-            if pair[0] == args.benchmark
-        ]
+        index = args.benchmark[1:]
+        if not (args.benchmark.startswith("b") and index.isdigit()):
+            print(f"jlreduce: --benchmark must look like 'b003', got "
+                  f"{args.benchmark!r}", file=sys.stderr)
+            return 1
+        try:
+            pairs = [
+                pair for pair in workload_pairs(args.profile, int(index) + 1)
+                if pair[0] == args.benchmark
+            ]
+        except ValueError as exc:
+            print(f"jlreduce: {exc}", file=sys.stderr)
+            return 1
         if not pairs:
             print(
                 f"jlreduce: {args.benchmark} has no runnable "
@@ -1588,7 +1415,7 @@ def _loadgen(args) -> int:
     tenants = {}
     for spec in args.tenants.split(","):
         name, sep, share = spec.partition("=")
-        if not name:
+        if not name or (sep and not share.strip().isdigit()):
             print(
                 f"jlreduce: bad --tenants entry {spec!r}",
                 file=sys.stderr,

@@ -61,7 +61,6 @@ __all__ = [
     "ExperimentConfig",
     "InstanceOutcome",
     "config_from_payload",
-    "config_to_payload",
     "error_outcome",
     "oracle_fingerprint",
     "outcome_signature",
@@ -76,6 +75,46 @@ __all__ = [
 
 #: Strategies the harness knows how to run on an instance.
 STRATEGY_NAMES = ("our-reducer", "jreduce", "lossy-first", "lossy-last")
+
+#: Config fields no CLI flag sets, and the flags not named after their
+#: field (any other field ``x_y`` is set by ``--x-y``).
+_FLAGLESS_FIELDS = ("strategies", "simulated_seconds_per_run")
+_RENAMED_FLAGS = {
+    "tool_latency_seconds": "--tool-latency-ms",
+    "tenant": "--store-tenant",
+}
+
+#: The JSON type of each scalar config field (``float`` also admits
+#: integers); fields that default to None also admit None.
+_FIELD_TYPES = {
+    "simulated_seconds_per_run": float,
+    "budget_calls": int,
+    "budget_seconds": float,
+    "retries": int,
+    "deadline_seconds": float,
+    "keep_going": bool,
+    "speculate": int,
+    "probe_backend": str,
+    "tool_latency_seconds": float,
+    "profile_phases": bool,
+    "tenant": str,
+    "worker_budget": int,
+}
+
+
+def _field_label(name: str) -> str:
+    """A field's name plus its CLI flag, so a refused value names both
+    the field a service job sent and the flag a user typed."""
+    if name in _FLAGLESS_FIELDS:
+        return name
+    flag = _RENAMED_FLAGS.get(name, "--" + name.replace("_", "-"))
+    return f"{name} ({flag})"
+
+
+def _has_type(value: Any, kind: type) -> bool:
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 @dataclass
@@ -143,13 +182,68 @@ class ExperimentConfig:
     #: overlap external tool latency.  Set it on CPU-bound runs.
     worker_budget: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        """Refuse a bad field before any work is done on it."""
+
+        def refuse(name: str, why: str) -> None:
+            raise ValueError(
+                f"{_field_label(name)} {why}, got {getattr(self, name)!r}"
+            )
+
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            optional = self.__dataclass_fields__[name].default
+            if not ((value is None and optional is None)
+                    or _has_type(value, kind)):
+                refuse(name, f"must be {kind.__name__}")
+        if (
+            not isinstance(self.strategies, tuple)
+            or not self.strategies
+            or any(name not in STRATEGY_NAMES for name in self.strategies)
+        ):
+            refuse(
+                "strategies",
+                "must be a non-empty tuple of " + ", ".join(STRATEGY_NAMES),
+            )
+        if self.chaos is not None and not isinstance(self.chaos, FaultPlan):
+            refuse("chaos", "must be a fault plan")
+        if self.speculate < 1:
+            refuse("speculate", "must be >= 1")
+        if self.retries < 0:
+            refuse("retries", "must be >= 0")
+        if self.deadline_seconds is not None and not self.deadline_seconds > 0:
+            refuse("deadline_seconds", "must be > 0")
+        if not self.tool_latency_seconds >= 0:
+            refuse("tool_latency_seconds", "must be >= 0")
+        if self.worker_budget is not None and self.worker_budget < 1:
+            refuse("worker_budget", "must be >= 1")
+        if self.probe_backend not in ("thread", "process"):
+            refuse("probe_backend", "must be 'thread' or 'process'")
+        for name, parameter in (
+            ("budget_calls", "max_calls"),
+            ("budget_seconds", "max_seconds"),
+            ("simulated_seconds_per_run", "seconds_per_call"),
+        ):
+            try:
+                Budget(**{parameter: getattr(self, name)})
+            except ValueError as exc:
+                raise ValueError(f"{_field_label(name)}: {exc}") from None
+
+    def budget(self) -> Budget:
+        """A fresh per-run :class:`~repro.resilience.Budget`."""
+        return Budget(
+            max_calls=self.budget_calls,
+            max_seconds=self.budget_seconds,
+            seconds_per_call=self.simulated_seconds_per_run,
+        )
+
 
 #: ExperimentConfig fields a service job payload may carry / override.
 #: ``chaos`` travels as the FaultPlan's field dict; everything else is
-#: a JSON scalar (tuples serialize as lists).  ``worker_budget`` stays
-#: server-side: pool sizing is an operator concern, not a tenant knob.
+#: a JSON scalar.  ``worker_budget`` stays server-side: pool sizing is
+#: an operator concern, not a tenant knob.  A job's strategy and tenant
+#: come from the job itself (:func:`repro.service.jobs.job_config`).
 CONFIG_PAYLOAD_FIELDS = (
-    "strategies",
     "simulated_seconds_per_run",
     "budget_calls",
     "budget_seconds",
@@ -161,26 +255,7 @@ CONFIG_PAYLOAD_FIELDS = (
     "probe_backend",
     "tool_latency_seconds",
     "profile_phases",
-    "tenant",
 )
-
-
-def config_to_payload(config: "ExperimentConfig") -> Dict[str, Any]:
-    """An :class:`ExperimentConfig` as a JSON-safe dict.
-
-    The wire form of a reduction job's knobs: round-trips through
-    :func:`config_from_payload` (the service's job ⇄ config bridge)
-    and stays diffable in JSONL progress events.
-    """
-    payload: Dict[str, Any] = {}
-    for name in CONFIG_PAYLOAD_FIELDS:
-        value = getattr(config, name)
-        if name == "strategies":
-            value = list(value)
-        elif name == "chaos" and value is not None:
-            value = dataclasses.asdict(value)
-        payload[name] = value
-    return payload
 
 
 def config_from_payload(
@@ -190,27 +265,21 @@ def config_from_payload(
     """Rebuild an :class:`ExperimentConfig` from a job payload.
 
     ``base`` supplies every field the payload omits (the service's
-    per-server defaults); unknown keys raise ``ValueError`` so a typoed
-    tenant knob fails the submission instead of silently running with
+    per-server defaults); unknown keys and bad values raise
+    ``ValueError`` (the config validates itself), so a typoed tenant
+    knob fails the submission instead of silently running with
     defaults.
     """
     unknown = sorted(set(payload) - set(CONFIG_PAYLOAD_FIELDS))
     if unknown:
         raise ValueError(f"unknown config fields: {', '.join(unknown)}")
-    updates: Dict[str, Any] = {}
-    for name, value in payload.items():
-        if name == "strategies" and value is not None:
-            if isinstance(value, str):
-                value = (value,)
-            value = tuple(value)
-            for strategy in value:
-                if strategy not in STRATEGY_NAMES:
-                    raise ValueError(f"unknown strategy {strategy!r}")
-        elif name == "chaos" and value is not None:
-            if not isinstance(value, dict):
-                raise ValueError("chaos must be a fault-plan object")
-            value = FaultPlan(**value)
-        updates[name] = value
+    updates = dict(payload)
+    chaos = updates.get("chaos")
+    if chaos is not None:
+        try:
+            updates["chaos"] = FaultPlan(**chaos)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{_field_label('chaos')}: {exc}") from None
     base = base if base is not None else ExperimentConfig()
     return dataclasses.replace(base, **updates)
 
@@ -345,11 +414,6 @@ def probe_pool(config: ExperimentConfig, max_workers: Optional[int] = None):
         from repro.parallel.procpool import ProcessProbePool
 
         return ProcessProbePool(max_workers=workers)
-    if config.probe_backend != "thread":
-        raise ValueError(
-            f"unknown probe backend {config.probe_backend!r} "
-            "(expected 'thread' or 'process')"
-        )
     from concurrent.futures import ThreadPoolExecutor
 
     return ThreadPoolExecutor(
@@ -425,12 +489,7 @@ def _run_instance_inner(
 
     def _chain(raw, granularity: str):
         """Layer tool latency, chaos, and fault handling under the cache."""
-        budget = Budget(
-            max_calls=config.budget_calls,
-            max_seconds=config.budget_seconds,
-            seconds_per_call=config.simulated_seconds_per_run,
-        )
-        return build_chain(raw, budget, **_knobs(granularity))
+        return build_chain(raw, config.budget(), **_knobs(granularity))
 
     def _task_spec(granularity: str):
         """The picklable recipe a process probe pool rebuilds the chain

@@ -24,8 +24,8 @@ Job lifecycle (DESIGN.md §13)::
     queued ──> running ──> success
                     └────> error
 
-Rejected submissions (queue full, quota exhausted, draining) never
-become jobs — the refusal is the HTTP response, so the job table holds
+Rejected submissions (invalid job or config, queue full, quota
+exhausted, draining) never become jobs — the refusal is the HTTP response, so the job table holds
 only work the service accepted responsibility for.
 """
 
@@ -52,7 +52,6 @@ __all__ = [
     "JOB_STATES",
     "Job",
     "JobRequest",
-    "PROFILES",
     "job_config",
     "job_spec",
     "workload_pairs",
@@ -65,15 +64,6 @@ _TRANSITIONS = {
     "running": ("success", "error"),
     "success": (),
     "error": (),
-}
-
-#: Corpus profiles a workload job may name (the CLI's ``--profile``,
-#: plus the service-bench ``tiny``).
-PROFILES = {
-    "tiny": CorpusConfig.tiny,
-    "small": CorpusConfig.small,
-    "paper": CorpusConfig.paper,
-    "njr": CorpusConfig.njr,
 }
 
 _TENANT_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
@@ -140,11 +130,7 @@ class JobRequest:
         profile = payload.get("profile", "small")
         app_b64 = payload.get("app_b64")
         if app_b64 is None:
-            if profile not in PROFILES:
-                known_names = ", ".join(sorted(PROFILES))
-                raise ValueError(
-                    f"unknown profile {profile!r}; known: {known_names}"
-                )
+            CorpusConfig.named(profile)
             if not _BENCHMARK_RE.match(benchmark_id):
                 raise ValueError(
                     f"workload benchmark_id must look like 'b003', "
@@ -196,6 +182,9 @@ class Job:
     job_id: str
     request: JobRequest
     serial: int
+    #: The effective config, built (and so validated) at admission by
+    #: :func:`job_config`.
+    config: Optional[ExperimentConfig] = None
     state: str = "queued"
     submitted_unix: float = field(default_factory=time.time)
     #: perf_counter marks, for latency math immune to wall-clock steps.
@@ -277,7 +266,7 @@ def _workload_app(profile: str, benchmark_id: str) -> Tuple[bytes, int]:
     from repro.bytecode.serializer import serialize_application
 
     index = int(_BENCHMARK_RE.match(benchmark_id).group(1))
-    benchmark = build_benchmark(index, PROFILES[profile]())
+    benchmark = build_benchmark(index, CorpusConfig.named(profile))
     entry = (serialize_application(benchmark.app), benchmark.seed)
     _APP_CACHE[key] = entry
     while len(_APP_CACHE) > _APP_CACHE_MAX:
@@ -295,12 +284,10 @@ def workload_pairs(
     and the job errors at run time.  Load generators and the ``submit``
     CLI use this to build mixes of real work.
     """
-    if profile not in PROFILES:
-        known_names = ", ".join(sorted(PROFILES))
-        raise ValueError(f"unknown profile {profile!r}; known: {known_names}")
+    config = CorpusConfig.named(profile)
     pairs = []
     for index in range(benchmarks):
-        benchmark = build_benchmark(index, PROFILES[profile]())
+        benchmark = build_benchmark(index, config)
         for instance in benchmark.instances:
             pairs.append((benchmark.benchmark_id, instance.decompiler))
     return pairs
@@ -308,14 +295,14 @@ def workload_pairs(
 
 def job_spec(
     job: Job,
-    base: Optional[ExperimentConfig] = None,
     store_spec: Optional[StoreSpec] = None,
     probe_workers: Optional[int] = None,
     ctx: Optional[Dict[str, Any]] = None,
 ) -> InstanceTaskSpec:
     """The job as a pool-executable :class:`InstanceTaskSpec`.
 
-    ``serial_base`` is the job's admission serial, so worker spans and
+    The spec carries ``job.config``, the config admission built and
+    validated (:func:`job_config`).  ``serial_base`` is the job's admission serial, so worker spans and
     ledger events land in per-job serial slots and the merged trace
     interleaves deterministically (`trace summarize` / ``timeline``
     work unchanged on service output).
@@ -335,7 +322,7 @@ def job_spec(
         strategies=(request.strategy,),
         serial_base=job.serial,
         app_seed=app_seed,
-        config=job_config(request, base),
+        config=job.config,
         app_bytes=app_bytes,
         store=store_spec,
         probe_workers=probe_workers,

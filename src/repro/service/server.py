@@ -45,7 +45,7 @@ from repro.harness.experiments import ExperimentConfig
 from repro.observability import get_metrics, get_tracer
 from repro.parallel.scheduler import InstancePool, StoreSpec
 from repro.service.admission import AdmissionController, TenantPolicy
-from repro.service.jobs import Job, JobRequest, job_spec
+from repro.service.jobs import Job, JobRequest, job_config, job_spec
 
 __all__ = ["ReductionService", "ServiceConfig", "serve"]
 
@@ -86,6 +86,18 @@ class ServiceConfig:
     policies: Dict[str, TenantPolicy] = field(default_factory=dict)
     #: Queue-depth gauge sampling period (trace time series).
     sample_seconds: float = 0.5
+
+    def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.backend not in ("process", "thread"):
+            raise ValueError(
+                f"backend must be 'process' or 'thread', got {self.backend!r}"
+            )
+        if not self.sample_seconds > 0:
+            raise ValueError(
+                f"sample_seconds must be > 0, got {self.sample_seconds}"
+            )
 
 
 class ReductionService:
@@ -170,11 +182,15 @@ class ReductionService:
             }
         try:
             request = JobRequest.from_payload(payload)
+            config = job_config(request, self.config.base_config)
         except ValueError as exc:
             self._metrics.counter("service.rejected.invalid").inc()
             return 400, {"status": "invalid", "error": str(exc)}
         serial = self._serial
-        job = Job(job_id=f"j{serial:06d}", request=request, serial=serial)
+        job = Job(
+            job_id=f"j{serial:06d}", request=request, serial=serial,
+            config=config,
+        )
         verdict = self.admission.submit(job)
         tenant = request.tenant
         if not verdict.admitted:
@@ -264,7 +280,6 @@ class ReductionService:
                     None,
                     lambda: job_spec(
                         job,
-                        base=self.config.base_config,
                         store_spec=self.config.store_spec,
                         ctx=ctx,
                     ),

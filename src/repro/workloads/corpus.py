@@ -64,6 +64,10 @@ __all__ = [
 
 MANIFEST_NAME = "manifest.json"
 
+#: The named corpus profiles: each is a :class:`CorpusConfig`
+#: classmethod, resolved by :meth:`CorpusConfig.named`.
+CORPUS_PROFILES = ("tiny", "small", "paper", "njr")
+
 #: The paper's Table 1 geometric means the njr profile targets.
 PAPER_GEO_CLASSES = 184.0
 PAPER_GEO_BYTES = 285.0 * 1024
@@ -91,6 +95,14 @@ class CorpusConfig:
     #: profile raises them to hit the paper's items-per-class.
     max_extra_methods: int = 3
     max_fields: int = 2
+
+    @classmethod
+    def named(cls, profile: str) -> "CorpusConfig":
+        """The profile called ``profile``, looked up when called."""
+        if profile not in CORPUS_PROFILES:
+            known = ", ".join(sorted(CORPUS_PROFILES))
+            raise ValueError(f"unknown profile {profile!r}; known: {known}")
+        return getattr(cls, profile)()
 
     @classmethod
     def tiny(cls) -> "CorpusConfig":

@@ -410,6 +410,6 @@ class TestProcessProbePoolGuards:
     def test_unknown_backend_rejected_by_probe_pool(self):
         from repro.harness.experiments import probe_pool
 
-        config = ExperimentConfig(speculate=4, probe_backend="fiber")
         with pytest.raises(ValueError, match="fiber"):
+            config = ExperimentConfig(speculate=4, probe_backend="fiber")
             probe_pool(config)

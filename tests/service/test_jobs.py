@@ -122,9 +122,28 @@ class TestJobConfigBridge:
         assert config.tenant == "acme"
         assert config.budget_calls == 9
 
-    def test_unknown_config_key_rejected(self):
-        req = request(config={"workers": 64})
-        with pytest.raises(ValueError, match="workers"):
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"workers": 64},
+            {"speculate": 0},
+            {"retries": -3},
+            {"tool_latency_seconds": -1},
+            {"probe_backend": "gpu"},
+            {"strategies": ["jreduce"]},
+            {"tenant": "beta"},
+            {"budget_calls": -1},
+            {"deadline_seconds": 0},
+            {"simulated_seconds_per_run": -5},
+            {"probe_backend": "gpu", "speculate": 2},
+            {"bogus": 1},
+        ],
+        ids=lambda config: ",".join(f"{k}={v}" for k, v in config.items()),
+    )
+    def test_unknown_config_key_rejected(self, config):
+        req = request(config=config)
+        # The first key is the refused one; the message names it.
+        with pytest.raises(ValueError, match=next(iter(config))):
             job_config(req, ExperimentConfig(strategies=("our-reducer",)))
 
 
@@ -142,11 +161,8 @@ class TestWorkloadPairs:
 class TestJobSpec:
     def test_workload_spec_carries_generated_bytes(self):
         bid, decompiler = workload_pairs("tiny", 1)[0]
-        job = Job(
-            job_id="j0",
-            request=request(benchmark_id=bid, decompiler=decompiler),
-            serial=7,
-        )
+        req = request(benchmark_id=bid, decompiler=decompiler)
+        job = Job(job_id="j0", request=req, serial=7, config=job_config(req))
         spec = job_spec(job)
         assert spec.serial_base == 7
         assert spec.app_bytes

@@ -25,7 +25,13 @@ from repro.service import (
     ServiceError,
     TenantPolicy,
 )
-from repro.service.jobs import Job, JobRequest, job_spec, workload_pairs
+from repro.service.jobs import (
+    Job,
+    JobRequest,
+    job_config,
+    job_spec,
+    workload_pairs,
+)
 from repro.service.server import serve
 
 BID, DECOMPILER = workload_pairs("tiny", 1)[0]
@@ -98,11 +104,30 @@ class TestLifecycle:
             assert stats["tenants"]["acme"]["completed"] == 1
             assert stats["queue_depth"] == 0
 
-    def test_invalid_job_is_400(self):
+    @pytest.mark.parametrize(
+        "job",
+        [{"tenant": "acme"}, dict(tiny_job(), config={"speculate": 0})],
+        ids=["no-benchmark", "bad-config"],
+    )
+    def test_invalid_job_is_400(self, job):
         with running_service() as client:
             with pytest.raises(ServiceError) as excinfo:
-                client.submit({"tenant": "acme"})
+                client.submit(job)
             assert excinfo.value.status == 400
+            assert "job_id" not in excinfo.value.body
+            acme = client.stats()["tenants"].get("acme", {})
+            assert acme.get("admitted", 0) == 0
+            assert acme.get("quota_jobs", 0) == 0
+
+    def test_bad_config_error_matches_cli(self, capsys):
+        from repro.cli import main
+
+        assert main(["bench", "--speculate", "0"]) == 1
+        cli_error = capsys.readouterr().err.strip()
+        with running_service() as client:
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit(dict(tiny_job(), config={"speculate": 0}))
+        assert cli_error == f"jlreduce: {excinfo.value.body['error']}"
 
     def test_unknown_job_is_404(self):
         with running_service() as client:
@@ -197,11 +222,14 @@ class TestIdentity:
         service_outcome = InstanceOutcome(**record["outcome"])
 
         request = JobRequest.from_payload(tiny_job())
-        offline = Job(job_id="offline", request=request,
-                      serial=record["serial"])
+        offline = Job(
+            job_id="offline", request=request, serial=record["serial"],
+            config=job_config(
+                request, ExperimentConfig(strategies=("our-reducer",))
+            ),
+        )
         spec = job_spec(
             offline,
-            base=ExperimentConfig(strategies=("our-reducer",)),
             # Its own cold store: both runs see a first-touch store, so
             # even the store counters in the signature must agree.
             store_spec=StoreSpec(path=str(tmp_path / "offline-store")),

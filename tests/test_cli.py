@@ -762,3 +762,30 @@ class TestServeStore:
         with spec.open() as store:
             assert store.path == store_dir
             assert store.shards == 4
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--queue-depth", "0"],
+            ["serve", "--tenant-weight", "a=x"],
+            ["serve", "--tenant-weight", "a=-1"],
+            ["serve", "--workers", "0"],
+            ["serve", "--store-shards", "0", "--store", "{tmp}/store"],
+            ["loadgen", "--tenants", "a=x"],
+            ["submit", "--tenant", "acme", "--benchmark", "xyz"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_flag_is_one_line_error(self, argv, tmp_path, monkeypatch,
+                                        capsys):
+        import repro.service.server as server
+
+        def no_serve(config, **kwargs):
+            raise AssertionError("the server must not start")
+
+        monkeypatch.setattr(server, "serve", no_serve)
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("jlreduce: ")
+        assert err.count("\n") == 1
