@@ -6,6 +6,7 @@ forces keeping ``b`` (exactly the graph constraint ``[a] => [b]``).
 
 from __future__ import annotations
 
+import heapq
 from typing import (
     Dict,
     FrozenSet,
@@ -13,11 +14,12 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Sequence,
     Set,
     Tuple,
 )
 
-__all__ = ["DiGraph"]
+__all__ = ["DiGraph", "kahn"]
 
 Node = Hashable
 
@@ -122,29 +124,47 @@ class DiGraph:
     def topological_order(self) -> List[Node]:
         """Kahn's algorithm; raises ValueError on cycles.
 
-        Ties are broken deterministically by node repr.
+        The ready node with the smallest repr comes next (see
+        :func:`kahn`); each node's repr is computed once.
         """
-        indegree: Dict[Node, int] = {n: 0 for n in self._succ}
-        for _, dst in self.edges():
-            indegree[dst] += 1
-        ready = sorted(
-            (n for n, d in indegree.items() if d == 0), key=repr, reverse=True
-        )
-        order: List[Node] = []
-        while ready:
-            node = ready.pop()
-            order.append(node)
-            inserted = False
-            for nxt in self._succ[node]:
-                indegree[nxt] -= 1
-                if indegree[nxt] == 0:
-                    ready.append(nxt)
-                    inserted = True
-            if inserted:
-                ready.sort(key=repr, reverse=True)
-        if len(order) != len(self._succ):
-            raise ValueError("graph has a cycle; no topological order")
-        return order
+        nodes = list(self._succ)
+        id_of = {node: i for i, node in enumerate(nodes)}
+        successors = [[id_of[dst] for dst in self._succ[n]] for n in nodes]
+        order = kahn(successors, [repr(node) for node in nodes])
+        return [nodes[i] for i in order]
 
     def __repr__(self) -> str:
         return f"DiGraph({len(self)} nodes, {self.num_edges()} edges)"
+
+
+def kahn(successors: Sequence[Sequence[int]], labels: Sequence[str]) -> List[int]:
+    """Kahn's topological sort of the nodes ``0 .. n-1``.
+
+    ``successors[i]`` lists node ``i``'s successors (an edge listed twice
+    counts twice).  Of the nodes whose predecessors are all placed, the
+    one with the smallest label comes next, and among equal labels the
+    one that became ready last.  The ready set is a heap, so the sort
+    costs O((V + E) log V).  Raises ValueError on cycles.
+    """
+    indegree = [0] * len(successors)
+    for dsts in successors:
+        for dst in dsts:
+            indegree[dst] += 1
+    # Entries are (label, -arrival, node); arrivals are unique, so nodes
+    # never decide a comparison.  Nodes ready at the start arrive in
+    # index order.
+    ready = [(labels[n], -n, n) for n, d in enumerate(indegree) if d == 0]
+    heapq.heapify(ready)
+    arrivals = len(successors)
+    order: List[int] = []
+    while ready:
+        node = heapq.heappop(ready)[2]
+        order.append(node)
+        for nxt in successors[node]:
+            indegree[nxt] -= 1
+            if indegree[nxt] == 0:
+                heapq.heappush(ready, (labels[nxt], -arrivals, nxt))
+                arrivals += 1
+    if len(order) != len(successors):
+        raise ValueError("graph has a cycle; no topological order")
+    return order

@@ -29,7 +29,7 @@ from typing import (
     Tuple,
 )
 
-from repro.logic.formula import Formula
+from repro.logic.formula import TRUE, And, Formula, Not, Or, Var
 
 __all__ = ["Lit", "Clause", "CNF", "pos", "neg", "IndexedCNF"]
 
@@ -82,7 +82,10 @@ class Clause:
         """The clause for ``(/\\ antecedents) => (\\/ consequents)``."""
         lits = [neg(a) for a in antecedents]
         lits.extend(pos(c) for c in consequents)
-        return cls(lits)
+        # Built from Lits right here, so __init__'s type check is moot.
+        clause = cls.__new__(cls)
+        clause.literals = frozenset(lits)
+        return clause
 
     @classmethod
     def unit(cls, var: VarName, positive: bool = True) -> "Clause":
@@ -109,13 +112,18 @@ class Clause:
         there [is] exactly one positive and [one] negative literal in the
         clause."
         """
-        return len(self.positives) == 1 and len(self.negatives) == 1
+        if len(self.literals) != 2:
+            return False
+        first, second = self.literals
+        return first.positive != second.positive
 
     def is_unit(self) -> bool:
         return len(self.literals) == 1
 
     def is_tautology(self) -> bool:
-        return bool(self.positives & self.negatives)
+        # The literals are distinct, so a variable occurs twice exactly
+        # when it occurs with both polarities.
+        return len({lit.var for lit in self.literals}) < len(self.literals)
 
     def is_empty(self) -> bool:
         return not self.literals
@@ -214,26 +222,56 @@ class CNF:
         use this to know whether their derived structures need the
         clause too.
         """
-        if clause.is_tautology():
-            # Even a dropped tautology can widen the universe, which
-            # changes the default compilation order.
+        variables = clause.variables()
+        if len(variables) < len(clause):
+            # A tautology (see Clause.is_tautology).  Even a dropped
+            # tautology can widen the universe, which changes the
+            # default compilation order.
             self._indexed_cache = None
-            self._variables.update(clause.variables())
+            self._variables.update(variables)
             return False
         if clause in self._clause_set:
             return False
         self._indexed_cache = None
         self.clauses.append(clause)
         self._clause_set.add(clause)
-        self._variables.update(clause.variables())
+        self._variables.update(variables)
         return True
 
     def add_formula(self, formula: Formula) -> None:
-        """Add all clauses of a formula."""
+        """Add all clauses of a formula.
+
+        An implication between conjunctions of variables, such as the
+        edge ``[a] => [b]`` that most type rules emit, becomes one
+        clause per consequent directly.  Any other shape goes through
+        NNF and distribution; both routes give the same clauses in the
+        same order.
+        """
         self._indexed_cache = None
+        horn = _horn_shape(formula)
+        if horn is not None:
+            antecedents, consequents = horn
+            if not consequents:
+                self._variables.update(antecedents)
+            for consequent in consequents:
+                self.add_clause(Clause.implication(antecedents, (consequent,)))
+            return
         self._variables.update(formula.variables())
         for raw in formula.to_clauses():
             self.add_clause(Clause(Lit(v, p) for (v, p) in raw))
+
+    def copy(self) -> "CNF":
+        """An independent CNF with the same clauses and universe.
+
+        The clauses themselves are shared (they are immutable); nothing
+        is re-checked.
+        """
+        out = CNF()
+        out.clauses = list(self.clauses)
+        out._clause_set = set(self._clause_set)
+        out._variables = set(self._variables)
+        out._indexed_cache = self._indexed_cache
+        return out
 
     def conjoin(self, other: "CNF") -> "CNF":
         """A new CNF that is the conjunction of self and other."""
@@ -339,6 +377,31 @@ class CNF:
             f"CNF({len(self.clauses)} clauses, "
             f"{len(self._variables)} variables)"
         )
+
+
+def _horn_shape(
+    formula: Formula,
+) -> Optional[Tuple[List[VarName], List[VarName]]]:
+    """``(antecedents, consequents)`` when ``formula`` is an implication
+    ``a1 /\\ ... /\\ ak => b1 /\\ ... /\\ bn`` over variables (``k >= 1``;
+    TRUE conjuncts on the right are dropped); None for any other shape.
+    """
+    if type(formula) is not Or or len(formula.operands) != 2:
+        return None
+    body, head = formula.operands
+    if type(body) is not Not:
+        return None
+    body = body.operand
+    premises = body.operands if type(body) is And else (body,)
+    if not premises or any(type(p) is not Var for p in premises):
+        return None
+    consequents = []
+    for conjunct in head.operands if type(head) is And else (head,):
+        if type(conjunct) is Var:
+            consequents.append(conjunct.name)
+        elif conjunct is not TRUE:
+            return None
+    return [p.name for p in premises], consequents
 
 
 class IndexedCNF:

@@ -20,13 +20,13 @@ Two orders are provided:
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Sequence
+from typing import Dict, Hashable, Iterable, List, Sequence
 
-from repro.graphs.digraph import DiGraph
-from repro.graphs.scc import condensation
+from repro.graphs.digraph import kahn
+from repro.graphs.scc import tarjan
 from repro.logic.cnf import CNF
 
-__all__ = ["declaration_order", "dependency_order", "graph_of_cnf"]
+__all__ = ["declaration_order", "dependency_order"]
 
 VarName = Hashable
 
@@ -36,19 +36,17 @@ def declaration_order(variables: Sequence[VarName]) -> List[VarName]:
     return list(variables)
 
 
-def graph_of_cnf(cnf: CNF, variables: Sequence[VarName] = ()) -> DiGraph:
-    """The dependency graph induced by the CNF's graph constraints.
+def _component_label(component: Iterable[int], reprs: Sequence[str]) -> str:
+    """The sort label of a component of node ids, seed-independent.
 
-    Each graph clause ``~a | b`` becomes the edge ``a -> b`` ("a depends
-    on b").  Non-graph clauses contribute no edges.
+    ``reprs[i]`` is the ``repr`` of node ``i``'s variable.  The label
+    renders the component of variables the way ``repr`` renders a
+    frozenset, but with the members sorted: a frozenset's own ``repr``
+    follows hash iteration order, which changes with ``PYTHONHASHSEED``
+    when the component has several members.  For a single variable the
+    label equals ``repr(frozenset({var}))``.
     """
-    graph = DiGraph(nodes=variables or cnf.variables)
-    for clause in cnf.clauses:
-        if clause.is_graph_constraint():
-            (src,) = clause.negatives
-            (dst,) = clause.positives
-            graph.add_edge(src, dst)
-    return graph
+    return "frozenset({" + ", ".join(sorted(reprs[i] for i in component)) + "})"
 
 
 def dependency_order(
@@ -60,22 +58,52 @@ def dependency_order(
     component precedes everything that depends on it.  Within a component
     (and among components at the same depth) the declaration order breaks
     ties, keeping the result stable.
+
+    The components are ordered by the condensation's topological sort,
+    whose ties go to the smallest :func:`_component_label`; the result is
+    then reversed.  Labels do not depend on ``PYTHONHASHSEED``, so
+    neither does the order.  The whole build costs O((V + E) log V).
     """
     declared_rank: Dict[VarName, int] = {
         var: i for i, var in enumerate(variables)
     }
-    graph = graph_of_cnf(cnf, variables)
-    dag, component_of = condensation(graph)
+    # The graph work runs on integer node ids, a variable's declaration
+    # rank (CNF variables outside ``variables`` get the ids after them):
+    # hashing an int is much cheaper than hashing an item.
+    names = list(variables)
+    node_of = dict(declared_rank)
+    for var in sorted(cnf.variables.difference(declared_rank), key=repr):
+        node_of[var] = len(names)
+        names.append(var)
+    successors: List[List[int]] = [[] for _ in names]
+    for clause in cnf.clauses:
+        if clause.is_graph_constraint():
+            # ~a | b is the edge a -> b ("a depends on b").
+            src, dst = clause.literals
+            if src.positive:
+                src, dst = dst, src
+            successors[node_of[src.var]].append(node_of[dst.var])
+    component_of, members = tarjan(successors)
 
+    # The condensation; an edge between two components may repeat.
+    depends_on: List[List[int]] = [[] for _ in members]
+    for src, dsts in enumerate(successors):
+        for dst in dsts:
+            if component_of[src] != component_of[dst]:
+                depends_on[component_of[src]].append(component_of[dst])
+    reprs = [repr(name) for name in names]
+    labels = [_component_label(group, reprs) for group in members]
     # Topological order of the condensation with *dependencies last*
     # (edges point at dependencies), so reverse it.
-    component_order = dag.topological_order()
+    component_order = kahn(depends_on, labels)
     component_order.reverse()
 
-    component_rank = {comp: i for i, comp in enumerate(component_order)}
+    component_rank = [0] * len(members)
+    for rank, component in enumerate(component_order):
+        component_rank[component] = rank
 
     def key(var: VarName):
-        component = component_of[var]
-        return (component_rank[component], declared_rank[var])
+        rank = declared_rank[var]
+        return (component_rank[component_of[rank]], rank)
 
     return sorted(variables, key=key)

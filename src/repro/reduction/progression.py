@@ -148,7 +148,7 @@ class ProgressionEngine:
 
     def __init__(self, constraint: CNF, order: Sequence[VarName]):
         self.order = list(order)
-        self.working = CNF(constraint.clauses, variables=constraint.variables)
+        self.working = constraint.copy()
         self.solver = MsaSolver(self.working, self.order)
         self.learned: List[FrozenSet[VarName]] = []
 

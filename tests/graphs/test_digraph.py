@@ -1,8 +1,11 @@
 """Tests for the directed-graph substrate."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graphs import DiGraph
+from tests.reference_engines import topological_order_reference
 
 
 class TestConstruction:
@@ -81,3 +84,41 @@ class TestTopologicalOrder:
     def test_deterministic(self):
         graph = DiGraph(nodes=["c", "a", "b"])
         assert graph.topological_order() == ["a", "b", "c"]
+
+
+class Tagged:
+    """A node whose repr is a tag shared with other nodes (ties)."""
+
+    def __init__(self, tag):
+        self.tag = tag
+
+    def __repr__(self):
+        return self.tag
+
+
+@st.composite
+def random_dags(draw):
+    tags = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=14))
+    nodes = [Tagged(tag) for tag in tags]
+    n = len(nodes)
+    pairs = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=n - 1),
+                st.integers(min_value=0, max_value=n - 1),
+            ),
+            max_size=30,
+        )
+    )
+    # Orient every edge from the lower to the higher index: acyclic.
+    edges = [(nodes[min(p)], nodes[max(p)]) for p in pairs if p[0] != p[1]]
+    return DiGraph(nodes=nodes, edges=edges)
+
+
+class TestTopologicalOrderAgainstReference:
+    @settings(max_examples=120, deadline=None)
+    @given(random_dags())
+    def test_matches_the_resorting_kahn_sort(self, graph):
+        # Shared tags make many repr ties: the heap must break them as
+        # the re-sorted list did.
+        assert graph.topological_order() == topological_order_reference(graph)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import DiGraph, condensation, strongly_connected_components
+from tests.reference_engines import strongly_connected_components_reference
 
 
 def graph_from_edge_list(edges, nodes=()):
@@ -97,6 +98,15 @@ class TestAgainstNetworkx:
         }
         actual = set(strongly_connected_components(ours))
         assert actual == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(random_edge_lists())
+    def test_component_list_matches_the_reference(self, data):
+        n, edges = data
+        graph = DiGraph(nodes=range(n), edges=edges)
+        assert strongly_connected_components(
+            graph
+        ) == strongly_connected_components_reference(graph)
 
     @settings(max_examples=60, deadline=None)
     @given(random_edge_lists())

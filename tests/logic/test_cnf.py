@@ -2,9 +2,11 @@
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.logic import CNF, Clause, Lit, Var, neg, pos
-from tests.strategies import cnfs
+from tests.reference_engines import add_formula_reference
+from tests.strategies import clauses, cnfs, implications
 
 
 def edge(a, b):
@@ -73,6 +75,19 @@ class TestCNF:
         cnf = CNF([Clause([pos("x"), neg("x")])])
         assert len(cnf) == 0
         assert "x" in cnf.variables
+
+    def test_copy_is_independent(self):
+        cnf = CNF([edge("a", "b")], variables=["a", "b", "c"])
+        copy = cnf.copy()
+        assert copy.clauses == cnf.clauses
+        assert copy.variables == cnf.variables
+        assert copy.add_clause(edge("b", "d"))
+        assert not copy.add_clause(edge("a", "b"))
+        assert cnf.add_clause(Clause.unit("e"))
+        assert cnf.clauses == [edge("a", "b"), Clause.unit("e")]
+        assert copy.clauses == [edge("a", "b"), edge("b", "d")]
+        assert cnf.variables == {"a", "b", "c", "e"}
+        assert copy.variables == {"a", "b", "c", "d"}
 
     def test_from_formula(self):
         cnf = CNF.from_formula((Var("a") & Var("b")) >> Var("c"))
@@ -169,3 +184,21 @@ class TestCNFProperties:
     def test_indexed_encoding_preserves_clause_count(self, cnf):
         indexed = cnf.to_indexed()
         assert len(indexed.clauses) == len(cnf.clauses)
+
+    @given(clauses(max_size=3))
+    def test_shape_checks_match_their_set_definitions(self, clause):
+        positives, negatives = clause.positives, clause.negatives
+        assert clause.is_graph_constraint() == (
+            len(positives) == 1 and len(negatives) == 1
+        )
+        assert clause.is_tautology() == bool(positives & negatives)
+
+    @given(st.lists(implications(), min_size=1, max_size=4))
+    def test_add_formula_matches_the_nnf_route(self, formulas):
+        direct = CNF(variables=["v9"])
+        reference = CNF(variables=["v9"])
+        for formula in formulas:
+            direct.add_formula(formula)
+            add_formula_reference(reference, formula)
+        assert direct.clauses == reference.clauses
+        assert direct.variables == reference.variables

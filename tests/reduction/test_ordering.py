@@ -2,7 +2,6 @@
 
 from repro.logic import CNF, Clause
 from repro.reduction import declaration_order, dependency_order
-from repro.reduction.ordering import graph_of_cnf
 
 
 def edge(a, b):
@@ -14,19 +13,18 @@ class TestDeclarationOrder:
         assert declaration_order(["x", "a", "m"]) == ["x", "a", "m"]
 
 
-class TestGraphOfCnf:
-    def test_only_graph_clauses_become_edges(self):
-        cnf = CNF(
-            [edge("a", "b"), Clause.implication(["a", "b"], ["c"])],
+class TestDependencyOrder:
+    def test_only_graph_clauses_order_variables(self):
+        # b => a | c is no edge; read as one it would put a before b.
+        edges_only = CNF([edge("a", "b")], variables=["a", "b", "c"])
+        mixed = CNF(
+            [edge("a", "b"), Clause.implication(["b"], ["a", "c"])],
             variables=["a", "b", "c"],
         )
-        graph = graph_of_cnf(cnf)
-        assert graph.has_edge("a", "b")
-        assert graph.num_edges() == 1
-        assert graph.nodes == {"a", "b", "c"}
+        order = dependency_order(edges_only, ["a", "b", "c"])
+        assert order.index("b") < order.index("a")
+        assert dependency_order(mixed, ["a", "b", "c"]) == order
 
-
-class TestDependencyOrder:
     def test_dependencies_come_first(self):
         # method!code => method => class: class should be smallest.
         cnf = CNF(

@@ -12,7 +12,18 @@ as executable specifications:
   model-for-model;
 - :func:`build_progression_reference` — the materializing PROGRESSION
   builder that :class:`repro.reduction.progression.ProgressionEngine`
-  must match entry-for-entry.
+  must match entry-for-entry;
+- :func:`topological_order_reference`,
+  :func:`strongly_connected_components_reference` and
+  :func:`dependency_order_reference` — the re-sorting Kahn sort, the
+  dict-based Tarjan and the item-graph variable order that
+  :meth:`repro.graphs.digraph.DiGraph.topological_order`,
+  :func:`repro.graphs.scc.strongly_connected_components` and
+  :func:`repro.reduction.ordering.dependency_order` must match
+  element-for-element;
+- :func:`add_formula_reference` / :func:`generate_constraints_reference`
+  — every formula through NNF and distribution, which
+  :meth:`repro.logic.cnf.CNF.add_formula` must match clause-for-clause.
 
 Nothing under ``src/`` imports this module.
 """
@@ -32,7 +43,11 @@ from typing import (
     Tuple,
 )
 
-from repro.logic.cnf import CNF, Clause, IndexedCNF
+from repro.bytecode.constraints import _Generator
+from repro.bytecode.items import items_of
+from repro.graphs.digraph import DiGraph
+from repro.logic.cnf import CNF, Clause, IndexedCNF, Lit
+from repro.logic.formula import Formula
 from repro.logic.msa import MsaSolver
 from repro.logic.propagation import WatchedIndex, propagate_watched
 from repro.logic.session import SatResult, _SolverStats
@@ -443,3 +458,141 @@ def build_progression_reference(
         sp.set_attr("entries", len(entries))
 
     return Progression(entries)
+
+
+# -- problem building ----------------------------------------------------------
+
+
+def topological_order_reference(graph: DiGraph) -> List[VarName]:
+    """Kahn's algorithm re-sorting the whole ready list by ``repr``
+    after every insertion: O(V^2 log V) on wide graphs."""
+    indegree: Dict[VarName, int] = {n: 0 for n in graph._succ}
+    for _, dst in graph.edges():
+        indegree[dst] += 1
+    ready = sorted(
+        (n for n, d in indegree.items() if d == 0), key=repr, reverse=True
+    )
+    order: List[VarName] = []
+    while ready:
+        node = ready.pop()
+        order.append(node)
+        inserted = False
+        for nxt in graph._succ[node]:
+            indegree[nxt] -= 1
+            if indegree[nxt] == 0:
+                ready.append(nxt)
+                inserted = True
+        if inserted:
+            ready.sort(key=repr, reverse=True)
+    if len(order) != len(graph._succ):
+        raise ValueError("graph has a cycle; no topological order")
+    return order
+
+
+def strongly_connected_components_reference(
+    graph: DiGraph,
+) -> List[FrozenSet[VarName]]:
+    """Tarjan over dicts, sorting every successor set by ``repr``."""
+    index_counter = 0
+    indices: Dict[VarName, int] = {}
+    lowlinks: Dict[VarName, int] = {}
+    on_stack: Dict[VarName, bool] = {}
+    stack: List[VarName] = []
+    components: List[FrozenSet[VarName]] = []
+
+    for root in sorted(graph.nodes, key=repr):
+        if root in indices:
+            continue
+        work: List[Tuple[VarName, List[VarName]]] = [
+            (root, sorted(graph.successors(root), key=repr))
+        ]
+        indices[root] = lowlinks[root] = index_counter
+        index_counter += 1
+        stack.append(root)
+        on_stack[root] = True
+
+        while work:
+            node, successors = work[-1]
+            advanced = False
+            while successors:
+                nxt = successors.pop()
+                if nxt not in indices:
+                    indices[nxt] = lowlinks[nxt] = index_counter
+                    index_counter += 1
+                    stack.append(nxt)
+                    on_stack[nxt] = True
+                    work.append(
+                        (nxt, sorted(graph.successors(nxt), key=repr))
+                    )
+                    advanced = True
+                    break
+                if on_stack.get(nxt):
+                    lowlinks[node] = min(lowlinks[node], indices[nxt])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                lowlinks[parent] = min(lowlinks[parent], lowlinks[node])
+            if lowlinks[node] == indices[node]:
+                component: List[VarName] = []
+                while True:
+                    member = stack.pop()
+                    on_stack[member] = False
+                    component.append(member)
+                    if member == node:
+                        break
+                components.append(frozenset(component))
+
+    return components
+
+
+def dependency_order_reference(
+    cnf: CNF, variables: Sequence[VarName]
+) -> List[VarName]:
+    """The variable order over the item graph and its condensation.
+
+    Components are ranked by their plain ``repr``, which for a component
+    of several members follows hash iteration order; on inputs whose
+    components are all single variables it is seed-independent.
+    """
+    declared_rank = {var: i for i, var in enumerate(variables)}
+    graph = DiGraph(nodes=variables or cnf.variables)
+    for clause in cnf.clauses:
+        if clause.is_graph_constraint():
+            (src,) = clause.negatives
+            (dst,) = clause.positives
+            graph.add_edge(src, dst)
+    components = strongly_connected_components_reference(graph)
+    component_of = {
+        node: component for component in components for node in component
+    }
+    dag = DiGraph(nodes=components)
+    for src, dst in graph.edges():
+        if component_of[src] != component_of[dst]:
+            dag.add_edge(component_of[src], component_of[dst])
+    component_order = topological_order_reference(dag)
+    component_order.reverse()
+    component_rank = {comp: i for i, comp in enumerate(component_order)}
+    return sorted(
+        variables,
+        key=lambda var: (component_rank[component_of[var]], declared_rank[var]),
+    )
+
+
+def add_formula_reference(cnf: CNF, formula: Formula) -> None:
+    """Add a formula's clauses, always through NNF and distribution."""
+    cnf._indexed_cache = None
+    cnf._variables.update(formula.variables())
+    for raw in formula.to_clauses():
+        cnf.add_clause(Clause(Lit(v, p) for (v, p) in raw))
+
+
+def generate_constraints_reference(app) -> CNF:
+    """The bytecode constraint CNF with every formula on the NNF route."""
+    generator = _Generator(app)
+    cnf = CNF(variables=items_of(app))
+    for decl in app.classes:
+        for formula in generator.class_constraints(decl):
+            add_formula_reference(cnf, formula)
+    return cnf

@@ -5,6 +5,7 @@ from __future__ import annotations
 from hypothesis import strategies as st
 
 from repro.logic.cnf import CNF, Clause, Lit
+from repro.logic.formula import FALSE, TRUE, Implies, Not, Var, conj, disj
 
 VAR_NAMES = [f"v{i}" for i in range(10)]
 
@@ -84,3 +85,40 @@ def implication_cnfs(draw, names=None, max_clauses=14):
         )
         clause_list.append(Clause.implication(antecedents, consequents))
     return CNF(clause_list, variables=names)
+
+
+@st.composite
+def formulas(draw, names=None):
+    """Small formulas over a few names: variables, negations, constants,
+    and conjunctions and disjunctions of them, nested up to twice."""
+    names = names or VAR_NAMES[:4]
+    leaves = st.one_of(
+        st.sampled_from(names).map(Var),
+        st.sampled_from(names).map(lambda name: Not(Var(name))),
+        st.sampled_from([TRUE, FALSE]),
+    )
+    return draw(
+        st.recursive(
+            leaves,
+            lambda children: st.one_of(
+                st.lists(children, max_size=3).map(conj),
+                st.lists(children, max_size=3).map(disj),
+            ),
+            max_leaves=6,
+        )
+    )
+
+
+@st.composite
+def implications(draw, names=None):
+    """``Implies`` shapes, weighted towards the ones the type rules emit:
+    a variable or a conjunction of variables on each side."""
+    names = names or VAR_NAMES[:4]
+    variables = st.sampled_from(names).map(Var)
+    sides = st.one_of(
+        variables,
+        st.lists(variables, min_size=1, max_size=3).map(conj),
+        st.lists(st.one_of(variables, st.just(TRUE)), max_size=3).map(conj),
+        formulas(names),
+    )
+    return Implies(draw(sides), draw(sides))
