@@ -150,10 +150,10 @@ class ExperimentConfig:
     speculate: int = 1
     #: Where speculative probes physically run: ``"thread"`` (the GIL-
     #: bound pool — overlaps external tool latency only) or
-    #: ``"process"`` (a spawn-safe
-    #: :class:`~repro.parallel.procpool.ProcessProbePool` whose workers
-    #: rebuild the predicate chain from a picklable task spec — the
-    #: only backend that overlaps the pure-Python probe work itself).
+    #: ``"process"`` (a :func:`~repro.parallel.procpool.spawn_pool`
+    #: whose workers rebuild the predicate chain from a picklable task
+    #: spec — the only backend that overlaps the pure-Python probe work
+    #: itself).
     #: Results are byte-identical across backends.
     probe_backend: str = "thread"
     #: Real seconds each fresh predicate attempt sleeps, modelling the
@@ -411,9 +411,9 @@ def probe_pool(config: ExperimentConfig, max_workers: Optional[int] = None):
     if max_workers is not None:
         workers = max(1, min(workers, max_workers))
     if config.probe_backend == "process":
-        from repro.parallel.procpool import ProcessProbePool
+        from repro.parallel.procpool import spawn_pool
 
-        return ProcessProbePool(max_workers=workers)
+        return spawn_pool(workers)
     from concurrent.futures import ThreadPoolExecutor
 
     return ThreadPoolExecutor(

@@ -49,6 +49,7 @@ __all__ = [
     "load_trace",
     "load_traces",
     "metric_events",
+    "percentile",
     "summarize",
     "render_summary",
     "TRACE_SCHEMA_VERSION",
@@ -352,7 +353,7 @@ def summarize(
             "count": len(values),
             "total": sum(values),
             "mean": sum(values) / len(values),
-            "p95": _percentile(values, 0.95),
+            "p95": percentile(values, 0.95),
             "max": max(values),
             "vtotal": vtotals.get(name, 0.0),
         }
@@ -457,8 +458,14 @@ def _service_block(
     return block
 
 
-def _percentile(values: List[float], q: float) -> float:
-    """Nearest-rank percentile (q in [0, 1]) of a non-empty list."""
+def percentile(values: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile (q in [0, 1]); 0.0 on empty input.
+
+    The value at rank ``ceil(q * n)`` (1-based), so the median of
+    ``[1, 2, 3, 4, 5]`` is 3 and q = 0 gives the minimum.
+    """
+    if not values:
+        return 0.0
     ordered = sorted(values)
     rank = max(0, math.ceil(q * len(ordered)) - 1)
     return ordered[rank]

@@ -11,8 +11,8 @@ What changed in Observability v2 (see DESIGN.md §9):
 - **Trace contexts.**  Every event carries ``run_id`` / ``trace_id`` /
   ``span_id`` / ``parent_span_id``.  A
   :class:`~repro.observability.context.TraceContext` captured with
-  :meth:`Tracer.current_context` can be handed to a worker (thread
-  today, process-pool worker next) and re-attached with
+  :meth:`Tracer.current_context` can be handed to a worker (a pool
+  thread, or a worker process via ``to_dict``) and re-attached with
   :meth:`Tracer.attach`, so the worker's root spans parent onto the
   spawning span instead of floating free.
 - **Dual clocks.**  Spans record wall time (``start``/``duration``,
@@ -226,16 +226,6 @@ class Tracer:
     @property
     def enabled(self) -> bool:
         return self._enabled
-
-    @property
-    def streaming(self) -> bool:
-        """Are events streaming to shard files (vs buffering in memory)?
-
-        The service tier keys on this: thread-backend workers share the
-        parent's tracer, which is only safe to use concurrently when
-        events bypass the snapshot-and-clear in-memory buffer.
-        """
-        return self._shards is not None
 
     @property
     def sample_every(self) -> int:

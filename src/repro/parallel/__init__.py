@@ -32,7 +32,8 @@ kept items).  This package amortizes both axes:
   a picklable :class:`ProbeTaskSpec`, beating the GIL on the
   pure-Python probe work the thread pool cannot overlap; the parent
   commits results serially, so outcomes stay byte-identical across
-  backends.
+  backends.  Its :func:`spawn_pool` builds every process pool: probe
+  pools, corpus workers and the service's instance pool.
 
 All of them lean on the concurrency-safe telemetry in
 :mod:`repro.observability`: lock-protected metrics and thread-scoped
@@ -43,16 +44,15 @@ concurrent reductions never pollute each other's
 
 from repro.parallel.procpool import (
     ProbeTaskSpec,
-    ProcessProbePool,
     ToolLatencyPredicate,
     build_worker_predicate,
+    spawn_pool,
 )
 from repro.parallel.scheduler import (
-    InstancePool,
     InstanceTaskSpec,
     StoreSpec,
     WorkerBudget,
-    close_worker_caches,
+    fold_result,
     load_cost_hints,
     resolve_jobs,
     run_instance_task,
@@ -74,23 +74,22 @@ from repro.parallel.store import (
 __all__ = [
     "DEFAULT_SHARDS",
     "ShardedPredicateStore",
-    "InstancePool",
     "InstanceTaskSpec",
     "ProbeTaskSpec",
-    "ProcessProbePool",
     "StoreSpec",
     "ToolLatencyPredicate",
     "WorkerBudget",
     "build_worker_predicate",
     "candidate_midpoints",
-    "close_worker_caches",
     "fingerprint_of",
+    "fold_result",
     "key_of",
     "load_cost_hints",
     "run_instance_task",
     "open_store",
     "resolve_jobs",
     "run_scheduled_corpus_experiment",
+    "spawn_pool",
     "speculation_allowed",
     "speculative_interval_search",
 ]

@@ -77,11 +77,11 @@ __all__ = [
     "ProbeTask",
     "ProbeTaskSpec",
     "ProbeResult",
-    "ProcessProbePool",
     "ToolLatencyPredicate",
     "build_chain",
     "build_oracle",
     "build_worker_predicate",
+    "spawn_pool",
     "worker_label",
 ]
 
@@ -371,37 +371,22 @@ def _evaluate_probe(
     )
 
 
-class ProcessProbePool:
-    """A spawn-safe process pool for physical probe evaluation.
+def spawn_pool(max_workers: int):
+    """A ``ProcessPoolExecutor`` whose workers start by ``spawn``.
 
-    A plain executor: ``evaluate_batch`` submits :func:`_evaluate_probe`
-    to it exactly as to a ``ThreadPoolExecutor``; only the pickling of
-    the :class:`ProbeTask` differs.  ``spawn`` is the default start
-    method: it is the only one that is both fork-safe under threads (a
-    thread-backend instance pool shares one probe pool across its
-    threads) and portable, and it forces the pickling contract to hold
-    — a worker only ever sees what the spec carries.
+    Every process pool in the package is built here: probe pools
+    (``--probe-backend process``), corpus workers (``bench --jobs N``)
+    and the service's instance pool.  ``spawn`` is portable, is safe
+    in a parent that runs threads, and forces the pickling contract to
+    hold — a worker only ever sees what its task spec carries.
+    Workers start lazily, on the first ``submit``.
     """
+    # Imported here, not at module level: the process machinery adds
+    # ~2 MB resident to every importer, and most never spawn.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-    def __init__(self, max_workers: int, mp_context: str = "spawn") -> None:
-        # Imported here, not at module level: the process machinery
-        # adds ~2 MB resident to every importer, and most never spawn.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        self._pool = ProcessPoolExecutor(
-            max_workers=max_workers,
-            mp_context=multiprocessing.get_context(mp_context),
-        )
-
-    def submit(self, fn, *args):
-        return self._pool.submit(fn, *args)
-
-    def shutdown(self, wait: bool = True) -> None:
-        self._pool.shutdown(wait=wait)
-
-    def __enter__(self) -> "ProcessProbePool":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.shutdown(wait=True)
+    return ProcessPoolExecutor(
+        max_workers=max_workers,
+        mp_context=multiprocessing.get_context("spawn"),
+    )

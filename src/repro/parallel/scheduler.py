@@ -32,7 +32,8 @@ The contract extends PR 7's recipe one level up (DESIGN.md §12):
   and events re-base onto the parent clock via
   :meth:`~repro.observability.spans.Tracer.ingest` — so results, the
   virtual clock, telemetry totals, and the probe ledger match a
-  ``jobs=1`` run.
+  ``jobs=1`` run.  :func:`fold_result` is that fold; the service
+  (:mod:`repro.service.server`) commits its jobs through it too.
 
 Strategies of one instance run sequentially inside one worker, so a
 shared **cold** store warms in exactly the ``jobs=1`` order (strategies
@@ -67,8 +68,10 @@ from typing import (
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Optional,
+    Sequence,
     Tuple,
     Union,
 )
@@ -84,18 +87,17 @@ from repro.harness.experiments import (
 )
 from repro.observability import get_metrics, get_tracer
 from repro.observability.context import TraceContext
-from repro.parallel.procpool import build_oracle, worker_label
+from repro.parallel.procpool import build_oracle, spawn_pool, worker_label
 from repro.parallel.store import DEFAULT_SHARDS
 from repro.workloads.corpus import Benchmark, BuggyInstance, load_manifest
 
 __all__ = [
     "WorkerBudget",
     "StoreSpec",
-    "InstancePool",
     "InstanceTaskSpec",
     "StrategyResult",
     "InstanceTaskResult",
-    "close_worker_caches",
+    "fold_result",
     "load_cost_hints",
     "resolve_jobs",
     "run_instance_task",
@@ -253,7 +255,8 @@ class InstanceTaskResult:
 # ----------------------------------------------------------------------
 
 #: Per-process caches: one store handle per recipe, one probe pool per
-#: sizing, amortized over every task the worker runs.
+#: sizing, amortized over every task the worker runs.  They live as
+#: long as the worker process; its exit at pool shutdown closes them.
 _WORKER_STORES: Dict[StoreSpec, Any] = {}
 _WORKER_PROBE_POOLS: Dict[Tuple[int, str, Optional[int]], Any] = {}
 
@@ -321,7 +324,7 @@ def _materialize(spec: InstanceTaskSpec) -> Tuple[Benchmark, BuggyInstance]:
     return benchmark, instance
 
 
-def _run_instance_task(spec: InstanceTaskSpec) -> InstanceTaskResult:
+def run_instance_task(spec: InstanceTaskSpec) -> InstanceTaskResult:
     """One whole instance, evaluated inside a pool worker process.
 
     Strategies run in serial order; each under a fresh
@@ -330,9 +333,9 @@ def _run_instance_task(spec: InstanceTaskSpec) -> InstanceTaskResult:
     context, so spans/ledger events carry their serial commit slots.
     Exceptions are relayed, not raised — their metrics and the
     remaining strategies' fate are decided at the parent's serial
-    commit.
+    commit (:func:`fold_result`).  The corpus scheduler and the service
+    both submit it to a :func:`~repro.parallel.procpool.spawn_pool`.
     """
-    from concurrent.futures.process import BrokenProcessPool  # noqa: F401
     from repro.observability import scoped_metrics
 
     start = time.perf_counter()
@@ -403,111 +406,6 @@ def _run_instance_task(spec: InstanceTaskSpec) -> InstanceTaskResult:
         wall_seconds=time.perf_counter() - start,
         strategies=results,
     )
-
-
-#: The public name of the pool-executable task entry point: the service
-#: tier (:mod:`repro.service`) submits these directly to a long-lived
-#: :class:`InstancePool` instead of going through
-#: :func:`run_scheduled_corpus_experiment`'s one-shot planner.
-run_instance_task = _run_instance_task
-
-
-def close_worker_caches() -> None:
-    """Close this process's cached store handles and probe pools.
-
-    Worker processes never need this — their O_APPEND fds die with the
-    process when the pool shuts down.  It exists for *thread*-backend
-    executors (the service's test/bench mode), where
-    :func:`run_instance_task` runs in the parent process and parks its
-    store handle in the module-global cache: a graceful service
-    shutdown drains the pool, then calls this so no fd outlives the
-    server (the satellite "no leaked O_APPEND fds" guarantee).
-    """
-    for store in _WORKER_STORES.values():
-        try:
-            store.close()
-        except OSError:
-            pass  # a close-time flush failure must not mask shutdown
-    _WORKER_STORES.clear()
-    for pool in _WORKER_PROBE_POOLS.values():
-        if pool is not None:
-            pool.shutdown(wait=True)
-    _WORKER_PROBE_POOLS.clear()
-
-
-class InstancePool:
-    """A long-lived executor for whole-instance reduction tasks.
-
-    PR 9's scheduler built a ``ProcessPoolExecutor`` per corpus run and
-    tore it down at the end — the right lifecycle for a one-shot CLI,
-    and exactly the wrong one for a service that field jobs all day:
-    spawn-imports cost hundreds of milliseconds per worker, and the
-    per-process store/probe-pool caches (:data:`_WORKER_STORES`) only
-    pay off if workers survive across jobs.  ``InstancePool`` owns the
-    executor for the owner's lifetime instead: created lazily on first
-    submit, reused for every job, drained once at shutdown.
-
-    ``backend="process"`` is the production configuration (spawn-safe,
-    GIL-free, per-worker warm caches).  ``backend="thread"`` runs
-    :func:`run_instance_task` in-process — byte-identical results, no
-    spawn latency — which tests and latency-focused benches use;
-    shutdown then also closes the parent-side worker caches the thread
-    workers populated.
-    """
-
-    def __init__(self, max_workers: int, backend: str = "process"):
-        if backend not in ("process", "thread"):
-            raise ValueError(
-                f"unknown instance-pool backend {backend!r}; "
-                "expected 'process' or 'thread'"
-            )
-        if max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        self.max_workers = max_workers
-        self.backend = backend
-        self._executor = None
-
-    @property
-    def executor(self):
-        if self._executor is None:
-            if self.backend == "process":
-                import multiprocessing
-                from concurrent.futures import ProcessPoolExecutor
-
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.max_workers,
-                    mp_context=multiprocessing.get_context("spawn"),
-                )
-            else:
-                from concurrent.futures import ThreadPoolExecutor
-
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.max_workers,
-                    thread_name_prefix="instance-pool",
-                )
-        return self._executor
-
-    def submit(self, spec: InstanceTaskSpec):
-        """Submit one task recipe; returns its ``Future``."""
-        return self.executor.submit(run_instance_task, spec)
-
-    def shutdown(self, wait: bool = True) -> None:
-        """Drain and release the executor (idempotent).
-
-        Process workers close their cached fds by exiting; a thread
-        backend cleans the caches it left in *this* process.
-        """
-        if self._executor is not None:
-            self._executor.shutdown(wait=wait)
-            self._executor = None
-        if self.backend == "thread":
-            close_worker_caches()
-
-    def __enter__(self) -> "InstancePool":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.shutdown(wait=True)
 
 
 # ----------------------------------------------------------------------
@@ -680,6 +578,49 @@ def _fallback_error_outcome(
     )
 
 
+def fold_result(
+    result: InstanceTaskResult, strategies: Sequence[str]
+) -> Iterator[
+    Tuple[str, Optional[InstanceOutcome], Optional[BaseException]]
+]:
+    """Fold one worker shipment into the parent, one strategy at a time.
+
+    For each of ``strategies`` (the spec's, in serial order): re-base
+    the shipped events onto the parent clock
+    (:meth:`~repro.observability.spans.Tracer.ingest`), merge the
+    metrics snapshot into the live registry, then yield
+    ``(strategy, outcome, error)`` with exactly one of the two set.
+    The error is the relayed exception, the instance-level failure
+    that pre-empted the strategy, or a ``RuntimeError`` when the worker
+    shipped nothing for it.  The generator is lazy: a caller that stops
+    at an error leaves the later strategies unfolded, as ``jobs=1``
+    would never have run them.
+    """
+    tracer = get_tracer()
+    metrics = get_metrics()
+    offset = 0.0
+    if tracer.enabled and result.epoch_unix:
+        offset = result.epoch_unix - tracer.epoch_unix
+    for i, strategy in enumerate(strategies):
+        shipped = (
+            result.strategies[i] if i < len(result.strategies) else None
+        )
+        if shipped is None:
+            error = result.error
+        else:
+            if tracer.enabled:
+                for event in shipped.events:
+                    tracer.ingest(event, time_offset=offset)
+            if shipped.metrics:
+                metrics.merge_snapshot(shipped.metrics)
+            error = shipped.error
+        if error is None and (shipped is None or shipped.outcome is None):
+            # A worker never ships a half-empty result unless an
+            # instance-level error consumed it; defensive.
+            error = RuntimeError(f"worker shipped no result for {strategy}")
+        yield strategy, (shipped.outcome if error is None else None), error
+
+
 class _Committer:
     """Serial-order commit of worker results into parent state."""
 
@@ -696,8 +637,6 @@ class _Committer:
         self.collect = collect
         self.outcomes: List[InstanceOutcome] = []
         self.count = 0
-        self._tracer = get_tracer()
-        self._metrics = get_metrics()
 
     def emit(self, outcome: InstanceOutcome) -> None:
         self.count += 1
@@ -710,38 +649,14 @@ class _Committer:
 
     def commit(self, task: _Task, result: InstanceTaskResult) -> None:
         """Fold one worker shipment in, exactly as ``jobs=1`` would."""
-        offset = 0.0
-        if self._tracer.enabled and result.epoch_unix:
-            offset = result.epoch_unix - self._tracer.epoch_unix
-        by_index = {
-            i: sr for i, sr in enumerate(result.strategies)
-        }
-        for i, strategy in enumerate(self.config.strategies):
-            shipped = by_index.get(i)
-            error = result.error if shipped is None else shipped.error
-            if shipped is not None:
-                if self._tracer.enabled:
-                    for event in shipped.events:
-                        self._tracer.ingest(event, time_offset=offset)
-                if shipped.metrics:
-                    self._metrics.merge_snapshot(shipped.metrics)
+        for strategy, outcome, error in fold_result(
+            result, self.config.strategies
+        ):
             if error is not None:
                 if not self.config.keep_going:
                     raise error
-                self.emit(_fallback_error_outcome(task, strategy, error))
-                continue
-            if shipped is None or shipped.outcome is None:
-                # A worker never ships a half-empty result unless the
-                # instance-level error above consumed it; defensive.
-                missing = RuntimeError(
-                    f"worker shipped no result for {task.benchmark_id}/"
-                    f"{task.decompiler}/{strategy}"
-                )
-                if not self.config.keep_going:
-                    raise missing
-                self.emit(_fallback_error_outcome(task, strategy, missing))
-                continue
-            self.emit(shipped.outcome)
+                outcome = _fallback_error_outcome(task, strategy, error)
+            self.emit(outcome)
 
 
 # ----------------------------------------------------------------------
@@ -850,18 +765,14 @@ def _run_inline(
             else:
                 benchmark, instance = _materialize(_spec_of(task, config))
             for strategy in config.strategies:
-                try:
-                    outcome = run_instance(
+                # run_instance itself degrades a crash to an error
+                # outcome under keep_going, and re-raises otherwise.
+                committer.emit(
+                    run_instance(
                         benchmark, instance, strategy, config, store,
                         probe_executor=probes,
                     )
-                except Exception as exc:  # noqa: BLE001 — degraded below
-                    if not config.keep_going:
-                        raise
-                    outcome = error_outcome(
-                        benchmark, instance, strategy, exc
-                    )
-                committer.emit(outcome)
+                )
     finally:
         if probes is not None:
             probes.shutdown(wait=True)
@@ -950,7 +861,7 @@ def _run_pooled(
     buffered: Dict[int, Tuple[_Task, InstanceTaskResult]] = {}
     next_commit = 0
 
-    with InstancePool(max_workers=jobs, backend="process") as pool:
+    with spawn_pool(jobs) as pool:
         while pending or inflight:
             while pending and len(inflight) < jobs:
                 # Longest predicted job first (live argmax: estimates
@@ -962,7 +873,7 @@ def _run_pooled(
                     task, config, store_spec=store_spec,
                     probe_workers=probe_workers, ctx=ctx,
                 )
-                inflight[pool.submit(spec)] = task
+                inflight[pool.submit(run_instance_task, spec)] = task
             done, _ = wait(set(inflight), return_when=FIRST_COMPLETED)
             for future in done:
                 task = inflight.pop(future)

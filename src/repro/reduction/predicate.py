@@ -27,8 +27,8 @@ invocations.
 Batch backends: :meth:`evaluate_batch` dispatches one speculative
 round's fresh probes one way — it submits
 :func:`repro.parallel.procpool._evaluate_probe` to the executor it is
-given.  A thread pool runs the wrapped chain itself; a
-:class:`~repro.parallel.procpool.ProcessProbePool` rebuilds it from the
+given.  A thread pool runs the wrapped chain itself; a process pool
+(:func:`~repro.parallel.procpool.spawn_pool`) rebuilds it from the
 picklable ``task_spec``.  Either way the probes' counter deltas and
 span payloads are folded in and the outcomes committed parent-side in
 serial index order, so results, clocks, store writes, and the
@@ -173,7 +173,7 @@ class InstrumentedPredicate:
             :class:`~repro.parallel.procpool.ProbeTaskSpec` describing
             how a worker *process* rebuilds this predicate's chain;
             required for :meth:`evaluate_batch` to run on a
-            :class:`~repro.parallel.procpool.ProcessProbePool`.
+            :func:`~repro.parallel.procpool.spawn_pool`.
     """
 
     def __init__(
@@ -329,7 +329,7 @@ class InstrumentedPredicate:
         :func:`repro.parallel.procpool._evaluate_probe`, whatever the
         executor.  A thread pool (any ``concurrent.futures`` executor
         that does not pickle) runs this predicate's own chain; a
-        :class:`~repro.parallel.procpool.ProcessProbePool` pickles the
+        :func:`~repro.parallel.procpool.spawn_pool` pickles the
         :class:`~repro.parallel.procpool.ProbeTask` down to its
         ``task_spec`` and rebuilds the chain in the worker.  Each probe
         returns its counter delta and ``predicate.call`` span payload;

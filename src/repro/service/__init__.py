@@ -4,9 +4,10 @@ Everything below the CLI so far runs one :class:`ExperimentConfig` and
 exits.  This package turns the engine into always-on infrastructure
 (DESIGN.md §13): an asyncio HTTP front-end accepts reduction jobs from
 many tenants, a weighted-fair scheduler with `Budget`-backed admission
-control queues them, and execution fans out to the existing
-process-pool machinery (:class:`repro.parallel.scheduler.InstancePool`)
-over one shared warm predicate store, tenant-namespaced.
+control queues them, and execution fans out to one long-lived process
+pool (:func:`repro.parallel.procpool.spawn_pool`) running the corpus
+scheduler's task function over one shared warm predicate store,
+tenant-namespaced.
 
 - :mod:`repro.service.jobs` — the job model: a JSON job request
   (workload spec or serialized app bytes) bridged to PR 9's picklable

@@ -9,8 +9,8 @@ attribution, and honest handling of backpressure (a 429 sleeps the
 server's ``retry_after`` hint and resubmits; the retries are counted,
 not hidden).
 
-Used by ``jlreduce loadgen``; tests point it at a thread-backend server
-for speed.
+Used by ``jlreduce loadgen``; ``tests/service/test_server.py`` and the
+CI ``service`` job drive it at a live server.
 """
 
 from __future__ import annotations
@@ -20,21 +20,12 @@ import json
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["build_jobs", "percentile", "run_loadgen"]
+from repro.observability.sink import percentile
+
+__all__ = ["build_jobs", "run_loadgen"]
 
 #: Submission attempts per job before the generator gives up on it.
 MAX_SUBMIT_ATTEMPTS = 200
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile (q in [0, 1]); 0.0 on empty input."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = max(0, min(len(ordered) - 1, int(round(q * len(ordered))) - 1))
-    if q <= 0:
-        rank = 0
-    return ordered[rank]
 
 
 def build_jobs(

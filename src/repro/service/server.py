@@ -1,22 +1,25 @@
 """The reduction service core and its asyncio HTTP front-end.
 
 One event loop owns all bookkeeping (job table, dispatch, telemetry
-commits); reduction work happens off-loop in a long-lived
-:class:`~repro.parallel.scheduler.InstancePool`.  The loop's jobs:
+commits); reduction work happens off-loop in one long-lived process
+pool (:func:`~repro.parallel.procpool.spawn_pool`) running
+:func:`~repro.parallel.scheduler.run_instance_task`.  The loop's jobs:
 
 - **submit** — validate, admit (429 / 503 refusals never become jobs),
   enqueue, wake the dispatcher;
 - **dispatch** — whenever worker slots are free, pop the weighted-fair
   next job, bridge it to an ``InstanceTaskSpec`` and submit it to the
   pool;
-- **commit** — exactly PR 9's serial-commit discipline, per job: merge
-  the worker's metrics snapshot, ingest its trace events with the
-  epoch offset, emit one ``service.job`` span whose id the worker's
+- **commit** — the corpus scheduler's fold
+  (:func:`~repro.parallel.scheduler.fold_result`), per job: merge the
+  worker's metrics snapshot, ingest its trace events with the epoch
+  offset; then emit one ``service.job`` span whose id the worker's
   root spans already parent on, observe per-tenant latency histograms,
   settle the tenant's quota;
 - **drain** — stop admitting (clear 503s), run everything already
-  accepted to completion, then flush shards and shut the pool down so
-  no O_APPEND fd or worker process outlives the server.
+  accepted to completion, then shut the pool down: its workers exit,
+  which closes their store handles, so no O_APPEND fd or worker
+  process outlives the server.
 
 The HTTP layer is a deliberately tiny HTTP/1.1 subset over
 ``asyncio.start_server`` — stdlib only, one request per connection
@@ -43,7 +46,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.harness.experiments import ExperimentConfig
 from repro.observability import get_metrics, get_tracer
-from repro.parallel.scheduler import InstancePool, StoreSpec
+from repro.parallel.procpool import spawn_pool
+from repro.parallel.scheduler import StoreSpec, fold_result, run_instance_task
 from repro.service.admission import AdmissionController, TenantPolicy
 from repro.service.jobs import Job, JobRequest, job_config, job_spec
 
@@ -75,8 +79,9 @@ class ServiceConfig:
     port: int = 8437
     #: Pool workers == max concurrently running jobs.
     workers: int = 2
-    #: ``"process"`` (production) or ``"thread"`` (tests, latency
-    #: benches — byte-identical results, no spawn cost).
+    #: Always ``"process"``: the service runs one pool kind.  The field
+    #: stays only because the benchmark's service workload still passes
+    #: it; it goes with the next change to ``perfbench/``.
     backend: str = "process"
     store_spec: Optional[StoreSpec] = None
     base_config: ExperimentConfig = field(
@@ -90,9 +95,9 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.backend not in ("process", "thread"):
+        if self.backend != "process":
             raise ValueError(
-                f"backend must be 'process' or 'thread', got {self.backend!r}"
+                f"backend must be 'process', got {self.backend!r}"
             )
         if not self.sample_seconds > 0:
             raise ValueError(
@@ -103,15 +108,9 @@ class ServiceConfig:
 class ReductionService:
     """The service core: job table, dispatcher, committer, drain."""
 
-    def __init__(
-        self,
-        config: ServiceConfig,
-        pool: Optional[InstancePool] = None,
-    ):
+    def __init__(self, config: ServiceConfig):
         self.config = config
-        self.pool = pool or InstancePool(
-            max_workers=config.workers, backend=config.backend
-        )
+        self.pool = spawn_pool(config.workers)
         self.admission = AdmissionController(
             default_policy=config.default_policy,
             policies=config.policies,
@@ -150,7 +149,7 @@ class ReductionService:
         await self._drained.wait()
 
     async def shutdown(self) -> None:
-        """Drain, then release the pool (and its cached fds/workers)."""
+        """Drain, then shut the pool down (its workers exit)."""
         await self.drain()
         for task in self._tasks:
             task.cancel()
@@ -247,16 +246,10 @@ class ReductionService:
     def _trace_ctx(self, job: Job) -> Optional[Dict[str, Any]]:
         """The worker-attachable context, parented on the job's span.
 
-        Only minted when worker events have somewhere deterministic to
-        land: process workers ship events back for ingest; thread
-        workers share *this* tracer, which must be shard-streaming for
-        their events to bypass the in-memory buffer (a buffered tracer
-        shared across concurrent thread jobs would interleave
-        snapshots).
+        Minted only when traced: workers ship their events back, and
+        the commit ingests them.
         """
         if not self._tracer.enabled:
-            return None
-        if self.config.backend == "thread" and not self._tracer.streaming:
             return None
         return {
             "run_id": self._tracer.run_id,
@@ -284,7 +277,9 @@ class ReductionService:
                         ctx=ctx,
                     ),
                 )
-                result = await asyncio.wrap_future(self.pool.submit(spec))
+                result = await asyncio.wrap_future(
+                    self.pool.submit(run_instance_task, spec)
+                )
             except Exception as exc:  # noqa: BLE001 — job-scoped failure
                 self._finish(job, error=f"{type(exc).__name__}: {exc}")
             else:
@@ -296,25 +291,13 @@ class ReductionService:
     # -- commit --------------------------------------------------------
 
     def _commit(self, job: Job, result: Any) -> None:
-        """Fold one worker shipment in (PR 9's committer, per job)."""
-        offset = 0.0
-        if self._tracer.enabled and result.epoch_unix:
-            offset = result.epoch_unix - self._tracer.epoch_unix
-        shipped = result.strategies[0] if result.strategies else None
-        if shipped is not None:
-            if self._tracer.enabled:
-                for event in shipped.events:
-                    self._tracer.ingest(event, time_offset=offset)
-            if shipped.metrics:
-                self._metrics.merge_snapshot(shipped.metrics)
-        error = result.error if shipped is None else shipped.error
+        """Fold one worker shipment in and settle the job's state."""
+        _, outcome, error = next(
+            fold_result(result, (job.request.strategy,))
+        )
         if error is not None:
             self._finish(job, error=f"{type(error).__name__}: {error}")
             return
-        if shipped is None or shipped.outcome is None:
-            self._finish(job, error="worker shipped no result")
-            return
-        outcome = shipped.outcome
         if outcome.status == "error":
             self._finish(
                 job, outcome=asdict(outcome),
@@ -438,7 +421,6 @@ class ReductionService:
             by_state[job.state] = by_state.get(job.state, 0) + 1
         return {
             "status": "draining" if self.draining else "ok",
-            "backend": self.config.backend,
             "workers": self.config.workers,
             "inflight": self._inflight,
             "queue_depth": self.admission.queue_depth,

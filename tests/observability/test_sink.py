@@ -15,6 +15,7 @@ from repro.observability import (
     summarize,
     write_trace,
 )
+from repro.observability.sink import percentile
 
 
 def _sample_trace(path):
@@ -233,6 +234,34 @@ class TestSummaryStats:
 
     def test_render_empty_summary(self):
         assert "empty" in render_summary(summarize([]))
+
+
+class TestPercentile:
+    @pytest.mark.parametrize(
+        "values, q, expected",
+        [
+            ([5, 1, 3, 2, 4], 0.5, 3),  # odd length: the middle value
+            ([4, 1, 3, 2], 0.5, 2),  # even length: the lower middle
+            ([4, 1, 3, 2], 0.75, 3),
+            ([5, 1, 3], 0.0, 1),
+            ([5, 1, 3], 1.0, 5),
+            ([2.5], 0.99, 2.5),
+            ([], 0.5, 0.0),
+        ],
+    )
+    def test_nearest_rank(self, values, q, expected):
+        assert percentile(values, q) == expected
+
+    def test_loadgen_reports_the_summarize_percentile(self):
+        from repro.service.loadgen import _latency_stats
+
+        values = [1.0, 2.0, 3.0, 4.0, 5.0]
+        stats = _latency_stats(values)
+        assert stats["p50"] == 3.0
+        spans = [
+            {"type": "span", "name": "s", "duration": v} for v in values
+        ]
+        assert stats["p95"] == summarize(spans)["spans"]["s"]["p95"]
 
 
 class TestSummarizeInstances:

@@ -21,10 +21,10 @@ from repro.harness import ExperimentConfig, run_instance
 from repro.observability import tracing_session
 from repro.parallel.procpool import (
     ProbeTaskSpec,
-    ProcessProbePool,
     ToolLatencyPredicate,
     build_chain,
     build_worker_predicate,
+    spawn_pool,
 )
 from repro.reduction.predicate import InstrumentedPredicate
 from repro.resilience import Budget, FaultPlan, ResilientPredicate
@@ -60,7 +60,7 @@ def debloat_pair(corpus):
 def pool():
     # One spawn pool for the whole module: worker start-up dominates
     # these tests' runtime, so every test shares the same processes.
-    with ProcessProbePool(max_workers=4) as executor:
+    with spawn_pool(4) as executor:
         yield executor
 
 
@@ -402,10 +402,10 @@ class TestBackendDifferential:
         assert all(e.parent_id in span_ids for e in adopted)
 
 
-class TestProcessProbePoolGuards:
+class TestProbePoolGuards:
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
-            ProcessProbePool(max_workers=0)
+            spawn_pool(0)
 
     def test_unknown_backend_rejected_by_probe_pool(self):
         from repro.harness.experiments import probe_pool

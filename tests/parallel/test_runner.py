@@ -9,7 +9,7 @@ import dataclasses
 
 import pytest
 
-import repro.parallel.scheduler as scheduler
+import repro.harness.experiments as experiments
 from repro.harness import ExperimentConfig, run_corpus_experiment, run_instance
 from repro.parallel import open_store, resolve_jobs
 from repro.workloads.corpus import CorpusConfig, build_corpus
@@ -140,35 +140,32 @@ class TestPersistentStoreReuse:
 
 class TestGracefulDegradation:
     """A crashing instance run must not take the bench down (with
-    keep_going).  The failure is injected in-process, so these run
-    inline (``jobs=1``); ``test_scheduler.TestChaosLane`` covers
-    failures relayed from worker processes."""
+    keep_going).  The failure is injected in-process, into the strategy
+    body that ``run_instance`` guards, so these run inline
+    (``jobs=1``); ``test_scheduler.TestChaosLane`` covers failures
+    relayed from worker processes."""
 
     @staticmethod
     def _crash_one(target_benchmark, target_strategy):
-        real_run_instance = scheduler.run_instance
+        real_inner = experiments._run_instance_inner
 
-        def flaky_run_instance(
-            benchmark, instance, strategy, config, store, **kwargs
-        ):
+        def flaky_inner(benchmark, instance, strategy, *args):
             if (
                 benchmark.benchmark_id == target_benchmark
                 and strategy == target_strategy
             ):
                 raise RuntimeError("worker exploded")
-            return real_run_instance(
-                benchmark, instance, strategy, config, store, **kwargs
-            )
+            return real_inner(benchmark, instance, strategy, *args)
 
-        return flaky_run_instance
+        return flaky_inner
 
     def test_injected_worker_exception_degrades_in_place(
         self, tiny_corpus, monkeypatch
     ):
         target = tiny_corpus[0].benchmark_id
         monkeypatch.setattr(
-            scheduler,
-            "run_instance",
+            experiments,
+            "_run_instance_inner",
             self._crash_one(target, "jreduce"),
         )
         config = ExperimentConfig(
@@ -197,8 +194,8 @@ class TestGracefulDegradation:
         self, tiny_corpus, monkeypatch
     ):
         monkeypatch.setattr(
-            scheduler,
-            "run_instance",
+            experiments,
+            "_run_instance_inner",
             self._crash_one(tiny_corpus[0].benchmark_id, "jreduce"),
         )
         config = ExperimentConfig(strategies=("our-reducer", "jreduce"))

@@ -1,10 +1,10 @@
-"""End-to-end HTTP tests for the reduction service (thread backend).
+"""End-to-end HTTP tests for the reduction service.
 
-The thread backend gives byte-identical results without spawn cost, so
-these tests exercise the whole stack — asyncio HTTP front-end,
-admission control, fair dispatch, pool fan-out, commit, graceful drain
-— in seconds.  Process-backend coverage lives in the CI ``service`` job
-and the perfbench ``service-mix`` workload.
+Each test runs a live server on its process pool, so they exercise the
+whole stack — asyncio HTTP front-end, admission control, fair
+dispatch, pool fan-out, commit, graceful drain, the load generator.
+The CI ``service`` job and the perfbench ``service-mix`` workload drive
+the real CLI.
 """
 
 import threading
@@ -18,6 +18,7 @@ from repro.harness.experiments import (
     outcome_signature,
 )
 from repro.observability.sink import load_traces, summarize
+from repro.parallel.procpool import spawn_pool
 from repro.parallel.scheduler import StoreSpec, run_instance_task
 from repro.service import (
     ServiceClient,
@@ -32,6 +33,7 @@ from repro.service.jobs import (
     job_spec,
     workload_pairs,
 )
+from repro.service.loadgen import build_jobs, run_loadgen
 from repro.service.server import serve
 
 BID, DECOMPILER = workload_pairs("tiny", 1)[0]
@@ -48,12 +50,11 @@ def tiny_job(tenant: str = "acme") -> dict:
 
 @contextmanager
 def running_service(**overrides):
-    """A live thread-backend server on a free port; always shut down."""
+    """A live server on a free port; always shut down."""
     kwargs = dict(
         host="127.0.0.1",
         port=0,
         workers=2,
-        backend="thread",
         base_config=ExperimentConfig(strategies=("our-reducer",)),
     )
     trace_path = overrides.pop("trace_path", None)
@@ -85,6 +86,13 @@ def running_service(**overrides):
             pass  # already shut down by the test
         thread.join(timeout=60)
         assert not thread.is_alive(), "serve loop leaked its thread"
+
+
+class TestServiceConfig:
+    def test_process_is_the_only_backend(self):
+        assert ServiceConfig(backend="process").backend == "process"
+        with pytest.raises(ValueError, match="backend"):
+            ServiceConfig(backend="thread")
 
 
 class TestLifecycle:
@@ -234,7 +242,10 @@ class TestIdentity:
             # even the store counters in the signature must agree.
             store_spec=StoreSpec(path=str(tmp_path / "offline-store")),
         )
-        result = run_instance_task(spec)
+        # In a worker process, as the service runs it: the worker's
+        # cached store handle closes when the worker exits.
+        with spawn_pool(1) as pool:
+            result = pool.submit(run_instance_task, spec).result()
         assert result.error is None
         offline_outcome = result.strategies[0].outcome
 
@@ -280,3 +291,18 @@ class TestTraceIntegration:
             latency = service["tenants"][tenant]["latency"]
             assert latency["count"] == 1
             assert latency["p95"] > 0
+
+
+class TestLoadgen:
+    def test_two_tenant_mix_completes(self):
+        jobs = build_jobs({"acme": 3, "beta": 1}, 4, profile="tiny",
+                          benchmarks=1)
+        with running_service() as client:
+            curve = run_loadgen(
+                client.host, client.port, jobs, concurrency=2
+            )
+        assert curve["completed"] == 4
+        assert curve["errors"] == curve["gave_up"] == 0
+        assert set(curve["per_tenant"]) == {"acme", "beta"}
+        latency = curve["latency"]
+        assert latency["p50"] <= latency["p95"] <= latency["p99"]
