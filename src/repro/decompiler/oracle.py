@@ -36,7 +36,7 @@ from repro.bytecode.items import (
 from repro.bytecode.reducer import MaterializationMemo
 from repro.decompiler.decompile import Decompiler, get_decompiler
 from repro.decompiler.javac import check_sources
-from repro.logic.cnf import Clause
+from repro.logic.cnf import CNF, Clause
 from repro.reduction.problem import ReductionProblem
 
 __all__ = ["DecompilerOracle", "build_reduction_problem", "entry_items"]
@@ -52,9 +52,19 @@ def entry_items(app: Application) -> Tuple[Item, ...]:
 
 
 class DecompilerOracle:
-    """Decompile + compile-check for one (application, decompiler) pair."""
+    """Decompile + compile-check for one (application, decompiler) pair.
 
-    def __init__(self, app: Application, decompiler) -> None:
+    ``original_errors``, when given, is the error set of the full
+    application as another oracle of the same pair already computed it;
+    the constructor then skips its own full-application decompile.
+    """
+
+    def __init__(
+        self,
+        app: Application,
+        decompiler,
+        original_errors: Optional[FrozenSet[str]] = None,
+    ) -> None:
         if isinstance(decompiler, str):
             decompiler = get_decompiler(decompiler)
         self.app = app
@@ -65,7 +75,9 @@ class DecompilerOracle:
         # builds a fresh oracle) starts cold and its memo telemetry is
         # deterministic regardless of what ran before.
         self._materializer = MaterializationMemo(app)
-        self.original_errors = self.errors_of(app)
+        if original_errors is None:
+            original_errors = self.errors_of(app)
+        self.original_errors = original_errors
 
     def errors_of(self, app: Application) -> FrozenSet[str]:
         """The compiler error messages the decompiled output produces."""
@@ -98,6 +110,8 @@ def build_reduction_problem(
     app: Application,
     decompiler,
     require_entry: bool = True,
+    original_errors: Optional[FrozenSet[str]] = None,
+    constraint: Optional[CNF] = None,
 ) -> ReductionProblem:
     """The Input Reduction Problem for one (application, decompiler) pair.
 
@@ -105,19 +119,26 @@ def build_reduction_problem(
     point when ``require_entry`` is set — the analogue of the paper's
     hand-added ``[M.main()!code]`` requirement.
 
+    The predicate runs on a fresh :class:`DecompilerOracle`, built from
+    ``original_errors`` when the caller has the pair's error set
+    already.  ``constraint``, when given, is that constraint compiled
+    earlier (entry clauses included; see :mod:`repro.harness.problems`)
+    and is used instead of generating one.
+
     Raises ValueError when the decompiler is not buggy on this input
     (nothing to reduce; the paper's benchmarks keep only buggy pairs).
     """
-    oracle = DecompilerOracle(app, decompiler)
+    oracle = DecompilerOracle(app, decompiler, original_errors)
     if not oracle.is_buggy:
         raise ValueError(
             f"decompiler {oracle.decompiler.name!r} translates this "
             "application cleanly; no failure to preserve"
         )
-    constraint = generate_constraints(app)
-    if require_entry:
-        for item in entry_items(app):
-            constraint.add_clause(Clause.unit(item))
+    if constraint is None:
+        constraint = generate_constraints(app)
+        if require_entry:
+            for item in entry_items(app):
+                constraint.add_clause(Clause.unit(item))
     return ReductionProblem(
         variables=items_of(app),
         predicate=oracle.item_predicate,

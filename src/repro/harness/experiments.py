@@ -47,6 +47,12 @@ from repro.bytecode.serializer import (
     ApplicationSerializer,
     serialize_application,
 )
+from repro.harness.problems import (
+    ORACLE_SOURCES,
+    code_digest,
+    compiled_problem,
+    tenant_prefix,
+)
 from repro.observability import get_metrics, get_tracer, profiled_phase
 from repro.reduction.binary import binary_reduction
 from repro.reduction.gbr import generalized_binary_reduction
@@ -64,6 +70,7 @@ __all__ = [
     "error_outcome",
     "oracle_fingerprint",
     "outcome_signature",
+    "PLACEMENT_METRICS",
     "RESIDENCY_METRICS",
     "probe_cap_for",
     "probe_pool",
@@ -328,22 +335,32 @@ class InstanceOutcome:
 
 
 def oracle_fingerprint(
-    app: Application, decompiler: str, granularity: str, tenant: str = ""
+    app: Application,
+    decompiler: str,
+    granularity: str,
+    tenant: str = "",
+    app_digest: Optional[str] = None,
 ) -> str:
     """A stable predicate-store namespace (see :mod:`repro.parallel.store`).
 
-    Hashes the serialized application bytes plus the decompiler name and
-    predicate granularity (``"item"`` or ``"class"``), so two oracles
-    share cached outcomes exactly when they are the same pure function.
+    Hashes the serialized application bytes (``app_digest`` is their
+    sha256 hex, when the caller has it) together with a digest of the
+    oracle's own code (:data:`~repro.harness.problems.ORACLE_SOURCES`),
+    plus the decompiler name and predicate granularity (``"item"`` or
+    ``"class"``), so two oracles share cached outcomes exactly when
+    they are the same pure function.  Editing the simulated decompilers
+    or javac moves every verdict to a new namespace: a store written
+    before the edit misses after it.
 
     ``tenant`` prefixes the namespace: many tenants' corpus runs can
-    share one warm sharded store without their entries ever mixing —
-    an empty tenant (the default) keeps the historical fingerprints, so
-    existing warm stores stay warm.
+    share one warm sharded store without their entries ever mixing.
     """
-    digest = hashlib.sha256(serialize_application(app)).hexdigest()
-    prefix = f"tenant={tenant}:" if tenant else ""
-    return f"{prefix}{granularity}:{decompiler}:{digest}"
+    if app_digest is None:
+        app_digest = hashlib.sha256(serialize_application(app)).hexdigest()
+    digest = hashlib.sha256(
+        f"{code_digest(ORACLE_SOURCES)}:{app_digest}".encode("ascii")
+    ).hexdigest()
+    return f"{tenant_prefix(tenant)}{granularity}:{decompiler}:{digest}"
 
 
 def run_instance(
@@ -459,7 +476,10 @@ def _run_instance_inner(
     tracer = get_tracer()
     app = benchmark.app
     oracle = instance.oracle
-    total_bytes = application_size_bytes(app)
+    # The one serialization of the full app: its size, the store keys'
+    # app digest, and the process probe pool's task spec.
+    app_bytes = serialize_application(app)
+    app_digest = hashlib.sha256(app_bytes).hexdigest()
     total_classes = len(app.classes)
     # Fresh per run (not shared via the oracle), so the memo telemetry
     # in outcome.metrics is deterministic regardless of run history.
@@ -469,7 +489,8 @@ def _run_instance_inner(
         if store is None:
             return None
         return oracle_fingerprint(
-            app, instance.decompiler, granularity, tenant=config.tenant
+            app, instance.decompiler, granularity, tenant=config.tenant,
+            app_digest=app_digest,
         )
 
     scenario = getattr(instance, "scenario", "reduction")
@@ -500,7 +521,7 @@ def _run_instance_inner(
         if config.probe_backend != "process" or config.speculate <= 1:
             return None
         return ProbeTaskSpec(
-            app_bytes=serialize_application(app),
+            app_bytes=app_bytes,
             decompiler=instance.decompiler,
             granularity=granularity,
             scenario=scenario,
@@ -558,12 +579,21 @@ def _run_instance_inner(
             with tracer.span("instance.setup", strategy=strategy):
                 # Scenario oracles build their own problem (on a fresh
                 # oracle, keeping memo telemetry deterministic); the
-                # default is the paper's decompiler-bug problem.
+                # default is the paper's decompiler-bug problem, which a
+                # store keeps compiled (repro.harness.problems).
                 builder = getattr(oracle, "build_problem", None)
+                order = None
                 if builder is not None:
                     problem = builder()
+                elif store is not None:
+                    problem, order = compiled_problem(
+                        app, app_digest, oracle, store, config.tenant
+                    )
                 else:
-                    problem = build_reduction_problem(app, oracle.decompiler)
+                    problem = build_reduction_problem(
+                        app, oracle.decompiler,
+                        original_errors=oracle.original_errors,
+                    )
                 instrumented = InstrumentedPredicate(
                     _chain(problem.predicate, "item"),
                     cost_per_call=config.simulated_seconds_per_run,
@@ -585,6 +615,7 @@ def _run_instance_inner(
                 if strategy == "our-reducer":
                     result = generalized_binary_reduction(
                         problem,
+                        order=order,
                         speculate=config.speculate,
                         probe_executor=probe_executor,
                     )
@@ -602,7 +633,7 @@ def _run_instance_inner(
         decompiler=instance.decompiler,
         strategy=strategy,
         scenario=scenario,
-        total_bytes=total_bytes,
+        total_bytes=len(app_bytes),
         total_classes=total_classes,
         final_bytes=application_size_bytes(reduced),
         final_classes=len(reduced.classes),
@@ -649,6 +680,12 @@ def error_outcome(
     )
 
 
+#: Per-run metric names that report which worker process did the work:
+#: at ``--speculate N --probe-backend process`` each probe materializes
+#: on whichever worker's cached oracle picks it up, so the memo's hit
+#: and miss counts vary from run to run while every outcome agrees.
+PLACEMENT_METRICS = ("reducer.memo_hits", "reducer.memo_misses")
+
 #: Per-run metric names that report cache-tier *residency* rather than
 #: semantics: which process's store handle had a shard loaded, how many
 #: foreign lines its scan walked, what its LRU evicted.  They are
@@ -667,8 +704,8 @@ def outcome_signature(outcome: InstanceOutcome) -> Dict[str, Any]:
     """The deterministic identity of an outcome, for differential tests.
 
     Everything except wall time (``real_seconds``) and the
-    placement-dependent residency counters (:data:`RESIDENCY_METRICS`)
-    in the per-run metrics extras.  Two runs of the same corpus agree on
+    placement-dependent counters (:data:`RESIDENCY_METRICS`,
+    :data:`PLACEMENT_METRICS`) in the per-run metrics extras.  Two runs of the same corpus agree on
     this signature across sequential / thread / process backends, any
     job count, and any dispatch order — including warm-store and chaos
     lanes.
@@ -681,6 +718,7 @@ def outcome_signature(outcome: InstanceOutcome) -> Dict[str, Any]:
             name: value
             for name, value in metrics.items()
             if name not in RESIDENCY_METRICS
+            and name not in PLACEMENT_METRICS
         }
     return record
 

@@ -273,6 +273,54 @@ class CNF:
         out._indexed_cache = self._indexed_cache
         return out
 
+    def numbered(
+        self, names: Sequence[VarName]
+    ) -> Tuple[List[List[int]], List[int]]:
+        """The clauses and the universe as integers over ``names``.
+
+        Clauses keep their order; a literal on ``names[i]`` is ``i + 1``
+        when positive and ``-(i + 1)`` when negative (DIMACS
+        numbering).  The universe is the sorted list of the indexes
+        ``i`` of its variables.  :meth:`from_numbered` is the inverse.
+        Raises KeyError for a variable outside ``names``.
+        """
+        number = {name: i + 1 for i, name in enumerate(names)}
+        clauses = [
+            [number[lit.var] if lit.positive else -number[lit.var]
+             for lit in clause.literals]
+            for clause in self.clauses
+        ]
+        universe = sorted(number[var] - 1 for var in self._variables)
+        return clauses, universe
+
+    @classmethod
+    def from_numbered(
+        cls,
+        names: Sequence[VarName],
+        clauses: Iterable[Sequence[int]],
+        universe: Iterable[int],
+    ) -> "CNF":
+        """A CNF from the output of :meth:`numbered`, in bulk.
+
+        Trusted: the clauses enter in order without :meth:`add_clause`'s
+        checks, so the caller guarantees what :meth:`numbered`
+        guarantees — every number within ``names``, no clause twice, no
+        tautology, and every clause variable in the universe.
+        """
+        # table[k] is the positive literal on names[k - 1]; table[-k],
+        # counted from the end, is the negative one.
+        table: List[Optional[Lit]] = [None]
+        table.extend(Lit(name, True) for name in names)
+        table.extend(Lit(name, False) for name in reversed(names))
+        out = cls()
+        for numbers in clauses:
+            clause = Clause.__new__(Clause)
+            clause.literals = frozenset(map(table.__getitem__, numbers))
+            out.clauses.append(clause)
+        out._clause_set = set(out.clauses)
+        out._variables = {names[i] for i in universe}
+        return out
+
     def conjoin(self, other: "CNF") -> "CNF":
         """A new CNF that is the conjunction of self and other."""
         out = CNF(variables=self._variables | other._variables)

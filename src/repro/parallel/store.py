@@ -37,7 +37,12 @@ older single-file (v1) store migrates it into shards automatically
 (the original is kept as ``<path>.v1``).
 
 File format: one JSON object per line, ``{"f": fingerprint, "k":
-key, "v": outcome}``.  Append-only, so concurrent
+key, "v": outcome}`` for a predicate verdict.  The same shards also
+hold opaque *records* (``{"f": namespace, "k": key, "p": payload}``,
+the payload a string; the harness keeps compiled reduction problems in
+them, see :mod:`repro.harness.problems`): they share the appends, the
+torn-line tolerance, the eviction, the compaction and the v1 migration
+of verdicts.  Append-only, so concurrent
 writers on POSIX never corrupt earlier entries; a torn final line
 (killed process, full disk) is tolerated on load and repaired by the
 next opener.  Two processes that open the same torn shard
@@ -61,6 +66,8 @@ Telemetry: the store feeds the active metrics registry —
 ``store.shard_loads`` / ``store.lines_scanned`` /
 ``store.migrated_entries`` — so warm-store hit rates land in JSONL
 traces, ``jlreduce trace summarize``, and ``jlreduce metrics export``.
+The lookup, hit, miss and record counters count verdicts only; record
+reads and writes leave them alone.
 """
 
 from __future__ import annotations
@@ -71,12 +78,15 @@ import os
 import threading
 import time
 from collections import OrderedDict
-from typing import Dict, FrozenSet, Hashable, Iterable, Optional, Tuple
+from typing import (
+    Dict, FrozenSet, Hashable, Iterable, Optional, Tuple, Union,
+)
 
 from repro.observability import get_metrics
 
 __all__ = [
     "DEFAULT_SHARDS",
+    "KeyMemo",
     "ShardedPredicateStore",
     "fingerprint_of",
     "key_of",
@@ -84,6 +94,8 @@ __all__ = [
 ]
 
 VarName = Hashable
+#: What one store line holds: a verdict, or an opaque record payload.
+Value = Union[bool, str]
 
 #: Default shard-file count for :class:`ShardedPredicateStore`.  Small
 #: enough that a cold corpus run touches most shards anyway, large
@@ -127,16 +139,60 @@ def key_of(sub_input: Iterable[VarName]) -> str:
     return hashlib.sha256(rendered.encode("utf-8")).hexdigest()
 
 
-def _parse_line(stripped: str) -> Optional[Tuple[str, str, bool]]:
-    """One JSONL record as ``(fingerprint, key, outcome)``, or None."""
+class KeyMemo:
+    """:func:`key_of` with each item's rendering computed once.
+
+    A predicate keys many probes over one item universe; the memo keeps
+    each item's ``repr`` and its length-prefixed rendering, so a probe
+    costs a sort and a hash, not a ``repr`` per item.  Keys are
+    byte-identical to :func:`key_of`'s.
+    """
+
+    __slots__ = ("_reprs", "_rendered")
+
+    def __init__(self) -> None:
+        self._reprs: Dict[VarName, str] = {}
+        self._rendered: Dict[str, str] = {}
+
+    def __call__(self, sub_input: Iterable[VarName]) -> str:
+        reprs = self._reprs
+        try:
+            parts = sorted(map(reprs.__getitem__, sub_input))
+        except KeyError:
+            for item in sub_input:
+                if item not in reprs:
+                    part = reprs[item] = repr(item)
+                    self._rendered[part] = f"{len(part)}:{part}"
+            parts = sorted(map(reprs.__getitem__, sub_input))
+        rendered = "".join(map(self._rendered.__getitem__, parts))
+        return hashlib.sha256(rendered.encode("utf-8")).hexdigest()
+
+
+def _parse_line(stripped: str) -> Optional[Tuple[str, str, Value]]:
+    """One JSONL line as ``(fingerprint, key, value)``, or None.
+
+    The value is the verdict of a ``"v"`` line or the payload string
+    of a ``"p"`` (record) line.
+    """
     try:
         entry = json.loads(stripped)
+        if "p" in entry:
+            payload = entry["p"]
+            if not isinstance(payload, str):
+                return None
+            return entry["f"], entry["k"], payload
         return entry["f"], entry["k"], bool(entry["v"])
     except (json.JSONDecodeError, KeyError, TypeError):
         return None
 
 
-def _drain_v1_file(path: str) -> Tuple[Dict[Tuple[str, str], bool], int]:
+def _line(fingerprint: str, key: str, value: Value) -> str:
+    """The JSONL line (without newline) that :func:`_parse_line` reads."""
+    field = "v" if isinstance(value, bool) else "p"
+    return json.dumps({"f": fingerprint, "k": key, field: value})
+
+
+def _drain_v1_file(path: str) -> Tuple[Dict[Tuple[str, str], Value], int]:
     """Read a v1 single-file store and move it aside to ``<path>.v1``.
 
     Returns the surviving entries (last write wins) and the count of
@@ -151,7 +207,7 @@ def _drain_v1_file(path: str) -> Tuple[Dict[Tuple[str, str], bool], int]:
             f"{path} is a sqlite database, not a predicate store; pass "
             "a store directory (or a v1 JSONL file to migrate)"
         )
-    entries: Dict[Tuple[str, str], bool] = {}
+    entries: Dict[Tuple[str, str], Value] = {}
     corrupt = 0
     with open(path, "r", encoding="utf-8") as handle:
         for line in handle:
@@ -162,8 +218,8 @@ def _drain_v1_file(path: str) -> Tuple[Dict[Tuple[str, str], bool], int]:
             if parsed is None:
                 corrupt += 1
                 continue
-            fingerprint, key, outcome = parsed
-            entries[(fingerprint, key)] = outcome
+            fingerprint, key, value = parsed
+            entries[(fingerprint, key)] = value
     os.replace(path, path + ".v1")
     return entries, corrupt
 
@@ -251,13 +307,13 @@ class ShardedPredicateStore:
         self.compactions = 0
         self.shard_loads = 0
         self.migrated_entries = 0
-        pending: Optional[Dict[Tuple[str, str], bool]] = None
+        pending: Optional[Dict[Tuple[str, str], Value]] = None
         if os.path.isfile(self._path):
             pending, corrupt = _drain_v1_file(self._path)
             self.corrupt_lines += corrupt
         self._shards = self._init_layout(shards)
         #: Resident shard indexes, LRU-ordered (oldest first).
-        self._resident: "OrderedDict[int, Dict[Tuple[str, str], bool]]" = (
+        self._resident: "OrderedDict[int, Dict[Tuple[str, str], Value]]" = (
             OrderedDict()
         )
         self._resident_entries = 0
@@ -271,24 +327,29 @@ class ShardedPredicateStore:
     # -- lookup / record -----------------------------------------------------
 
     def lookup(
-        self, fingerprint: str, sub_input: FrozenSet[VarName]
+        self,
+        fingerprint: str,
+        sub_input: FrozenSet[VarName],
+        key: Optional[str] = None,
     ) -> Optional[bool]:
         """The stored outcome for this oracle + sub-input, or None.
 
-        Faults the key's shard into memory on first touch (one scan of
-        that shard file, counted in ``store.shard_loads``).
+        ``key`` is the sub-input's :func:`key_of`, when the caller has
+        it already (a :class:`KeyMemo`'s); the same key then serves
+        the :meth:`record` of a fresh outcome.  Faults the key's shard
+        into memory on first touch (one scan of that shard file,
+        counted in ``store.shard_loads``).
 
         Raises:
             ValueError: the store has been :meth:`close`\\ d.
         """
-        key = key_of(sub_input)
+        if key is None:
+            key = key_of(sub_input)
         metrics = get_metrics()
         metrics.counter("store.lookups").inc()
-        with self._lock:
-            if self._closed:
-                raise ValueError("store is closed")
-            entries = self._shard_entries(self._shard_of_key(key))
-            outcome = entries.get((fingerprint, key))
+        outcome = self._get(fingerprint, key)
+        if not isinstance(outcome, bool):
+            outcome = None
         if outcome is None:
             self.misses += 1
             metrics.counter("store.misses").inc()
@@ -298,36 +359,73 @@ class ShardedPredicateStore:
         return outcome
 
     def record(
-        self, fingerprint: str, sub_input: FrozenSet[VarName], outcome: bool
+        self,
+        fingerprint: str,
+        sub_input: FrozenSet[VarName],
+        outcome: bool,
+        key: Optional[str] = None,
     ) -> None:
         """Persist an outcome (idempotent; last write wins on conflict).
 
         One ``os.write`` on the shard's ``O_APPEND`` descriptor —
         atomic against concurrent appenders in other processes sharing
         the shard, and unbuffered so a killed process loses at most the
-        record it was writing.
+        record it was writing.  ``key`` is as in :meth:`lookup`.
 
         Raises:
             ValueError: the store has been :meth:`close`\\ d.
         """
-        key = key_of(sub_input)
-        outcome = bool(outcome)
-        payload = (
-            json.dumps({"f": fingerprint, "k": key, "v": outcome}) + "\n"
-        ).encode("utf-8")
+        if key is None:
+            key = key_of(sub_input)
+        if self._put(fingerprint, key, bool(outcome)):
+            get_metrics().counter("store.records").inc()
+
+    def lookup_record(self, namespace: str, key: str) -> Optional[str]:
+        """The payload recorded under ``namespace`` and ``key``, or None.
+
+        ``key`` must be hex (its first eight digits pick the shard).
+        No ``store.*`` counter moves: those count verdicts.
+
+        Raises:
+            ValueError: the store has been :meth:`close`\\ d.
+        """
+        payload = self._get(namespace, key)
+        return payload if isinstance(payload, str) else None
+
+    def put_record(self, namespace: str, key: str, payload: str) -> None:
+        """Persist an opaque payload; the counterpart of
+        :meth:`lookup_record`, appended like a verdict.
+
+        Raises:
+            ValueError: the store has been :meth:`close`\\ d.
+        """
+        self._put(namespace, key, payload)
+
+    def _get(self, fingerprint: str, key: str) -> Optional[Value]:
+        with self._lock:
+            if self._closed:
+                raise ValueError("store is closed")
+            entries = self._shard_entries(self._shard_of_key(key))
+            return entries.get((fingerprint, key))
+
+    def _put(self, fingerprint: str, key: str, value: Value) -> bool:
+        """Append one line unless it is already the live value.  True
+        when it was appended."""
+        payload = (_line(fingerprint, key, value) + "\n").encode("utf-8")
         with self._lock:
             if self._closed:
                 raise ValueError("store is closed")
             shard = self._shard_of_key(key)
             entries = self._shard_entries(shard)
-            if entries.get((fingerprint, key)) == outcome:
-                return
-            if (fingerprint, key) not in entries:
+            current = entries.get((fingerprint, key))
+            if current == value:
+                return False
+            if current is None:
                 self._resident_entries += 1
-            entries[(fingerprint, key)] = outcome
+            entries[(fingerprint, key)] = value
             os.write(self._fd_of(shard), payload)
-            get_metrics().counter("store.records").inc()
             self._evict(exclude=shard)
+            return True
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -412,7 +510,7 @@ class ShardedPredicateStore:
     def _shard_path(self, shard: int) -> str:
         return os.path.join(self._path, f"shard-{shard:03d}.jsonl")
 
-    def _shard_entries(self, shard: int) -> Dict[Tuple[str, str], bool]:
+    def _shard_entries(self, shard: int) -> Dict[Tuple[str, str], Value]:
         """The shard's entry dict, faulting it from disk if needed."""
         entries = self._resident.get(shard)
         if entries is not None:
@@ -440,9 +538,9 @@ class ShardedPredicateStore:
 
     def _scan_shard(
         self, shard: int
-    ) -> Tuple[Dict[Tuple[str, str], bool], int, int, bool]:
+    ) -> Tuple[Dict[Tuple[str, str], Value], int, int, bool]:
         """Parse one shard file: (entries, lines, corrupt, torn-tail)."""
-        entries: Dict[Tuple[str, str], bool] = {}
+        entries: Dict[Tuple[str, str], Value] = {}
         lines_total = 0
         corrupt = 0
         needs_newline = False
@@ -464,8 +562,8 @@ class ShardedPredicateStore:
                 if parsed is None:
                     corrupt += 1
                     continue
-                fingerprint, key, outcome = parsed
-                entries[(fingerprint, key)] = outcome
+                fingerprint, key, value = parsed
+                entries[(fingerprint, key)] = value
         return entries, lines_total, corrupt, needs_newline
 
     def _fd_of(self, shard: int) -> int:
@@ -508,7 +606,7 @@ class ShardedPredicateStore:
             self._needs_newline.pop(victim, None)
 
     def _compact_shard(
-        self, shard: int, entries: Dict[Tuple[str, str], bool]
+        self, shard: int, entries: Dict[Tuple[str, str], Value]
     ) -> bool:
         """Rewrite a shard to live entries only.  True when it ran.
 
@@ -528,13 +626,8 @@ class ShardedPredicateStore:
                 os.close(stale)
             tmp = f"{shard_path}.compact.{os.getpid()}"
             with open(tmp, "w", encoding="utf-8") as handle:
-                for (fingerprint, key), outcome in entries.items():
-                    handle.write(
-                        json.dumps(
-                            {"f": fingerprint, "k": key, "v": outcome}
-                        )
-                        + "\n"
-                    )
+                for (fingerprint, key), value in entries.items():
+                    handle.write(_line(fingerprint, key, value) + "\n")
             os.replace(tmp, shard_path)
             self.compactions += 1
             get_metrics().counter("store.compactions").inc()
@@ -565,12 +658,12 @@ class ShardedPredicateStore:
         except (FileExistsError, OSError):
             return None
 
-    def _ingest(self, entries: Dict[Tuple[str, str], bool]) -> None:
+    def _ingest(self, entries: Dict[Tuple[str, str], Value]) -> None:
         """Append migrated v1 entries into their shards (batched)."""
         grouped: Dict[int, list] = {}
-        for (fingerprint, key), outcome in entries.items():
+        for (fingerprint, key), value in entries.items():
             grouped.setdefault(self._shard_of_key(key), []).append(
-                json.dumps({"f": fingerprint, "k": key, "v": outcome})
+                _line(fingerprint, key, value)
             )
         for shard, lines in grouped.items():
             payload = ("\n".join(lines) + "\n").encode("utf-8")

@@ -164,8 +164,12 @@ class InstrumentedPredicate:
         size_of: how to measure a sub-input for the timeline (defaults to
             ``len``; the harness passes serialized-bytes measures).
         store: optional persistent predicate cache, duck-typed with
-            ``lookup(fingerprint, sub_input)`` returning ``bool | None``
-            and ``record(fingerprint, sub_input, outcome)``.
+            ``lookup(fingerprint, sub_input, key=)`` returning
+            ``bool | None`` and ``record(fingerprint, sub_input,
+            outcome, key=)``; ``key`` is the sub-input's
+            :func:`~repro.parallel.store.key_of`, computed once per
+            probe through a per-predicate
+            :class:`~repro.parallel.store.KeyMemo`.
         fingerprint: stable identifier of the underlying oracle; required
             when ``store`` is given (it namespaces the store entries so
             different oracles never share outcomes).
@@ -197,6 +201,13 @@ class InstrumentedPredicate:
         self._task_spec = task_spec
         self._cache: Dict[FrozenSet[VarName], bool] = {}
         self._key_cache: Dict[VarName, int] = {}  # per-item ledger digests
+        self._store_keys = None
+        if store is not None:
+            # Lazy: repro.parallel imports the harness, which imports
+            # this module.
+            from repro.parallel.store import KeyMemo
+
+            self._store_keys = KeyMemo()
         self.calls = 0  # fresh (uncached) invocations
         self.queries = 0  # all queries, cached included
         self.store_hits = 0  # queries answered by the persistent store
@@ -217,7 +228,8 @@ class InstrumentedPredicate:
             return cached
         tracer = get_tracer()
         fields = current_probe_fields() if tracer.enabled else {}
-        stored = self._lookup(sub_input, metrics, tracer, **fields)
+        key = self._store_key(sub_input)
+        stored = self._lookup(sub_input, key, metrics, tracer, **fields)
         if stored is not None:
             return stored
         before_stats = _chain_stats(self._predicate) if tracer.enabled else {}
@@ -243,20 +255,31 @@ class InstrumentedPredicate:
             )
         self._cache[sub_input] = outcome
         if self._store is not None:
-            self._store.record(self._fingerprint, sub_input, outcome)
+            self._store.record(
+                self._fingerprint, sub_input, outcome, key=key
+            )
         if outcome:
             self._note_success(sub_input)
         return outcome
 
-    def _lookup(self, sub_input, metrics, tracer, **fields) -> Optional[bool]:
+    def _store_key(self, sub_input: FrozenSet[VarName]) -> Optional[str]:
+        """The sub-input's store key (None without a store)."""
+        if self._store_keys is None:
+            return None
+        return self._store_keys(sub_input)
+
+    def _lookup(
+        self, sub_input, key, metrics, tracer, **fields
+    ) -> Optional[bool]:
         """Read a memo miss through to the store; the outcome or None.
 
-        A store hit counts as a cache hit, lands in the memo, and emits
-        a ``cache="store"`` ledger entry annotated with ``fields``.
+        ``key`` is the sub-input's store key (:meth:`_store_key`).  A
+        store hit counts as a cache hit, lands in the memo, and emits a
+        ``cache="store"`` ledger entry annotated with ``fields``.
         """
         if self._store is None:
             return None
-        stored = self._store.lookup(self._fingerprint, sub_input)
+        stored = self._store.lookup(self._fingerprint, sub_input, key=key)
         if stored is None:
             metrics.counter("predicate.store_misses").inc()
             return None
@@ -346,6 +369,7 @@ class InstrumentedPredicate:
         results: List[Optional[bool]] = [None] * len(inputs)
         fresh: List[Tuple[int, FrozenSet[VarName]]] = []
         pending: Dict[FrozenSet[VarName], int] = {}
+        keys: Dict[int, Optional[str]] = {}  # store keys, by position
         aliases: List[Tuple[int, int]] = []
         metrics = get_metrics()
         tracer = get_tracer()
@@ -367,8 +391,9 @@ class InstrumentedPredicate:
                 metrics.counter("predicate.cache_hits").inc()
                 aliases.append((position, pending[sub_input]))
                 continue
+            key = keys[position] = self._store_key(sub_input)
             stored = self._lookup(
-                sub_input, metrics, tracer, batch_pos=position, **scope
+                sub_input, key, metrics, tracer, batch_pos=position, **scope
             )
             if stored is not None:
                 results[position] = stored
@@ -407,13 +432,17 @@ class InstrumentedPredicate:
                     metrics.counter(name).inc(value)
                 for payload in probe.events:
                     tracer.adopt(payload)
-            self._commit_settled(settled, results, tracer, metrics, scope)
+            self._commit_settled(
+                settled, results, tracer, metrics, scope, keys
+            )
 
         for position, source in aliases:
             results[position] = results[source]
         return [bool(r) for r in results]
 
-    def _commit_settled(self, settled, results, tracer, metrics, scope):
+    def _commit_settled(
+        self, settled, results, tracer, metrics, scope, keys
+    ):
         """Commit one round's fresh outcomes in serial index order.
 
         The round's single ``cost_per_call`` virtual charge is booked
@@ -458,7 +487,10 @@ class InstrumentedPredicate:
                 round_charge = self._cost_per_call
             self._cache[sub_input] = outcome
             if self._store is not None:
-                self._store.record(self._fingerprint, sub_input, outcome)
+                self._store.record(
+                    self._fingerprint, sub_input, outcome,
+                    key=keys[position],
+                )
             if outcome:
                 self._note_success(sub_input)
             results[position] = outcome

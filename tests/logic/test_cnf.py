@@ -185,6 +185,18 @@ class TestCNFProperties:
         indexed = cnf.to_indexed()
         assert len(indexed.clauses) == len(cnf.clauses)
 
+    @given(cnfs())
+    def test_numbered_round_trips(self, cnf):
+        names = sorted(cnf.variables) + ["spare"]
+        clauses_, universe = cnf.numbered(names)
+        loaded = CNF.from_numbered(names, clauses_, universe)
+        assert loaded.clauses == cnf.clauses
+        assert loaded.variables == cnf.variables
+        # The bulk-built CNF behaves like one built clause by clause.
+        for clause in cnf.clauses:
+            assert not loaded.add_clause(clause)
+        assert loaded.to_indexed().clauses == cnf.to_indexed().clauses
+
     @given(clauses(max_size=3))
     def test_shape_checks_match_their_set_definitions(self, clause):
         positives, negatives = clause.positives, clause.negatives

@@ -304,6 +304,24 @@ class TestSpeculateBudgetLane:
         assert signatures(pooled) == signatures(serial)
 
 
+class TestProcessSpeculationSignature:
+    def test_identical_runs_give_equal_signatures(self):
+        # Regression: which probe-pool worker materializes a probe
+        # changes the per-run reducer.memo_* counts, so the signature
+        # must leave those placement counters out.
+        corpus = build_corpus(
+            tiny_corpus_config(num_benchmarks=3, max_classes=12)
+        )
+        config = ExperimentConfig(
+            strategies=("our-reducer", "jreduce"),
+            speculate=2,
+            probe_backend="process",
+        )
+        first = run_scheduled_corpus_experiment(corpus, config)
+        second = run_scheduled_corpus_experiment(corpus, config)
+        assert first and signatures(first) == signatures(second)
+
+
 class TestManifestPlanning:
     def test_manifest_run_matches_in_memory(self, tmp_path):
         corpus_config = tiny_corpus_config(decompilers=("alpha",))

@@ -8,8 +8,11 @@ import json
 import threading
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.parallel import ShardedPredicateStore, fingerprint_of, key_of
+from repro.parallel.store import KeyMemo
 from repro.reduction.predicate import InstrumentedPredicate
 
 
@@ -51,6 +54,26 @@ class TestKeying:
         assert key_of(["1:", "x"]) != key_of(
             ["1", ":x"]
         )
+
+    def test_key_memo_keys_like_key_of(self):
+        memo = KeyMemo()
+        for items in (["1:", "x"], ["1", ":x"], [1, "1"], ["12:ab", "2:a"]):
+            assert memo(items) == key_of(items)
+
+    @given(st.lists(st.frozensets(
+        st.one_of(
+            st.text(alphabet="0123456789:ab", max_size=6),
+            st.integers(-20, 20),
+            st.tuples(st.text(alphabet="1:", max_size=3), st.integers(0, 12)),
+        ),
+        max_size=8,
+    ), min_size=1, max_size=6))
+    def test_key_memo_matches_key_of(self, subsets):
+        # One memo over several probes: later subsets reuse the
+        # renderings earlier ones cached.
+        memo = KeyMemo()
+        for subset in subsets:
+            assert memo(subset) == key_of(subset)
 
     def test_fingerprint_of_is_stable_and_part_sensitive(self):
         assert fingerprint_of("x", "y") == fingerprint_of("x", "y")

@@ -251,6 +251,80 @@ class TestMigration:
         assert registry.counter_values()["store.migrated_entries"] == 12
 
 
+class TestRecords:
+    """Opaque records (compiled problems) ride the verdict shards."""
+
+    PAYLOAD = '[3,[[1,-2],[3]],[0,1,2],[2,0,1]]'
+    KEY = "ab" * 32
+
+    def test_records_move_no_verdict_counter(self, tmp_path):
+        registry = MetricsRegistry()
+        with scoped_metrics(registry), ShardedPredicateStore(
+            tmp_path / "store"
+        ) as store:
+            assert store.lookup_record("problem:x", self.KEY) is None
+            store.put_record("problem:x", self.KEY, self.PAYLOAD)
+            assert store.lookup_record("problem:x", self.KEY) == self.PAYLOAD
+            # A verdict lookup never serves a record, nor the reverse.
+            assert store.lookup("problem:x", frozenset(), key=self.KEY) is None
+            store.record("oracle", frozenset({"a"}), True)
+            assert store.lookup_record(
+                "oracle", key_of(frozenset({"a"}))
+            ) is None
+        counters = registry.counter_values()
+        assert counters["store.lookups"] == 1
+        assert counters["store.misses"] == 1
+        assert counters["store.records"] == 1
+        assert "store.hits" not in counters
+
+    def test_compaction_carries_records_unchanged(self, tmp_path):
+        path = tmp_path / "store"
+        with ShardedPredicateStore(
+            path, shards=1, compact_min_lines=64
+        ) as store:
+            store.put_record("problem:x", self.KEY, self.PAYLOAD)
+            for i in range(300):
+                store.record("oracle", frozenset({"dup"}), i % 2 == 0)
+        with ShardedPredicateStore(path) as reopened:
+            assert reopened.lookup_record("problem:x", self.KEY) == (
+                self.PAYLOAD
+            )
+            assert reopened.compactions == 1
+        lines = (path / "shard-000.jsonl").read_text().splitlines()
+        assert len(lines) == 2
+        with ShardedPredicateStore(path) as again:
+            assert again.lookup_record("problem:x", self.KEY) == self.PAYLOAD
+
+    def test_v1_migration_carries_records_unchanged(self, tmp_path):
+        path = tmp_path / "outcomes.jsonl"
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(
+                {"f": "oracle", "k": key_of(frozenset({"a"})), "v": True}
+            ) + "\n")
+            handle.write(json.dumps(
+                {"f": "problem:x", "k": self.KEY, "p": self.PAYLOAD}
+            ) + "\n")
+        with ShardedPredicateStore(path, shards=4) as store:
+            assert store.migrated_entries == 2
+            assert store.lookup_record("problem:x", self.KEY) == self.PAYLOAD
+            assert store.lookup("oracle", frozenset({"a"})) is True
+
+    def test_torn_record_line_is_dropped(self, tmp_path):
+        path = tmp_path / "store"
+        with ShardedPredicateStore(path, shards=1) as store:
+            store.put_record("problem:x", self.KEY, self.PAYLOAD)
+        shard = path / "shard-000.jsonl"
+        shard.write_text(shard.read_text()[:-9])  # killed mid-append
+        with ShardedPredicateStore(path) as reopened:
+            assert reopened.lookup_record("problem:x", self.KEY) is None
+            assert reopened.corrupt_lines == 1
+            reopened.put_record("problem:x", self.KEY, self.PAYLOAD)
+        with ShardedPredicateStore(path) as repaired:
+            assert repaired.lookup_record("problem:x", self.KEY) == (
+                self.PAYLOAD
+            )
+
+
 class TestOpenStoreFactory:
     def test_dispatch(self, tmp_path):
         with open_store(tmp_path / "a") as store:
