@@ -345,9 +345,7 @@ class Tracer:
                 return _NULL_SPAN
         stack = self._stack()
         ctx = getattr(self._local, "ctx", None)
-        with self._lock:
-            seq = self._next_seq
-            self._next_seq += 1
+        seq = self._mint_seq()
         worker = ctx.worker if ctx is not None else "main"
         span_id = f"{worker}:{seq}"
         if stack:
@@ -387,9 +385,7 @@ class Tracer:
             return None
         ctx = getattr(self._local, "ctx", None)
         stack = getattr(self._local, "stack", None)
-        with self._lock:
-            seq = self._next_seq
-            self._next_seq += 1
+        seq = self._mint_seq()
         worker = ctx.worker if ctx is not None else "main"
         if span_id is None:
             if stack:
@@ -409,55 +405,28 @@ class Tracer:
             "vt": self.virtual_now(),
         }
         event.update(fields)
-        if self._shards is not None:
-            self._shards.emit(worker, event)
-        else:
-            with self._lock:
-                self._raw.append(event)
+        self._record(event)
         return event
 
     def adopt(self, payload: Dict[str, Any]) -> Optional[str]:
         """Re-emit a worker-built span payload under this tracer.
 
         Probe-pool workers (threads and processes alike) never touch a
-        live tracer — they handcraft span payload dicts (see
-        :func:`repro.parallel.procpool._evaluate_probe`) and ship them
-        back with their results.  The parent adopts each payload at the
-        probe's serial commit position: a fresh tracer-wide ``seq`` is
-        assigned (keeping the deterministic shard merge order) and the
-        span id is minted as ``"<worker>:<seq>"``, unique because the
-        worker label carries the pid.  ``parent_span_id`` is taken from
-        the payload — the spawning context's span — so the merged trace
-        stays one connected tree.  Returns the minted span id, or None
-        when disabled.
+        live tracer — they handcraft span payloads (see
+        :func:`repro.parallel.procpool._evaluate_probe`), which the
+        parent adopts at the probe's serial commit position.  Unlike
+        :meth:`ingest`, a fresh tracer-wide ``seq`` and a span id
+        ``"<worker>:<seq>"`` are minted (unique: a process worker's
+        label carries its pid); ``parent_span_id`` — the spawning
+        context's span — is kept, so the merged trace stays one
+        connected tree.  Returns the minted span id, or None when
+        disabled.
         """
         if not self._enabled:
             return None
-        with self._lock:
-            seq = self._next_seq
-            self._next_seq += 1
-        worker = payload.get("worker", "main")
-        span_id = f"{worker}:{seq}"
-        event = SpanEvent(
-            name=payload.get("name", "adopted"),
-            start=float(payload.get("start", 0.0)),
-            duration=float(payload.get("duration", 0.0)),
-            vstart=float(payload.get("vstart", 0.0)),
-            vduration=float(payload.get("vduration", 0.0)),
-            span_id=span_id,
-            parent_id=payload.get("parent_span_id"),
-            run_id=payload.get("run_id") or self.run_id,
-            trace_id=payload.get("trace_id") or self.run_id,
-            serial=int(payload.get("serial", -1)),
-            worker=worker,
-            seq=seq,
-            attrs=dict(payload.get("attrs") or {}),
-        )
-        if self._shards is not None:
-            self._shards.emit(event.worker, event.to_dict())
-        else:
-            with self._lock:
-                self._events.append(event)
+        seq = self._mint_seq()
+        span_id = f"{payload.get('worker', 'main')}:{seq}"
+        self._record(self._span_from(payload, span_id, seq))
         return span_id
 
     def ingest(
@@ -481,37 +450,21 @@ class Tracer:
         """
         if not self._enabled:
             return
-        payload = dict(payload)
         worker = payload.get("worker", "main")
         if payload.get("type") == "span":
-            event = SpanEvent(
-                name=payload.get("name", "ingested"),
-                start=float(payload.get("start", 0.0)) + time_offset,
-                duration=float(payload.get("duration", 0.0)),
-                vstart=float(payload.get("vstart", 0.0)),
-                vduration=float(payload.get("vduration", 0.0)),
-                span_id=payload.get("span_id", f"{worker}:?"),
-                parent_id=payload.get("parent_span_id"),
-                run_id=payload.get("run_id") or self.run_id,
-                trace_id=payload.get("trace_id") or self.run_id,
-                serial=int(payload.get("serial", -1)),
-                worker=worker,
-                seq=int(payload.get("seq", 0)),
-                attrs=dict(payload.get("attrs") or {}),
+            self._record(
+                self._span_from(
+                    payload,
+                    payload.get("span_id", f"{worker}:?"),
+                    int(payload.get("seq", 0)),
+                    time_offset,
+                )
             )
-            if self._shards is not None:
-                self._shards.emit(event.worker, event.to_dict())
-            else:
-                with self._lock:
-                    self._events.append(event)
             return
+        payload = dict(payload)
         if "t" in payload:
             payload["t"] = float(payload["t"]) + time_offset
-        if self._shards is not None:
-            self._shards.emit(worker, payload)
-        else:
-            with self._lock:
-                self._raw.append(payload)
+        self._record(payload)
 
     def events(self) -> List[SpanEvent]:
         """Snapshot of the finished spans, in finish order.
@@ -574,11 +527,57 @@ class Tracer:
             seq=open_span.seq,
             attrs=open_span.attrs,
         )
-        if self._shards is not None:
+        self._record(event)
+
+    def _mint_seq(self) -> int:
+        """The next tracer-wide emit index (the merge order)."""
+        with self._lock:
+            seq = self._next_seq
+            self._next_seq += 1
+        return seq
+
+    def _span_from(
+        self,
+        payload: Dict[str, Any],
+        span_id: str,
+        seq: int,
+        time_offset: float = 0.0,
+    ) -> SpanEvent:
+        """A worker-built span payload as a :class:`SpanEvent`.
+
+        The one conversion behind :meth:`adopt` and :meth:`ingest`,
+        which differ only in the ``span_id``/``seq`` they pass: freshly
+        minted, or kept from the worker's own tracer.
+        """
+        return SpanEvent(
+            name=payload.get("name", "span"),
+            start=float(payload.get("start", 0.0)) + time_offset,
+            duration=float(payload.get("duration", 0.0)),
+            vstart=float(payload.get("vstart", 0.0)),
+            vduration=float(payload.get("vduration", 0.0)),
+            span_id=span_id,
+            parent_id=payload.get("parent_span_id"),
+            run_id=payload.get("run_id") or self.run_id,
+            trace_id=payload.get("trace_id") or self.run_id,
+            serial=int(payload.get("serial", -1)),
+            worker=payload.get("worker", "main"),
+            seq=seq,
+            attrs=dict(payload.get("attrs") or {}),
+        )
+
+    def _record(self, event) -> None:
+        """Route one finished event to its worker's shard, or to memory.
+
+        ``event`` is a :class:`SpanEvent` or a ledger event dict.
+        """
+        is_span = isinstance(event, SpanEvent)
+        if self._shards is None:
+            with self._lock:
+                (self._events if is_span else self._raw).append(event)
+        elif is_span:
             self._shards.emit(event.worker, event.to_dict())
         else:
-            with self._lock:
-                self._events.append(event)
+            self._shards.emit(event.get("worker", "main"), event)
 
 
 #: The process-global tracer; disabled (no-op) until someone installs an

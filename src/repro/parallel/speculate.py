@@ -44,7 +44,7 @@ could diverge.  GBR therefore refuses to speculate when a limiting
 
 from __future__ import annotations
 
-from typing import Callable, FrozenSet, Hashable, List
+from typing import Hashable, List, Tuple
 
 from repro.observability import get_metrics, get_tracer, probe_scope
 
@@ -80,6 +80,66 @@ def candidate_midpoints(low: int, high: int, width: int) -> List[int]:
     return mids
 
 
+class _Rounds:
+    """A speculative search's round steps: one batch, one ascending commit."""
+
+    def __init__(self, predicate, executor):
+        metrics = get_metrics()
+        self._probes = metrics.counter("gbr.probes")
+        self._probes_cached = metrics.counter("gbr.probes_cached")
+        self._rounds = metrics.counter("speculate.rounds")
+        self._useful = metrics.counter("speculate.probes_useful")
+        self.wasted = metrics.counter("speculate.probes_wasted")
+        self._predicate = predicate
+        self._executor = executor
+
+    def issue(
+        self, batch: list, round_no: int, low: int, high: int,
+        head: int = 0,
+    ) -> List[bool]:
+        """Evaluate one round's ``batch`` as one speculative batch.
+
+        The first ``head`` entries are not search probes (the fused
+        round's loop-head check): ``gbr.probes`` and
+        ``gbr.probes_cached`` count the rest, as the sequential search
+        would.
+        """
+        self._rounds.inc()
+        searched = batch[head:]
+        self._probes.inc(len(searched))
+        cached = sum(
+            1 for union in searched if self._predicate.peek(union) is not None
+        )
+        if cached:
+            self._probes_cached.inc(cached)
+        with get_tracer().span(
+            "speculate.round", low=low, high=high, candidates=len(batch)
+        ):
+            with probe_scope(round=round_no):
+                return self._predicate.evaluate_batch(
+                    batch, executor=self._executor
+                )
+
+    def tighten(
+        self, low: int, high: int, mids: List[int], outcomes: List[bool]
+    ) -> Tuple[int, int]:
+        """Commit candidate outcomes in ascending order.
+
+        A candidate that fell outside the already-tightened interval is
+        wasted speculation (its outcome is implied by a committed one).
+        """
+        for mid, outcome in zip(mids, outcomes):
+            if low < mid < high:
+                if outcome:
+                    high = mid
+                else:
+                    low = mid
+                self._useful.inc()
+            else:
+                self.wasted.inc()
+        return low, high
+
+
 def speculative_interval_search(
     predicate,
     progression,
@@ -103,44 +163,14 @@ def speculative_interval_search(
     :class:`~repro.reduction.predicate.InstrumentedPredicate`);
     ``executor`` is a live ``concurrent.futures`` pool.
     """
-    metrics = get_metrics()
-    probes = metrics.counter("gbr.probes")
-    probes_cached = metrics.counter("gbr.probes_cached")
-    rounds = metrics.counter("speculate.rounds")
-    useful = metrics.counter("speculate.probes_useful")
-    wasted = metrics.counter("speculate.probes_wasted")
-    tracer = get_tracer()
+    rounds = _Rounds(predicate, executor)
     round_no = round_start
     while high - low > 1:
         mids = candidate_midpoints(low, high, width)
-        rounds.inc()
         unions = [progression.prefix_union(mid) for mid in mids]
-        probes.inc(len(mids))
-        cached = sum(
-            1 for union in unions if predicate.peek(union) is not None
-        )
-        if cached:
-            probes_cached.inc(cached)
-        with tracer.span(
-            "speculate.round", low=low, high=high, candidates=len(mids)
-        ):
-            with probe_scope(round=round_no):
-                outcomes = predicate.evaluate_batch(
-                    unions, executor=executor
-                )
+        outcomes = rounds.issue(unions, round_no, low, high)
+        low, high = rounds.tighten(low, high, mids, outcomes)
         round_no += 1
-        for mid, outcome in zip(mids, outcomes):
-            # Ascending commit order: a candidate that fell outside the
-            # already-tightened interval is wasted speculation (its
-            # outcome is implied by a committed one).
-            if low < mid < high:
-                if outcome:
-                    high = mid
-                else:
-                    low = mid
-                useful.inc()
-            else:
-                wasted.inc()
     return high
 
 
@@ -173,43 +203,24 @@ def speculative_shortest_prefix(
     """
     from repro.reduction.problem import ReductionError
 
-    metrics = get_metrics()
-    probes = metrics.counter("gbr.probes")
-    probes_cached = metrics.counter("gbr.probes_cached")
-    rounds = metrics.counter("speculate.rounds")
-    useful = metrics.counter("speculate.probes_useful")
-    wasted = metrics.counter("speculate.probes_wasted")
-    tracer = get_tracer()
+    rounds = _Rounds(predicate, executor)
     low = 0
     high = len(progression) - 1
-    with tracer.span(
+    with get_tracer().span(
         "gbr.prefix_search", entries=len(progression), width=width
     ) as sp:
-        mids = candidate_midpoints(low, high, width) if high - low > 1 else []
+        mids = candidate_midpoints(low, high, width)
         batch = [progression.first]
         if high > 0:
             batch.append(progression.prefix_union(high))
         batch.extend(progression.prefix_union(mid) for mid in mids)
-        rounds.inc()
         # The head check is the main loop's own probe, not a search
         # probe — ``gbr.probes`` counts the others, as sequentially.
-        probes.inc(len(batch) - 1)
-        cached = sum(
-            1 for union in batch[1:] if predicate.peek(union) is not None
-        )
-        if cached:
-            probes_cached.inc(cached)
-        with tracer.span(
-            "speculate.round", low=low, high=high, candidates=len(batch)
-        ):
-            with probe_scope(round=0):
-                outcomes = predicate.evaluate_batch(
-                    batch, executor=executor
-                )
+        outcomes = rounds.issue(batch, 0, low, high, head=1)
         if outcomes[0]:
             # P(D_0) holds: the sequential loop would have stopped
             # before probing anything else this iteration.
-            wasted.inc(len(batch) - 1)
+            rounds.wasted.inc(len(batch) - 1)
             sp.set_attr("prefix_index", 0)
             return None
         if high == 0 or not outcomes[1]:
@@ -217,15 +228,7 @@ def speculative_shortest_prefix(
                 "the whole search space no longer satisfies P; "
                 "the predicate is not monotone on valid sub-inputs"
             )
-        for mid, outcome in zip(mids, outcomes[2:]):
-            if low < mid < high:
-                if outcome:
-                    high = mid
-                else:
-                    low = mid
-                useful.inc()
-            else:
-                wasted.inc()
+        low, high = rounds.tighten(low, high, mids, outcomes[2:])
         high = speculative_interval_search(
             predicate, progression, low, high, width, executor,
             round_start=1,

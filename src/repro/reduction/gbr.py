@@ -238,8 +238,6 @@ def _run_metrics(
 def _shortest_satisfying_prefix(
     predicate: Callable[[FrozenSet[VarName]], bool],
     progression: Progression,
-    width: int = 1,
-    executor=None,
 ) -> int:
     """Binary search for min r >= 1 with ``P(D_{<=r})``.
 
@@ -247,19 +245,18 @@ def _shortest_satisfying_prefix(
     by the loop invariant; if even it fails, the predicate was not
     monotone (or the progression lost part of the bug), which we report.
 
-    With ``width > 1`` and a live ``executor``, the interval is shrunk
-    by the speculative k-ary search instead
-    (:func:`repro.parallel.speculate.speculative_interval_search`),
-    which returns the identical index.  ``gbr.probes`` counts logical
-    probes issued by the search; ``gbr.probes_cached`` counts the subset
-    the predicate's memo already held (answered without a fresh call).
+    This is the width-1 search; speculative iterations go through
+    :func:`repro.parallel.speculate.speculative_shortest_prefix`, which
+    returns the identical index.  ``gbr.probes`` counts logical probes
+    issued by the search; ``gbr.probes_cached`` counts the subset the
+    predicate's memo already held (answered without a fresh call).
     """
     metrics = get_metrics()
     probes = metrics.counter("gbr.probes")
     probes_cached = metrics.counter("gbr.probes_cached")
     peek = getattr(predicate, "peek", None)
     with get_tracer().span(
-        "gbr.prefix_search", entries=len(progression), width=width
+        "gbr.prefix_search", entries=len(progression), width=1
     ) as sp:
         low = 0  # known failing
         high = len(progression) - 1  # expected satisfying
@@ -273,22 +270,15 @@ def _shortest_satisfying_prefix(
                 "the whole search space no longer satisfies P; "
                 "the predicate is not monotone on valid sub-inputs"
             )
-        if width > 1 and executor is not None:
-            from repro.parallel.speculate import speculative_interval_search
-
-            high = speculative_interval_search(
-                predicate, progression, low, high, width, executor
-            )
-        else:
-            while high - low > 1:
-                mid = (low + high) // 2
-                probes.inc()
-                union = progression.prefix_union(mid)
-                if peek is not None and peek(union) is not None:
-                    probes_cached.inc()
-                if predicate(union):
-                    high = mid
-                else:
-                    low = mid
+        while high - low > 1:
+            mid = (low + high) // 2
+            probes.inc()
+            union = progression.prefix_union(mid)
+            if peek is not None and peek(union) is not None:
+                probes_cached.inc()
+            if predicate(union):
+                high = mid
+            else:
+                low = mid
         sp.set_attr("prefix_index", high)
     return high

@@ -24,6 +24,16 @@ store; fresh outcomes are written back.  Store hits count as cache hits,
 not calls, so a warm store makes repeat runs cost zero fresh predicate
 invocations.
 
+One probe path: :meth:`__call__` and :meth:`evaluate_batch` answer a
+query through one answer step (memo or store: query and cache-hit
+counting, the store key, the ``cache="store"`` ledger entry) and
+commit a fresh outcome through one commit step (call counting, latency,
+the virtual charge, memo and store writes, best-so-far, the
+``cache="fresh"`` ledger entry).  Only the memo fast path of
+:meth:`__call__` is inline; the paths differ in what they pass in —
+the virtual charge (per sequential call, once per speculative round)
+and the ledger annotations.
+
 Batch backends: :meth:`evaluate_batch` dispatches one speculative
 round's fresh probes one way — it submits
 :func:`repro.parallel.procpool._evaluate_probe` to the executor it is
@@ -47,9 +57,12 @@ a store hit, never a memo hit — additionally lands one entry in the
 probe provenance ledger (:mod:`repro.observability.provenance`): cache
 status, outcome, both clocks' costs, speculation round/batch position
 (from the active :func:`~repro.observability.provenance.probe_scope`),
-and per-probe resilience/budget deltas read off the wrapped predicate
-chain.  Memo hits stay counter-only; they dominate the hot path and
-per-event records would blow the tracing-overhead budget.
+and per-probe resilience deltas: a sequential call brackets the
+wrapped chain's attempt/retry/timeout/budget counters, and a batch
+probe carries the ``predicate.retries``/``predicate.timeouts`` delta it
+counted under its own detached registry.  Memo hits stay counter-only;
+they dominate the hot path and per-event records would blow the
+tracing-overhead budget.
 """
 
 from __future__ import annotations
@@ -91,8 +104,7 @@ def _item_digest(item: VarName) -> int:
 
 
 def _probe_key(
-    sub_input: FrozenSet[VarName],
-    cache: Optional[Dict[VarName, int]] = None,
+    sub_input: FrozenSet[VarName], cache: Dict[VarName, int]
 ) -> str:
     """A short stable hash of a probed subset for the provenance ledger.
 
@@ -105,17 +117,13 @@ def _probe_key(
     overhead budget on hashing (see ``benchmarks/bench_telemetry.py``).
     """
     total = 0
-    if cache is None:
-        for item in sub_input:
-            total = (total + _item_digest(item)) & _KEY_MASK
-    else:
-        get = cache.get
-        for item in sub_input:
-            digest = get(item)
-            if digest is None:
-                digest = _item_digest(item)
-                cache[item] = digest
-            total = (total + digest) & _KEY_MASK
+    get = cache.get
+    for item in sub_input:
+        digest = get(item)
+        if digest is None:
+            digest = _item_digest(item)
+            cache[item] = digest
+        total = (total + digest) & _KEY_MASK
     return f"{total:016x}"
 
 
@@ -149,6 +157,18 @@ def _stat_deltas(
 ) -> Dict[str, float]:
     """Per-probe deltas of the chain counters (only keys seen after)."""
     return {key: after[key] - before.get(key, 0) for key in after}
+
+
+def _batch_fields(position: int, scope, probe) -> Dict[str, Any]:
+    """A batch probe's ledger annotations: its position, the round's
+    scope, and the resilience deltas in its shipped counter delta."""
+    counters = probe.metrics
+    return {
+        "batch_pos": position,
+        **scope,
+        "retries": counters.get("predicate.retries", 0),
+        "timeouts": counters.get("predicate.timeouts", 0),
+    }
 
 
 class InstrumentedPredicate:
@@ -219,70 +239,68 @@ class InstrumentedPredicate:
 
     def __call__(self, sub_input: FrozenSet[VarName]) -> bool:
         sub_input = frozenset(sub_input)
-        metrics = get_metrics()
-        self.queries += 1
-        metrics.counter("predicate.queries").inc()
         cached = self._cache.get(sub_input)
         if cached is not None:
+            # The memo fast path, inline: it answers most queries.
+            self.queries += 1
+            metrics = get_metrics()
+            metrics.counter("predicate.queries").inc()
             metrics.counter("predicate.cache_hits").inc()
             return cached
+        metrics = get_metrics()
         tracer = get_tracer()
         fields = current_probe_fields() if tracer.enabled else {}
-        key = self._store_key(sub_input)
-        stored = self._lookup(sub_input, key, metrics, tracer, **fields)
-        if stored is not None:
-            return stored
+        outcome, key = self._answer(sub_input, metrics, tracer, fields)
+        if outcome is not None:
+            return outcome
         before_stats = _chain_stats(self._predicate) if tracer.enabled else {}
         with tracer.span("predicate.call", size=len(sub_input)) as sp:
             before = time.perf_counter()
             outcome = self._predicate(sub_input)
             sp.set_attr("outcome", outcome)
         latency = time.perf_counter() - before
-        # Counted only after the call returns: an invocation that raises
-        # (budget exhausted, unrecoverable oracle crash) never ran to
-        # completion, so it must not inflate the fresh-call counter or
-        # the virtual clock that anytime partial results are judged by.
-        self.calls += 1
-        metrics.counter("predicate.calls").inc()
-        self.virtual_clock += self._cost_per_call
-        metrics.counter("predicate.virtual_seconds").inc(self._cost_per_call)
-        metrics.histogram("predicate.latency_seconds").observe(latency)
         if tracer.enabled:
-            self._ledger(
-                tracer, sub_input, "fresh", outcome, latency,
-                self._cost_per_call, span_id=sp.span_id, **fields,
+            fields = dict(
+                fields,
+                span_id=sp.span_id,
                 **_stat_deltas(before_stats, _chain_stats(self._predicate)),
             )
-        self._cache[sub_input] = outcome
-        if self._store is not None:
-            self._store.record(
-                self._fingerprint, sub_input, outcome, key=key
-            )
-        if outcome:
-            self._note_success(sub_input)
+        # Committed only after the call returns: an invocation that
+        # raises (budget exhausted, unrecoverable oracle crash) never
+        # ran to completion, so it must not inflate the fresh-call
+        # counter or the virtual clock that anytime partial results are
+        # judged by.
+        self._commit(
+            sub_input, key, outcome, latency, self._cost_per_call,
+            metrics, tracer, fields,
+        )
         return outcome
 
-    def _store_key(self, sub_input: FrozenSet[VarName]) -> Optional[str]:
-        """The sub-input's store key (None without a store)."""
-        if self._store_keys is None:
-            return None
-        return self._store_keys(sub_input)
+    def _answer(
+        self, sub_input, metrics, tracer, fields
+    ) -> Tuple[Optional[bool], Optional[str]]:
+        """Answer a query from the memo or the store: ``(outcome, key)``.
 
-    def _lookup(
-        self, sub_input, key, metrics, tracer, **fields
-    ) -> Optional[bool]:
-        """Read a memo miss through to the store; the outcome or None.
-
-        ``key`` is the sub-input's store key (:meth:`_store_key`).  A
-        store hit counts as a cache hit, lands in the memo, and emits a
+        Counts the query.  A memo or store hit counts as a cache hit; a
+        store hit also lands in the memo and best-so-far and emits a
         ``cache="store"`` ledger entry annotated with ``fields``.
+        ``outcome`` is None on a miss, which the caller settles with a
+        fresh call and :meth:`_commit`; ``key`` is the sub-input's store
+        key, computed once per probe (None without a store).
         """
+        self.queries += 1
+        metrics.counter("predicate.queries").inc()
+        cached = self._cache.get(sub_input)
+        if cached is not None:
+            metrics.counter("predicate.cache_hits").inc()
+            return cached, None
         if self._store is None:
-            return None
+            return None, None
+        key = self._store_keys(sub_input)
         stored = self._store.lookup(self._fingerprint, sub_input, key=key)
         if stored is None:
             metrics.counter("predicate.store_misses").inc()
-            return None
+            return None, key
         self.store_hits += 1
         metrics.counter("predicate.cache_hits").inc()
         metrics.counter("predicate.store_hits").inc()
@@ -290,8 +308,40 @@ class InstrumentedPredicate:
         if stored:
             self._note_success(sub_input)
         if tracer.enabled:
-            self._ledger(tracer, sub_input, "store", stored, 0.0, 0.0, **fields)
-        return stored
+            self._ledger(
+                tracer, sub_input, "store", stored, 0.0, 0.0, **fields
+            )
+        return stored, key
+
+    def _commit(
+        self, sub_input, key, outcome, latency, charge, metrics, tracer,
+        fields,
+    ) -> None:
+        """Commit one fresh outcome: counters, clock, memo, store, ledger.
+
+        ``charge`` is the simulated seconds booked on the virtual clock:
+        ``cost_per_call`` on the sequential path and on a speculative
+        round's first committed outcome, None for the rest of the round
+        (their calls overlapped the charged one).  The ledger entry is
+        annotated with ``fields``.
+        """
+        self.calls += 1
+        metrics.counter("predicate.calls").inc()
+        metrics.histogram("predicate.latency_seconds").observe(latency)
+        if charge is None:
+            charge = 0.0
+        else:
+            self.virtual_clock += charge
+            metrics.counter("predicate.virtual_seconds").inc(charge)
+        self._cache[sub_input] = outcome
+        if self._store is not None:
+            self._store.record(self._fingerprint, sub_input, outcome, key=key)
+        if outcome:
+            self._note_success(sub_input)
+        if tracer.enabled:
+            self._ledger(
+                tracer, sub_input, "fresh", outcome, latency, charge, **fields
+            )
 
     def _ledger(
         self, tracer, sub_input, cache, outcome, wall_seconds,
@@ -325,11 +375,13 @@ class InstrumentedPredicate:
     ) -> List[bool]:
         """Evaluate one speculative round of sub-inputs concurrently.
 
-        Cache and store hits are counted exactly as in :meth:`__call__`.
-        Fresh outcomes run on ``executor`` and are *committed in serial
-        order* (index 0 first), so the cache, call counters, store
-        writes, and best-so-far evolve as if the round had been issued
-        sequentially — with two deliberate exceptions:
+        Every query goes through the same answer step as :meth:`__call__`
+        (:meth:`_answer`), and every fresh outcome through the same
+        commit step (:meth:`_commit`).  Fresh outcomes run on
+        ``executor`` and are *committed in serial order* (index 0
+        first), so the cache, call counters, store writes, and
+        best-so-far evolve as if the round had been issued sequentially
+        — with two deliberate exceptions:
 
         - the virtual clock advances by ``cost_per_call`` **once per
           round**, booked on the round's first *committed* fresh
@@ -347,29 +399,25 @@ class InstrumentedPredicate:
           ledger's "one event per physical probe" invariant holds even
           for work an earlier failure threw away.
 
-        Dispatch: every fresh probe is one
-        ``executor.submit(_evaluate_probe, task, sub_input, ctx)`` of
+        Dispatch: every fresh probe is one ``executor.submit`` of
         :func:`repro.parallel.procpool._evaluate_probe`, whatever the
-        executor.  A thread pool (any ``concurrent.futures`` executor
-        that does not pickle) runs this predicate's own chain; a
-        :func:`~repro.parallel.procpool.spawn_pool` pickles the
-        :class:`~repro.parallel.procpool.ProbeTask` down to its
-        ``task_spec`` and rebuilds the chain in the worker.  Each probe
-        returns its counter delta and ``predicate.call`` span payload;
-        they are folded into the active registry and re-emitted via
-        ``Tracer.adopt`` in serial order (committed or not — counters
-        move as probes *run*), and the outcomes then go through
-        :meth:`_commit_settled`.
+        executor (see the module docstring).  Each probe's counter
+        delta and ``predicate.call`` span payload are folded in and
+        re-emitted via ``Tracer.adopt`` in serial order, committed or
+        not — counters move as probes *run*.
         """
         # Lazy: repro.parallel imports the harness, which imports this
         # module.
-        from repro.parallel.procpool import ProbeTask, _evaluate_probe
+        from repro.parallel.procpool import (
+            ProbeResult,
+            ProbeTask,
+            _evaluate_probe,
+        )
 
         inputs = [frozenset(s) for s in sub_inputs]
         results: List[Optional[bool]] = [None] * len(inputs)
-        fresh: List[Tuple[int, FrozenSet[VarName]]] = []
+        fresh: List[Tuple[int, FrozenSet[VarName], Optional[str]]] = []
         pending: Dict[FrozenSet[VarName], int] = {}
-        keys: Dict[int, Optional[str]] = {}  # store keys, by position
         aliases: List[Tuple[int, int]] = []
         metrics = get_metrics()
         tracer = get_tracer()
@@ -378,28 +426,21 @@ class InstrumentedPredicate:
         # round commits, even though the calls run on the pool.
         scope = current_probe_fields() if tracer.enabled else {}
         for position, sub_input in enumerate(inputs):
-            self.queries += 1
-            metrics.counter("predicate.queries").inc()
-            cached = self._cache.get(sub_input)
-            if cached is not None:
-                metrics.counter("predicate.cache_hits").inc()
-                results[position] = cached
-                continue
             if sub_input in pending:
                 # A duplicate within the round: a sequential run would
-                # answer the repeat from the cache.
+                # answer the repeat from the memo.
+                self.queries += 1
+                metrics.counter("predicate.queries").inc()
                 metrics.counter("predicate.cache_hits").inc()
                 aliases.append((position, pending[sub_input]))
                 continue
-            key = keys[position] = self._store_key(sub_input)
-            stored = self._lookup(
-                sub_input, key, metrics, tracer, batch_pos=position, **scope
-            )
-            if stored is not None:
-                results[position] = stored
+            fields = {"batch_pos": position, **scope} if tracer.enabled else {}
+            outcome, key = self._answer(sub_input, metrics, tracer, fields)
+            if outcome is not None:
+                results[position] = outcome
                 continue
             pending[sub_input] = position
-            fresh.append((position, sub_input))
+            fresh.append((position, sub_input, key))
 
         if fresh:
             task = ProbeTask(self._predicate, self._task_spec)
@@ -415,94 +456,56 @@ class InstrumentedPredicate:
                 }
             futures = [
                 executor.submit(_evaluate_probe, task, sub_input, ctx_payload)
-                for _, sub_input in fresh
+                for _, sub_input, _ in fresh
             ]
             settled = []
-            for (position, sub_input), future in zip(fresh, futures):
+            for (position, sub_input, key), future in zip(fresh, futures):
                 try:
                     probe = future.result()
                 except BaseException as exc:  # noqa: BLE001 — pool failure
-                    settled.append((position, sub_input, None, 0.0, exc))
-                    continue
-                settled.append(
-                    (position, sub_input, probe.outcome, probe.wall_seconds,
-                     probe.error)
-                )
+                    probe = ProbeResult(None, 0.0, error=exc)
+                settled.append((position, sub_input, key, probe))
                 for name, value in probe.metrics.items():
                     metrics.counter(name).inc(value)
                 for payload in probe.events:
                     tracer.adopt(payload)
-            self._commit_settled(
-                settled, results, tracer, metrics, scope, keys
-            )
+            self._commit_settled(settled, results, metrics, tracer, scope)
 
         for position, source in aliases:
             results[position] = results[source]
         return [bool(r) for r in results]
 
-    def _commit_settled(
-        self, settled, results, tracer, metrics, scope, keys
-    ):
+    def _commit_settled(self, settled, results, metrics, tracer, scope):
         """Commit one round's fresh outcomes in serial index order.
 
-        The round's single ``cost_per_call`` virtual charge is booked
-        on the first *committed* fresh outcome — a round whose lowest-
-        index fresh probe raised charges nothing, exactly like the
-        sequential run it must mirror.  On an error, completed later-
-        in-order probes are discarded uncommitted but still emit a
-        ``discarded=true`` ledger event (one event per physical probe).
+        A loop over :meth:`_commit`, charging the round once; the rules
+        for a raised probe are :meth:`evaluate_batch`'s.
         """
-        charged = False
-        for index, (position, sub_input, outcome, latency, error) in (
-            enumerate(settled)
-        ):
-            if error is not None:
+        charge = self._cost_per_call
+        for index, (position, sub_input, key, probe) in enumerate(settled):
+            if probe.error is not None:
                 if tracer.enabled:
-                    for (
-                        later_position,
-                        later_input,
-                        later_outcome,
-                        later_latency,
-                        later_error,
-                    ) in settled[index + 1:]:
-                        if later_error is None:
+                    for later_position, later_input, _, later in (
+                        settled[index + 1:]
+                    ):
+                        if later.error is None:
                             self._ledger(
-                                tracer, later_input, "fresh", later_outcome,
-                                later_latency, 0.0, batch_pos=later_position,
-                                discarded=True, **scope,
+                                tracer, later_input, "fresh", later.outcome,
+                                later.wall_seconds, 0.0, discarded=True,
+                                **_batch_fields(later_position, scope, later),
                             )
-                raise error
-            self.calls += 1
-            metrics.counter("predicate.calls").inc()
-            metrics.histogram("predicate.latency_seconds").observe(latency)
-            round_charge = 0.0
-            if not charged:
-                # The round ran concurrently: one call's worth of
-                # simulated time covers the whole batch (max-of-batch).
-                charged = True
-                self.virtual_clock += self._cost_per_call
-                metrics.counter("predicate.virtual_seconds").inc(
-                    self._cost_per_call
-                )
-                round_charge = self._cost_per_call
-            self._cache[sub_input] = outcome
-            if self._store is not None:
-                self._store.record(
-                    self._fingerprint, sub_input, outcome,
-                    key=keys[position],
-                )
-            if outcome:
-                self._note_success(sub_input)
-            results[position] = outcome
-            if tracer.enabled:
-                # Committed (hence emitted) in serial order, so the
-                # merged ledger reads like a sequential run.  Per-probe
-                # resilience deltas are skipped here — concurrent
-                # attempts make bracketing snapshots racy.
-                self._ledger(
-                    tracer, sub_input, "fresh", outcome, latency,
-                    round_charge, batch_pos=position, **scope,
-                )
+                raise probe.error
+            fields = (
+                _batch_fields(position, scope, probe) if tracer.enabled else {}
+            )
+            self._commit(
+                sub_input, key, probe.outcome, probe.wall_seconds, charge,
+                metrics, tracer, fields,
+            )
+            # The round ran concurrently: one call's worth of simulated
+            # time covers the whole batch (max-of-batch).
+            charge = None
+            results[position] = probe.outcome
 
     def _note_success(self, sub_input: FrozenSet[VarName]) -> None:
         size = self._size_of(sub_input)

@@ -402,6 +402,80 @@ class TestBackendDifferential:
         assert all(e.parent_id in span_ids for e in adopted)
 
 
+@pytest.fixture(scope="module")
+def tiny_pair():
+    benchmark = build_corpus(CorpusConfig.tiny())[0]
+    assert benchmark.benchmark_id == "b000" and benchmark.instances
+    return benchmark, benchmark.instances[0]
+
+
+class TestLedgerMatchesCounters:
+    """The probe ledger and the counters tell one story on every path.
+
+    Sequential calls and batched rounds share one answer step and one
+    commit step, so on each backend, with a cold or a warm store, the
+    ledger's fresh and store events, virtual charges and retries sum to
+    what the counters and the outcome report — under a seeded flaky
+    oracle, so retries actually happen.
+    """
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("backend", ["sequential", "thread", "process"])
+    def test_ledger_sums_equal_counters(
+        self, tiny_pair, pool, tmp_path, backend, warm
+    ):
+        from repro.parallel import open_store
+
+        knobs = dict(
+            chaos=FaultPlan(kind="flaky", rate=0.3, seed=0), retries=8
+        )
+        if backend != "sequential":
+            knobs.update(speculate=2, probe_backend=backend)
+        benchmark, instance = tiny_pair
+        config = ExperimentConfig(strategies=("our-reducer",), **knobs)
+        executor = pool if backend == "process" else None
+        with open_store(tmp_path / "store") as store:
+            if warm:
+                run_instance(
+                    benchmark, instance, "our-reducer", config, store=store,
+                    probe_executor=executor,
+                )
+            with tracing_session() as (tracer, metrics):
+                outcome = run_instance(
+                    benchmark, instance, "our-reducer", config, store=store,
+                    probe_executor=executor,
+                )
+                probes = [
+                    e for e in tracer.raw_events() if e["type"] == "probe"
+                ]
+                counters = metrics.counter_values()
+        assert outcome.status == "complete"
+        fresh = [
+            p for p in probes
+            if p["cache"] == "fresh" and not p.get("discarded")
+        ]
+        assert (
+            len(fresh)
+            == outcome.predicate_calls
+            == counters.get("predicate.calls", 0)
+        )
+        assert sum(p["cache"] == "store" for p in probes) == counters.get(
+            "predicate.store_hits", 0
+        )
+        assert (
+            sum(p["virtual_charge"] for p in probes)
+            == outcome.simulated_seconds
+        )
+        retries = counters.get("predicate.retries", 0)
+        assert sum(p.get("retries", 0) for p in probes) == retries
+        if warm:
+            assert outcome.predicate_calls == 0 and not fresh
+        else:
+            # Seed 0's first draw is a fault, so the parent's chain and
+            # every worker's fresh replica retry at least once.
+            assert retries >= 1
+
+
 class TestProbePoolGuards:
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
