@@ -13,6 +13,7 @@ real class-file library would.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import FrozenSet, Iterator, List, Tuple, Union
 
@@ -114,7 +115,14 @@ class MethodDescriptor:
 
 _PRIMITIVES = {p.value: p for p in PrimitiveType}
 
+#: Entries per parse cache.  Descriptors recur across every probe of a
+#: reduction (decompile, javac, materialization), and parsed values are
+#: immutable, so they are shared; a malformed descriptor raises on every
+#: call (exceptions are not cached).
+PARSE_CACHE_SIZE = 4096
 
+
+@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse_field_descriptor(text: str) -> JvmType:
     """Parse a single field descriptor (the whole string)."""
     parsed, rest = _parse_one(text)
@@ -125,6 +133,7 @@ def parse_field_descriptor(text: str) -> JvmType:
     return parsed
 
 
+@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse_method_descriptor(text: str) -> MethodDescriptor:
     """Parse a ``(params)return`` method descriptor."""
     if not text.startswith("("):

@@ -88,8 +88,11 @@ class MaterializationMemo:
     set partitions by class, and a class's reduced form depends only on
     the intersection of the kept set with *its own* items.  The memo
     keys each class on that intersection and reuses the reduced
-    :class:`ClassFile` object whenever it recurs, which also lets
-    downstream per-class caches (decompile, serialize) key by identity.
+    :class:`ClassFile` object whenever it recurs, which also lets the
+    oracle's per-class decompile and compile-check memos key by that
+    object's identity (:class:`~repro.decompiler.decompile
+    .DecompileMemo`).  The serializer's memo keys by the same
+    intersection on its own.
 
     Thread-safety: worker threads evaluating speculative probes share
     one memo.  Entries are pure functions of their key, so concurrent

@@ -17,22 +17,32 @@ instance).  ``scale`` adjusts all selectivities at once — tests use
 ``scale=0`` to make every pattern occurrence a site.
 
 The corruption itself happens in :mod:`repro.decompiler.decompile`; this
-module only detects sites.  Bug kinds:
+module only detects sites.  Bug kinds (the *class-local* ones find a
+class's sites from that class alone; the others read the whole
+application):
 
-- ``iface-dispatch`` — an interface call right after a checked cast is
-  emitted with a mangled method name (the paper's motivating
-  cast-then-call pattern),
-- ``ctor-cache`` — when the *same class* is constructed in two or more
-  method bodies, the decompiler's constructor cache emits a bogus
+- ``iface-dispatch`` (class-local) — an interface call right after a
+  checked cast is emitted with a mangled method name (the paper's
+  motivating cast-then-call pattern),
+- ``ctor-cache`` (whole application: it counts constructions across
+  every method body) — when the *same class* is constructed in two or
+  more method bodies, the decompiler's constructor cache emits a bogus
   factory call at (some of) those sites,
-- ``field-alias`` — writing a field of a class that (currently) has at
-  least two fields confuses the alias analysis: the assignment target
-  becomes an undeclared variable,
-- ``param-drop`` — calls to methods with two or more parameters lose
-  their last argument,
-- ``reflection`` — ``X.class`` is decompiled with a bogus accessor call,
-- ``dup-interface`` — classes implementing two or more interfaces get
-  the alphabetically first one repeated in the implements clause.
+- ``field-alias`` (whole application: it reads the written field's
+  owner, usually another class) — writing a field of a class that
+  (currently) has at least two fields confuses the alias analysis: the
+  assignment target becomes an undeclared variable,
+- ``param-drop`` (class-local) — calls to methods with two or more
+  parameters lose their last argument,
+- ``reflection`` (class-local) — ``X.class`` is decompiled with a bogus
+  accessor call,
+- ``dup-interface`` (class-local) — classes implementing two or more
+  interfaces get the alphabetically first one repeated in the
+  implements clause.
+
+:func:`sites_for` can memoize the class-local kinds' sites per class
+object (see its docstring); the whole-application kinds are recomputed
+on every call.
 """
 
 from __future__ import annotations
@@ -41,7 +51,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.bytecode.classfile import Application
+from repro.bytecode.classfile import Application, ClassFile
 from repro.bytecode.descriptors import parse_method_descriptor
 from repro.bytecode.instructions import (
     CheckCast,
@@ -85,10 +95,12 @@ class BugSite:
 
 
 class BugKind:
-    """Base: a named, monotone site detector."""
+    """Base: a named, monotone site detector over a whole application."""
 
     bug_id: str = ""
     description: str = ""
+    #: True when a class's sites depend on that class alone.
+    class_local: bool = False
 
     def sites(self, app: Application, scale: float = 1.0) -> List[BugSite]:
         raise NotImplementedError
@@ -98,7 +110,26 @@ class BugKind:
             out.append(site)
 
 
-class InterfaceDispatchBug(BugKind):
+class ClassLocalBugKind(BugKind):
+    """A kind whose sites in a class are a function of that class alone.
+
+    Every site names the class it sits in, so the application's sites
+    are the concatenation of each class's, in class order.
+    """
+
+    class_local = True
+
+    def sites(self, app: Application, scale: float = 1.0) -> List[BugSite]:
+        out: List[BugSite] = []
+        for decl in app.classes:
+            out.extend(self.class_sites(decl, scale))
+        return out
+
+    def class_sites(self, decl: ClassFile, scale: float = 1.0) -> List[BugSite]:
+        raise NotImplementedError
+
+
+class InterfaceDispatchBug(ClassLocalBugKind):
     bug_id = "iface-dispatch"
     description = (
         "interface calls immediately after a checked cast get a "
@@ -109,9 +140,9 @@ class InterfaceDispatchBug(BugKind):
     #: pushes sit in between).
     WINDOW = 4
 
-    def sites(self, app: Application, scale: float = 1.0) -> List[BugSite]:
+    def class_sites(self, decl: ClassFile, scale: float = 1.0) -> List[BugSite]:
         out: List[BugSite] = []
-        for decl, method in _methods_with_code(app):
+        for method in _code_methods(decl):
             instructions = method.code.instructions
             for i, first in enumerate(instructions):
                 if not isinstance(first, CheckCast):
@@ -223,13 +254,13 @@ class FieldAliasBug(BugKind):
         return out
 
 
-class ParamDropBug(BugKind):
+class ParamDropBug(ClassLocalBugKind):
     bug_id = "param-drop"
     description = "calls to methods with >= 2 parameters lose an argument"
 
-    def sites(self, app: Application, scale: float = 1.0) -> List[BugSite]:
+    def class_sites(self, decl: ClassFile, scale: float = 1.0) -> List[BugSite]:
         out: List[BugSite] = []
-        for decl, method in _methods_with_code(app):
+        for method in _code_methods(decl):
             for instruction in method.code:
                 if not isinstance(
                     instruction,
@@ -270,13 +301,13 @@ class ParamDropBug(BugKind):
         return out
 
 
-class ReflectionBug(BugKind):
+class ReflectionBug(ClassLocalBugKind):
     bug_id = "reflection"
     description = "class literals are decompiled with a bogus accessor call"
 
-    def sites(self, app: Application, scale: float = 1.0) -> List[BugSite]:
+    def class_sites(self, decl: ClassFile, scale: float = 1.0) -> List[BugSite]:
         out: List[BugSite] = []
-        for decl, method in _methods_with_code(app):
+        for method in _code_methods(decl):
             for instruction in method.code:
                 if not isinstance(instruction, LoadClassConstant):
                     continue
@@ -296,27 +327,22 @@ class ReflectionBug(BugKind):
         return out
 
 
-class DuplicateInterfaceBug(BugKind):
+class DuplicateInterfaceBug(ClassLocalBugKind):
     bug_id = "dup-interface"
     description = (
         "classes implementing >= 2 interfaces get the first one repeated"
     )
 
-    def sites(self, app: Application, scale: float = 1.0) -> List[BugSite]:
-        out: List[BugSite] = []
-        for decl in app.classes:
-            if decl.is_interface or len(decl.interfaces) < 2:
-                continue
-            if selective(12, scale, self.bug_id, decl.name):
-                out.append(
-                    BugSite(
-                        self.bug_id,
-                        decl.name,
-                        None,
-                        detail=min(decl.interfaces),
-                    )
-                )
-        return out
+    def class_sites(self, decl: ClassFile, scale: float = 1.0) -> List[BugSite]:
+        if decl.is_interface or len(decl.interfaces) < 2:
+            return []
+        if not selective(12, scale, self.bug_id, decl.name):
+            return []
+        return [
+            BugSite(
+                self.bug_id, decl.name, None, detail=min(decl.interfaces)
+            )
+        ]
 
 
 BUG_KINDS: Dict[str, BugKind] = {
@@ -333,17 +359,50 @@ BUG_KINDS: Dict[str, BugKind] = {
 
 
 def sites_for(
-    app: Application, bug_ids: Tuple[str, ...], scale: float = 1.0
+    app: Application,
+    bug_ids: Tuple[str, ...],
+    scale: float = 1.0,
+    memo: Optional[Dict[int, Tuple[ClassFile, List[BugSite]]]] = None,
 ) -> List[BugSite]:
-    """All sites of the given bug kinds in the application."""
+    """All sites of the given bug kinds in the application.
+
+    ``memo``, when given, caches each class's sites of the class-local
+    kinds under the class object's ``id``; the entry keeps the class
+    itself, and a hit requires ``entry[0] is decl``, so a reused
+    ``id`` is never served.  One memo serves one ``(bug_ids, scale)``
+    pair.  With a memo the sites come class by class (class-local
+    kinds first, then the whole-application kinds); without one, kind
+    by kind.  The set is the same, and so is each class's set.
+    """
+    kinds = [BUG_KINDS[bug_id] for bug_id in bug_ids]
     out: List[BugSite] = []
-    for bug_id in bug_ids:
-        out.extend(BUG_KINDS[bug_id].sites(app, scale))
+    if memo is None:
+        for kind in kinds:
+            out.extend(kind.sites(app, scale))
+        return out
+    local = [kind for kind in kinds if kind.class_local]
+    for decl in app.classes:
+        entry = memo.get(id(decl))
+        if entry is None or entry[0] is not decl:
+            entry = (
+                decl,
+                [s for kind in local for s in kind.class_sites(decl, scale)],
+            )
+            memo[id(decl)] = entry
+        out.extend(entry[1])
+    for kind in kinds:
+        if not kind.class_local:
+            out.extend(kind.sites(app, scale))
     return out
 
 
 def _methods_with_code(app: Application):
     for decl in app.classes:
-        for method in decl.methods:
-            if method.code is not None:
-                yield decl, method
+        for method in _code_methods(decl):
+            yield decl, method
+
+
+def _code_methods(decl: ClassFile):
+    for method in decl.methods:
+        if method.code is not None:
+            yield method

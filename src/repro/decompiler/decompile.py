@@ -17,6 +17,10 @@ alpha     ``var0, var1``  iface-dispatch, ctor-cache
 beta      ``tmp0, tmp1``  field-alias, param-drop
 gamma     ``local0, ...`` reflection, dup-interface
 ========  ==============  =========================================
+
+:meth:`Decompiler.decompile` optionally takes a :class:`DecompileMemo`,
+which reuses bug sites and decompiled classes across the probes of one
+reduction (the oracle's probe path passes one).
 """
 
 from __future__ import annotations
@@ -85,8 +89,43 @@ from repro.decompiler.source import (
     ThisCallStmt,
     VarRef,
 )
+from repro.observability import get_metrics
 
-__all__ = ["Decompiler", "DECOMPILERS", "get_decompiler"]
+__all__ = ["Decompiler", "DecompileMemo", "DECOMPILERS", "get_decompiler"]
+
+
+class DecompileMemo:
+    """Per-oracle memo of one decompiler's per-class work.
+
+    Consecutive probes of a reduction run keep almost the same classes,
+    and :class:`~repro.bytecode.reducer.MaterializationMemo` hands back
+    the *same* reduced :class:`ClassFile` object whenever a class's kept
+    items recur.  Both tables key by that object's identity:
+
+    - ``sites`` — ``id(decl) -> (decl, sites)``: the class-local bug
+      kinds' sites of the class (see :func:`~repro.decompiler.bugs
+      .sites_for`);
+    - ``classes`` — ``(id(decl), class sites) -> (decl, SourceClass)``:
+      the decompiled class.  :meth:`Decompiler._decompile_class` reads
+      only ``decl``, its sites and the decompiler's fixed style, so the
+      entry is a pure function of its key.
+
+    Every entry keeps its ``ClassFile`` alive and a hit requires
+    ``entry[0] is decl``, so a reused ``id`` is never served.  One memo
+    serves one decompiler.  Threads evaluating speculative probes share
+    it without a lock, as they share the materialization memo: a
+    duplicate computation stores the same value.
+
+    Telemetry: ``decompile.memo_hits`` / ``decompile.memo_misses``.
+    """
+
+    __slots__ = ("sites", "classes")
+
+    def __init__(self) -> None:
+        self.sites: Dict[int, Tuple[ClassFile, List[BugSite]]] = {}
+        self.classes: Dict[
+            Tuple[int, Tuple[BugSite, ...]], Tuple[ClassFile, SourceClass]
+        ] = {}
 
 
 @dataclass(frozen=True)
@@ -102,28 +141,54 @@ class Decompiler:
     bug_ids: Tuple[str, ...]
     bug_scale: float = 1.0
 
-    def decompile(self, app: Application) -> List[SourceClass]:
-        """Decompile every class of the application."""
-        sites = sites_for(app, self.bug_ids, self.bug_scale)
-        by_method: Dict[Tuple[str, Optional[Tuple[str, str]]], List[BugSite]] = {}
-        for site in sites:
-            by_method.setdefault((site.class_name, site.method_key), []).append(
-                site
-            )
+    def decompile(
+        self, app: Application, memo: Optional[DecompileMemo] = None
+    ) -> List[SourceClass]:
+        """Decompile every class of the application.
+
+        ``memo`` reuses bug sites and decompiled classes across calls on
+        reductions of one application (see :class:`DecompileMemo`); the
+        output is the same with or without it.
+        """
+        by_class: Dict[str, List[BugSite]] = {}
+        for site in sites_for(
+            app, self.bug_ids, self.bug_scale,
+            memo.sites if memo is not None else None,
+        ):
+            by_class.setdefault(site.class_name, []).append(site)
+        if memo is None:
+            return [
+                self._decompile_class(decl, by_class.get(decl.name, ()))
+                for decl in app.classes
+            ]
         out: List[SourceClass] = []
+        misses = 0
         for decl in app.classes:
-            out.append(self._decompile_class(decl, by_method))
+            sites = tuple(by_class.get(decl.name, ()))
+            key = (id(decl), sites)
+            entry = memo.classes.get(key)
+            if entry is None or entry[0] is not decl:
+                misses += 1
+                entry = (decl, self._decompile_class(decl, sites))
+                memo.classes[key] = entry
+            out.append(entry[1])
+        metrics = get_metrics()
+        if len(out) > misses:
+            metrics.counter("decompile.memo_hits").inc(len(out) - misses)
+        if misses:
+            metrics.counter("decompile.memo_misses").inc(misses)
         return out
 
     # ------------------------------------------------------------------
 
     def _decompile_class(
-        self,
-        decl: ClassFile,
-        by_method: Dict[Tuple[str, Optional[Tuple[str, str]]], List[BugSite]],
+        self, decl: ClassFile, sites: Sequence[BugSite]
     ) -> SourceClass:
+        by_method: Dict[Optional[Tuple[str, str]], List[BugSite]] = {}
+        for site in sites:
+            by_method.setdefault(site.method_key, []).append(site)
         interfaces = decl.interfaces
-        for site in by_method.get((decl.name, None), ()):
+        for site in by_method.get(None, ()):
             if site.bug_id == "dup-interface":
                 interfaces = (site.detail,) + interfaces
 
@@ -133,7 +198,7 @@ class Decompiler:
         )
         methods: List[SourceMethod] = []
         for method in decl.methods:
-            corruptions = by_method.get((decl.name, method.key), [])
+            corruptions = by_method.get(method.key, [])
             methods.append(
                 self._decompile_method(decl, method, corruptions)
             )

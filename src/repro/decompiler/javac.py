@@ -11,11 +11,16 @@ numbers (``C03.java: error: cannot find symbol: method im0_1$iface in
 I01``), so they are stable under reduction of *other* classes — which is
 what lets the oracle's "preserve the full error message" predicate be
 monotone.
+
+Each message names the class being checked, and that check reads other
+classes only through their signatures, so :func:`check_sources` can
+reuse a class's messages from an earlier call while those signatures
+are unchanged (its ``memo``; the oracle's probe path passes one).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.decompiler.source import (
     AssignFieldStmt,
@@ -60,10 +65,69 @@ class JavacError(ValueError):
     """Raised only for malformed source models (not for type errors)."""
 
 
-def check_sources(sources: Sequence[SourceClass]) -> FrozenSet[str]:
-    """Check all classes; returns the set of error messages (empty = ok)."""
+#: A per-oracle memo of class checks: ``id(class) -> (class, lookups,
+#: messages)``, where ``lookups`` pairs every class-table name the check
+#: looked up with that name's :func:`_signature` at the time.
+CheckMemo = Dict[
+    int, Tuple[SourceClass, Tuple[Tuple[str, Any], ...], FrozenSet[str]]
+]
+
+
+def check_sources(
+    sources: Sequence[SourceClass], memo: Optional[CheckMemo] = None
+) -> FrozenSet[str]:
+    """Check all classes; returns the set of error messages (empty = ok).
+
+    ``memo`` reuses a class's messages across calls.  A class's check
+    reads the class itself and, through the class table only, the
+    signatures of the classes it names (:func:`_signature`), and every
+    message names the checked class.  So an entry records the names
+    the check looked up and their signatures, and is reused only for
+    the same class object while every one of those names still has the
+    same signature (or is still absent).  The entry keeps its class
+    alive, so a reused ``id`` is never served.  Threads may share a
+    memo without a lock: a duplicate check stores an equally valid
+    entry.
+    """
     checker = _Checker(sources)
-    return checker.run()
+    if memo is None:
+        return checker.run()
+    return checker.run_memoized(memo)
+
+
+def _signature(decl: Optional[SourceClass]) -> Any:
+    """What a check reads of a class it looks up by name: everything
+    but method bodies and parameter names (None: no such class)."""
+    if decl is None:
+        return None
+    return (
+        decl.superclass,
+        decl.interfaces,
+        decl.is_interface,
+        decl.is_abstract,
+        decl.fields,
+        tuple(
+            (m.name, tuple(t for t, _ in m.params), m.return_type)
+            for m in decl.methods
+        ),
+    )
+
+
+class _Lookups:
+    """A class table that records every name looked up."""
+
+    __slots__ = ("table", "names")
+
+    def __init__(self, table: Dict[str, SourceClass]) -> None:
+        self.table = table
+        self.names: Set[str] = set()
+
+    def get(self, name: str) -> Optional[SourceClass]:
+        self.names.add(name)
+        return self.table.get(name)
+
+    def __contains__(self, name: str) -> bool:
+        return self.get(name) is not None
 
 
 class _Checker:
@@ -75,6 +139,37 @@ class _Checker:
         for decl in self.table.values():
             self.check_class(decl)
         return frozenset(self.errors)
+
+    def run_memoized(self, memo: CheckMemo) -> FrozenSet[str]:
+        table = self.table
+        signatures: Dict[str, Any] = {}
+
+        def signature(name: str) -> Any:
+            if name not in signatures:
+                signatures[name] = _signature(table.get(name))
+            return signatures[name]
+
+        errors = self.errors
+        for decl in table.values():
+            entry = memo.get(id(decl))
+            if (
+                entry is not None
+                and entry[0] is decl
+                and all(signature(name) == seen for name, seen in entry[1])
+            ):
+                errors.update(entry[2])
+                continue
+            lookups = _Lookups(table)
+            self.table, self.errors = lookups, set()  # type: ignore[assignment]
+            self.check_class(decl)
+            memo[id(decl)] = (
+                decl,
+                tuple((name, signature(name)) for name in lookups.names),
+                frozenset(self.errors),
+            )
+            errors.update(self.errors)
+        self.table, self.errors = table, errors
+        return frozenset(errors)
 
     # ------------------------------------------------------------------
 

@@ -9,6 +9,19 @@
    ("the goal of the evaluation is to reduce the input program while
    preserving the full error message of the compiler").
 
+Probes are incremental: :meth:`DecompilerOracle.item_predicate`
+decompiles through a per-oracle
+:class:`~repro.decompiler.decompile.DecompileMemo` and compile-checks
+through a per-oracle :func:`~repro.decompiler.javac.check_sources`
+memo, so a reduced class that recurs across probes (the
+materialization memo hands back the same object) is decompiled once
+per run, not once per probe, and rechecked only when a signature it
+resolves against changed.  The full application's decompile (the
+constructor, :meth:`errors_of`) and the class-granularity predicate
+stay unmemoized: a corpus keeps its instances' oracles alive, so what
+they memoized would never be freed.  The simulated cost of a probe
+does not change.
+
 Because every bug site's presence is monotone in the kept items (see
 :mod:`repro.decompiler.bugs`) and messages of *valid* sub-inputs are
 always a subset of the original's, the predicate is monotone on valid
@@ -34,8 +47,12 @@ from repro.bytecode.items import (
     items_of,
 )
 from repro.bytecode.reducer import MaterializationMemo
-from repro.decompiler.decompile import Decompiler, get_decompiler
-from repro.decompiler.javac import check_sources
+from repro.decompiler.decompile import (
+    DecompileMemo,
+    Decompiler,
+    get_decompiler,
+)
+from repro.decompiler.javac import CheckMemo, check_sources
 from repro.logic.cnf import CNF, Clause
 from repro.reduction.problem import ReductionProblem
 
@@ -75,6 +92,9 @@ class DecompilerOracle:
         # builds a fresh oracle) starts cold and its memo telemetry is
         # deterministic regardless of what ran before.
         self._materializer = MaterializationMemo(app)
+        # Filled only by item_predicate (see the module docstring).
+        self._decompile_memo = DecompileMemo()
+        self._check_memo: CheckMemo = {}
         if original_errors is None:
             original_errors = self.errors_of(app)
         self.original_errors = original_errors
@@ -93,10 +113,20 @@ class DecompilerOracle:
     # Predicates
     # ------------------------------------------------------------------
 
+    def probe_errors(self, kept_items: FrozenSet[Item]) -> FrozenSet[str]:
+        """:meth:`errors_of` the reduced application, incrementally.
+
+        Equal to ``errors_of(reduce_application(app, kept_items))``; the
+        reduction, the decompile and the compile check reuse this
+        oracle's memos.
+        """
+        reduced = self._materializer.reduce(kept_items)
+        sources = self.decompiler.decompile(reduced, self._decompile_memo)
+        return check_sources(sources, self._check_memo)
+
     def item_predicate(self, kept_items: FrozenSet[Item]) -> bool:
         """P over item sets: reduce, decompile, compare messages."""
-        reduced = self._materializer.reduce(kept_items)
-        return self.errors_of(reduced) == self.original_errors
+        return self.probe_errors(kept_items) == self.original_errors
 
     def class_predicate(self, kept_classes: FrozenSet[str]) -> bool:
         """P over *class* sets (J-Reduce granularity): whole classes."""

@@ -682,9 +682,15 @@ def error_outcome(
 
 #: Per-run metric names that report which worker process did the work:
 #: at ``--speculate N --probe-backend process`` each probe materializes
-#: on whichever worker's cached oracle picks it up, so the memo's hit
-#: and miss counts vary from run to run while every outcome agrees.
-PLACEMENT_METRICS = ("reducer.memo_hits", "reducer.memo_misses")
+#: and decompiles on whichever worker's cached oracle picks it up, so
+#: the memos' hit and miss counts vary from run to run while every
+#: outcome agrees.
+PLACEMENT_METRICS = (
+    "reducer.memo_hits",
+    "reducer.memo_misses",
+    "decompile.memo_hits",
+    "decompile.memo_misses",
+)
 
 #: Per-run metric names that report cache-tier *residency* rather than
 #: semantics: which process's store handle had a shard loaded, how many

@@ -9,8 +9,12 @@ carries:
 - causal addressing (``event_id``, ``span_id``, ``run_id``,
   ``trace_id``, ``serial``, ``worker``, ``seq``) and both clocks
   (``t`` wall, ``vt`` virtual) — stamped by the tracer;
-- ``cache`` — ``"fresh"`` or ``"store"``;
-- ``outcome`` — the predicate's boolean verdict;
+- ``cache`` — ``"fresh"``, ``"store"``, or ``"error"`` for a fresh
+  call that raised (retries exhausted, budget exhausted, a crash): it
+  has no outcome, charges no virtual time and is not a fresh call, but
+  keeps the retries and timeouts its attempts spent;
+- ``error`` — on ``"error"`` entries, the exception's type and message;
+- ``outcome`` — the predicate's boolean verdict (None on an error);
 - ``key`` — a short stable hash of the probed subset (joins a probe to
   its store entry);
 - ``wall_seconds`` / ``virtual_charge`` — what the probe cost on each
@@ -18,11 +22,11 @@ carries:
 - ``round`` / ``batch_pos`` — which speculation round issued it and
   where it sat in the batch (absent for sequential probes), annotated
   via :func:`probe_scope`;
-- ``discarded`` — true for a probe that physically completed but whose
+- ``discarded`` — true for a probe that physically ran but whose
   outcome was thrown away because an earlier-in-order probe of the
   same speculative round raised (the sequential run would never have
   issued it); discarded probes charge 0 virtual seconds but still get
-  their one ledger event;
+  their one ledger event (an ``"error"`` one if they raised too);
 - ``attempts`` / ``retries`` / ``timeouts`` — per-probe deltas from a
   wrapping :class:`~repro.resilience.predicate.ResilientPredicate`;
 - ``budget_calls`` / ``budget_seconds`` — per-probe charges against a
@@ -148,6 +152,8 @@ def render_explain(resolution: Dict[str, Any]) -> str:
         f"  key={probe.get('key', '?')} cache={probe.get('cache', '?')} "
         f"outcome={probe.get('outcome')}"
     )
+    if probe.get("error"):
+        verdict += f" ERROR ({probe['error']})"
     if probe.get("discarded"):
         verdict += " DISCARDED (an earlier probe in the round raised)"
     lines.append(verdict)

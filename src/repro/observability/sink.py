@@ -222,7 +222,7 @@ def summarize(
          "counters": {name: total},
          "gauges": {name: value},
          "histograms": {name: {"count", "sum", "mean", "p50", "p95"}},
-         "probes": {"count", "fresh", "store", "wall_seconds",
+         "probes": {"count", "fresh", "store", "errors", "wall_seconds",
                     "virtual_seconds", "retries"},
          "store": {"lookups", "hits", "misses", "hit_rate", "records",
                    "evictions", "compactions", "shard_loads"},
@@ -269,6 +269,7 @@ def summarize(
         "count": 0,
         "fresh": 0,
         "store": 0,
+        "errors": 0,
         "wall_seconds": 0.0,
         "virtual_seconds": 0.0,
         "retries": 0,
@@ -332,6 +333,8 @@ def summarize(
             cache = event.get("cache")
             if cache in ("fresh", "store"):
                 probes[cache] += 1
+            elif cache == "error":
+                probes["errors"] += 1
             probes["wall_seconds"] += float(event.get("wall_seconds", 0.0))
             probes["virtual_seconds"] += float(
                 event.get("virtual_charge", 0.0)
@@ -549,7 +552,8 @@ def render_summary(summary: Dict[str, Any]) -> str:
         lines.append("probes (provenance ledger)")
         lines.append(
             f"  physical={probes['count']:,} fresh={probes['fresh']:,} "
-            f"store_hits={probes['store']:,} retries={probes['retries']:,}"
+            f"store_hits={probes['store']:,} errors={probes['errors']:,} "
+            f"retries={probes['retries']:,}"
         )
         lines.append(
             f"  wall={probes['wall_seconds']:.4f}s "

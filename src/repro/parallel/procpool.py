@@ -20,10 +20,10 @@ The contract (DESIGN.md §10) has three parts:
   :func:`build_oracle`), the granularity, and the chain knobs (seeded
   :class:`~repro.resilience.faults.FaultPlan`, retries, deadline, tool
   latency).  Workers rebuild the chain with :func:`build_chain` and
-  cache it per spec, so one pickle+rebuild amortizes over every probe
-  of a run.  Probe *inputs* are frozensets of the frozen item
-  dataclasses from :mod:`repro.bytecode.items` — picklable by
-  construction.
+  cache it per spec (the last :data:`PREDICATE_CACHE_SIZE` specs), so
+  one pickle+rebuild amortizes over every probe of a run.  Probe
+  *inputs* are frozensets of the frozen item dataclasses from
+  :mod:`repro.bytecode.items` — picklable by construction.
 - **Worker results.**  :func:`_evaluate_probe` returns a
   :class:`ProbeResult` — verdict (or the raised exception, relayed
   rather than thrown so its metrics survive), wall latency, the
@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -293,16 +294,27 @@ def worker_label() -> str:
     return f"p{os.getpid()}"
 
 
-#: Per-process cache of rebuilt predicate chains, keyed by the spec.
-#: One pickle + oracle rebuild amortizes over every probe of a run.
-_PREDICATES: Dict[ProbeTaskSpec, Predicate] = {}
+#: Rebuilt predicate chains one worker process keeps.  A probe pool
+#: shared across instances sees one spec per instance, and each chain
+#: holds its application, materialization memo and decompile memo, so
+#: the cache keeps only the most recently used few.
+PREDICATE_CACHE_SIZE = 4
+
+#: Per-process cache of rebuilt predicate chains, keyed by the spec,
+#: least recently used first.  One pickle + oracle rebuild amortizes
+#: over every probe of a run.
+_PREDICATES: "OrderedDict[ProbeTaskSpec, Predicate]" = OrderedDict()
 
 
 def _worker_predicate(spec: ProbeTaskSpec) -> Predicate:
     predicate = _PREDICATES.get(spec)
-    if predicate is None:
-        predicate = build_worker_predicate(spec)
-        _PREDICATES[spec] = predicate
+    if predicate is not None:
+        _PREDICATES.move_to_end(spec)
+        return predicate
+    predicate = build_worker_predicate(spec)
+    _PREDICATES[spec] = predicate
+    while len(_PREDICATES) > PREDICATE_CACHE_SIZE:
+        _PREDICATES.popitem(last=False)
     return predicate
 
 

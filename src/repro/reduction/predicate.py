@@ -60,7 +60,9 @@ status, outcome, both clocks' costs, speculation round/batch position
 and per-probe resilience deltas: a sequential call brackets the
 wrapped chain's attempt/retry/timeout/budget counters, and a batch
 probe carries the ``predicate.retries``/``predicate.timeouts`` delta it
-counted under its own detached registry.  Memo hits stay counter-only;
+counted under its own detached registry.  A fresh call that raises
+lands a ``cache="error"`` entry carrying those deltas, with no virtual
+charge and no fresh call counted.  Memo hits stay counter-only;
 they dominate the hot path and per-event records would blow the
 tracing-overhead budget.
 """
@@ -254,10 +256,14 @@ class InstrumentedPredicate:
         if outcome is not None:
             return outcome
         before_stats = _chain_stats(self._predicate) if tracer.enabled else {}
+        error: Optional[BaseException] = None
         with tracer.span("predicate.call", size=len(sub_input)) as sp:
             before = time.perf_counter()
-            outcome = self._predicate(sub_input)
-            sp.set_attr("outcome", outcome)
+            try:
+                outcome = self._predicate(sub_input)
+                sp.set_attr("outcome", outcome)
+            except BaseException as exc:  # noqa: BLE001 — re-raised below
+                error = exc
         latency = time.perf_counter() - before
         if tracer.enabled:
             fields = dict(
@@ -265,11 +271,14 @@ class InstrumentedPredicate:
                 span_id=sp.span_id,
                 **_stat_deltas(before_stats, _chain_stats(self._predicate)),
             )
-        # Committed only after the call returns: an invocation that
-        # raises (budget exhausted, unrecoverable oracle crash) never
-        # ran to completion, so it must not inflate the fresh-call
-        # counter or the virtual clock that anytime partial results are
-        # judged by.
+        if error is not None:
+            # An invocation that raises (budget exhausted, retries
+            # exhausted, unrecoverable oracle crash) never ran to
+            # completion: it is not a fresh call and charges nothing,
+            # but its ledger entry keeps the retries it spent.
+            if tracer.enabled:
+                self._ledger_error(tracer, sub_input, error, latency, **fields)
+            raise error
         self._commit(
             sub_input, key, outcome, latency, self._cost_per_call,
             metrics, tracer, fields,
@@ -358,6 +367,20 @@ class InstrumentedPredicate:
             **fields,
         )
 
+    def _ledger_error(
+        self, tracer, sub_input, error, wall_seconds, **fields
+    ) -> None:
+        """The ledger entry of a probe whose call raised.
+
+        ``cache="error"``: no outcome, no virtual charge, not a fresh
+        call; ``error`` names the exception, and the retries and
+        timeouts in ``fields`` are the ones its attempts spent.
+        """
+        self._ledger(
+            tracer, sub_input, "error", None, wall_seconds, 0.0,
+            error=f"{type(error).__name__}: {error}", **fields,
+        )
+
     def peek(self, sub_input: FrozenSet[VarName]) -> Optional[bool]:
         """The in-memory cached outcome for a sub-input, or None.
 
@@ -393,11 +416,11 @@ class InstrumentedPredicate:
         - if a fresh call raised, its exception is re-raised *after*
           committing every earlier-in-order outcome, and every
           later-in-order outcome is discarded uncommitted (a sequential
-          run would never have issued them).  Discarded probes that
-          physically *completed* still land in the provenance ledger,
-          flagged ``discarded=true`` with a zero virtual charge — the
-          ledger's "one event per physical probe" invariant holds even
-          for work an earlier failure threw away.
+          run would never have issued them).  The raising probe lands
+          a ``cache="error"`` ledger entry, and every later probe still
+          lands its entry, flagged ``discarded=true`` with a zero
+          virtual charge — the ledger's "one event per physical probe"
+          invariant holds even for work an earlier failure threw away.
 
         Dispatch: every fresh probe is one ``executor.submit`` of
         :func:`repro.parallel.procpool._evaluate_probe`, whatever the
@@ -485,14 +508,27 @@ class InstrumentedPredicate:
         for index, (position, sub_input, key, probe) in enumerate(settled):
             if probe.error is not None:
                 if tracer.enabled:
+                    self._ledger_error(
+                        tracer, sub_input, probe.error, probe.wall_seconds,
+                        **_batch_fields(position, scope, probe),
+                    )
                     for later_position, later_input, _, later in (
                         settled[index + 1:]
                     ):
+                        later_fields = _batch_fields(
+                            later_position, scope, later
+                        )
                         if later.error is None:
                             self._ledger(
                                 tracer, later_input, "fresh", later.outcome,
                                 later.wall_seconds, 0.0, discarded=True,
-                                **_batch_fields(later_position, scope, later),
+                                **later_fields,
+                            )
+                        else:
+                            self._ledger_error(
+                                tracer, later_input, later.error,
+                                later.wall_seconds, discarded=True,
+                                **later_fields,
                             )
                 raise probe.error
             fields = (

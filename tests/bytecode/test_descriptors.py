@@ -99,3 +99,31 @@ class TestRoundTrip:
     def test_method_descriptor_round_trip(self, params, ret):
         descriptor = MethodDescriptor(tuple(params), ret)
         assert parse_method_descriptor(descriptor.descriptor()) == descriptor
+
+
+class TestParseCache:
+    """Parsed descriptors are cached; the cache changes no answer."""
+
+    @given(
+        st.lists(jvm_types(), max_size=4),
+        st.one_of(jvm_types(), st.just(PrimitiveType.VOID)),
+    )
+    def test_cached_values_equal_a_fresh_parse(self, params, ret):
+        text = MethodDescriptor(tuple(params), ret).descriptor()
+        first = parse_method_descriptor(text)
+        assert parse_method_descriptor(text) is first
+        assert first == parse_method_descriptor.__wrapped__(text)
+        for param in params:
+            field_text = param.descriptor()
+            assert parse_field_descriptor(field_text) == (
+                parse_field_descriptor.__wrapped__(field_text)
+            )
+
+    @pytest.mark.parametrize(
+        "parse, text",
+        [(parse_method_descriptor, "(V)V"), (parse_field_descriptor, "LFoo")],
+    )
+    def test_malformed_raises_on_every_call(self, parse, text):
+        for _ in range(2):
+            with pytest.raises(DescriptorError):
+                parse(text)

@@ -1,5 +1,8 @@
 """Tests for the oracle — above all, predicate monotonicity."""
 
+import dataclasses
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +10,7 @@ from hypothesis import strategies as st
 from repro.bytecode.constraints import generate_constraints
 from repro.bytecode.items import items_of
 from repro.bytecode.reducer import reduce_application
-from repro.decompiler import DECOMPILERS
+from repro.decompiler import DECOMPILERS, check_sources
 from repro.decompiler.bugs import BUG_KINDS, sites_for
 from repro.decompiler.oracle import (
     DecompilerOracle,
@@ -133,3 +136,83 @@ class TestBugSiteMonotonicity:
             full_sites = set(sites_for(app, (bug_id,)))
             reduced_sites = set(sites_for(reduced, (bug_id,)))
             assert reduced_sites <= full_sites, bug_id
+
+
+#: One oracle per (decompiler, bug scale), shared by every example of a
+#: test, so its memos carry over between examples as between probes.
+_ORACLES = {}
+
+
+def shared_oracle(name, scale):
+    key = (name, scale)
+    if key not in _ORACLES:
+        app = generate_application(7, CONFIG)
+        decompiler = dataclasses.replace(DECOMPILERS[name], bug_scale=scale)
+        _ORACLES[key] = DecompilerOracle(app, decompiler)
+    return _ORACLES[key]
+
+
+class TestIncrementalOracle:
+    """The probe path's memos change no answer."""
+
+    @pytest.mark.parametrize("scale", [1.0, 0.0])
+    @pytest.mark.parametrize("name", sorted(DECOMPILERS))
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=2**32),
+                # Mostly-kept sets make reduced classes recur, so the
+                # memos hit; the rest of the range makes them miss.
+                st.one_of(
+                    st.sampled_from([1.0, 0.97, 0.9]),
+                    st.floats(min_value=0.3, max_value=1.0),
+                ),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_memoized_errors_equal_uncached(self, name, scale, probes):
+        oracle = shared_oracle(name, scale)
+        app = oracle.app
+        items = sorted(items_of(app), key=repr)
+        for seed, keep in probes:
+            rng = random.Random(seed)
+            kept = frozenset(i for i in items if rng.random() < keep)
+            expected = oracle.errors_of(reduce_application(app, kept))
+            assert oracle.probe_errors(kept) == expected
+            assert oracle.item_predicate(kept) == (
+                expected == oracle.original_errors
+            )
+
+    @pytest.mark.parametrize("name", sorted(DECOMPILERS))
+    def test_memo_reuses_recurring_classes(self, name):
+        oracle = shared_oracle(name, 0.0)
+        kept = frozenset(items_of(oracle.app))
+        first = oracle.decompiler.decompile(
+            oracle._materializer.reduce(kept), oracle._decompile_memo
+        )
+        again = oracle.decompiler.decompile(
+            oracle._materializer.reduce(kept), oracle._decompile_memo
+        )
+        assert all(a is b for a, b in zip(first, again))
+        assert check_sources(again, oracle._check_memo) == (
+            oracle.original_errors
+        )
+
+    def test_construction_leaves_memos_empty(self):
+        app, name, oracle = first_buggy()
+        for fresh in (oracle, DecompilerOracle(app, name)):
+            assert not fresh._decompile_memo.sites
+            assert not fresh._decompile_memo.classes
+            assert not fresh._check_memo
+        oracle.item_predicate(frozenset(items_of(app)))
+        assert oracle._decompile_memo.classes and oracle._check_memo
+
+    def test_class_predicate_leaves_memos_empty(self):
+        app, name, _ = first_buggy()
+        oracle = DecompilerOracle(app, name)
+        oracle.class_predicate(frozenset(app.class_names()))
+        assert not oracle._decompile_memo.classes
+        assert not oracle._check_memo

@@ -476,6 +476,52 @@ class TestLedgerMatchesCounters:
             assert retries >= 1
 
 
+    @pytest.mark.parametrize("backend", ["sequential", "thread", "process"])
+    def test_exhausted_retries_land_in_the_ledger(
+        self, tiny_pair, pool, backend
+    ):
+        """A probe whose retries run out is in the ledger: an error
+        event with the retries it spent, and no fresh call."""
+        knobs = dict(
+            chaos=FaultPlan(kind="flaky", rate=0.6, seed=0), retries=1,
+            keep_going=True,
+        )
+        if backend != "sequential":
+            knobs.update(speculate=2, probe_backend=backend)
+        benchmark, instance = tiny_pair
+        config = ExperimentConfig(strategies=("our-reducer",), **knobs)
+        executor = pool if backend == "process" else None
+        with tracing_session() as (tracer, metrics):
+            outcome = run_instance(
+                benchmark, instance, "our-reducer", config,
+                probe_executor=executor,
+            )
+            probes = [e for e in tracer.raw_events() if e["type"] == "probe"]
+            spans = tracer.events()
+            counters = metrics.counter_values()
+        assert outcome.status == "error"
+        errors = [p for p in probes if p["cache"] == "error"]
+        # One predicate.call span per physical probe; a failed one
+        # carries no outcome.
+        failed = [
+            e for e in spans
+            if e.name == "predicate.call" and e.attrs.get("outcome") is None
+        ]
+        assert errors and len(errors) == len(failed)
+        assert all(
+            p["error"] and p["outcome"] is None and p["virtual_charge"] == 0
+            for p in errors
+        )
+        assert sum(p.get("retries", 0) for p in probes) == counters.get(
+            "predicate.retries", 0
+        )
+        fresh = [
+            p for p in probes
+            if p["cache"] == "fresh" and not p.get("discarded")
+        ]
+        assert len(fresh) == counters.get("predicate.calls", 0)
+
+
 class TestProbePoolGuards:
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
