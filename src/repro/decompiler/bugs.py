@@ -366,21 +366,18 @@ def sites_for(
 ) -> List[BugSite]:
     """All sites of the given bug kinds in the application.
 
-    ``memo``, when given, caches each class's sites of the class-local
-    kinds under the class object's ``id``; the entry keeps the class
-    itself, and a hit requires ``entry[0] is decl``, so a reused
-    ``id`` is never served.  One memo serves one ``(bug_ids, scale)``
-    pair.  With a memo the sites come class by class (class-local
-    kinds first, then the whole-application kinds); without one, kind
-    by kind.  The set is the same, and so is each class's set.
+    Class by class, the class-local kinds' sites, then the
+    whole-application kinds'.  ``memo``, when given, caches each
+    class's class-local sites under the class object's ``id``; the
+    entry keeps the class itself, and a hit requires ``entry[0] is
+    decl``, so a reused ``id`` is never served.  One memo serves one
+    ``(bug_ids, scale)`` pair.
     """
     kinds = [BUG_KINDS[bug_id] for bug_id in bug_ids]
-    out: List[BugSite] = []
-    if memo is None:
-        for kind in kinds:
-            out.extend(kind.sites(app, scale))
-        return out
     local = [kind for kind in kinds if kind.class_local]
+    if memo is None:
+        memo = {}
+    out: List[BugSite] = []
     for decl in app.classes:
         entry = memo.get(id(decl))
         if entry is None or entry[0] is not decl:
