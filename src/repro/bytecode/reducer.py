@@ -17,7 +17,8 @@ The bytecode analogue of Figure 5's ``reduce(P, phi)``:
 
 from __future__ import annotations
 
-from typing import AbstractSet, List, Optional, Tuple
+import functools
+from typing import AbstractSet, FrozenSet, List, Optional, Tuple
 
 from repro.bytecode.classfile import (
     Application,
@@ -104,8 +105,14 @@ class MaterializationMemo:
 
     def __init__(self, app: Application) -> None:
         self.app = app
-        self._class_items = items_by_class(app)
         self._reduced: dict = {}
+
+    @functools.cached_property
+    def _class_items(self):
+        # On first use: an oracle that is never probed (a corpus
+        # instance's) never partitions its items.  Threads that race
+        # here compute equal values.
+        return items_by_class(self.app)
 
     def reduce(self, true_items: AbstractSet[Item]) -> Application:
         """``reduce(app, phi)`` — same result as :func:`reduce_application`."""
@@ -135,6 +142,17 @@ class MaterializationMemo:
         if misses:
             metrics.counter("reducer.memo_misses").inc(misses)
         return self.app.replace_classes(tuple(kept))
+
+    def class_items(self, class_names: AbstractSet[str]) -> FrozenSet[Item]:
+        """Every item of the named classes: the kept set that keeps
+        exactly those classes, whole (J-Reduce's granularity)."""
+        return frozenset().union(
+            *(
+                self._class_items[decl.name]
+                for decl in self.app.classes
+                if decl.name in class_names
+            )
+        )
 
 
 def _reduce_class(

@@ -17,39 +17,38 @@ instance).  ``scale`` adjusts all selectivities at once — tests use
 ``scale=0`` to make every pattern occurrence a site.
 
 The corruption itself happens in :mod:`repro.decompiler.decompile`; this
-module only detects sites.  Bug kinds (the *class-local* ones find a
-class's sites from that class alone; the others read the whole
-application):
+module only detects sites.  Every bug kind works in two steps: a
+*scan* of one class (a function of that class alone, which
+:func:`sites_for` caches per class object) and a cross-class step that
+turns every class's scan into the application's sites.  Bug kinds:
 
-- ``iface-dispatch`` (class-local) — an interface call right after a
-  checked cast is emitted with a mangled method name (the paper's
-  motivating cast-then-call pattern),
-- ``ctor-cache`` (whole application: it counts constructions across
-  every method body) — when the *same class* is constructed in two or
-  more method bodies, the decompiler's constructor cache emits a bogus
-  factory call at (some of) those sites,
-- ``field-alias`` (whole application: it reads the written field's
-  owner, usually another class) — writing a field of a class that
-  (currently) has at least two fields confuses the alias analysis: the
-  assignment target becomes an undeclared variable,
-- ``param-drop`` (class-local) — calls to methods with two or more
-  parameters lose their last argument,
-- ``reflection`` (class-local) — ``X.class`` is decompiled with a bogus
-  accessor call,
-- ``dup-interface`` (class-local) — classes implementing two or more
-  interfaces get the alphabetically first one repeated in the
-  implements clause.
+- ``iface-dispatch`` — an interface call right after a checked cast is
+  emitted with a mangled method name (the paper's motivating
+  cast-then-call pattern),
+- ``ctor-cache`` — when the *same class* is constructed in two or more
+  method bodies, the decompiler's constructor cache emits a bogus
+  factory call at (some of) those sites; the scan lists a class's
+  constructions, the cross-class step counts them,
+- ``field-alias`` — writing a field of a class that (currently) has at
+  least two fields confuses the alias analysis: the assignment target
+  becomes an undeclared variable; the scan lists a class's field
+  writes, the cross-class step checks each written field's owner,
+- ``param-drop`` — calls to methods with two or more parameters lose
+  their last argument,
+- ``reflection`` — ``X.class`` is decompiled with a bogus accessor
+  call,
+- ``dup-interface`` — classes implementing two or more interfaces get
+  the alphabetically first one repeated in the implements clause.
 
-:func:`sites_for` can memoize the class-local kinds' sites per class
-object (see its docstring); the whole-application kinds are recomputed
-on every call.
+The last three and ``iface-dispatch`` are *class-local*: their scan is
+the class's sites, and the cross-class step only concatenates.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bytecode.classfile import Application, ClassFile
 from repro.bytecode.descriptors import parse_method_descriptor
@@ -95,41 +94,31 @@ class BugSite:
 
 
 class BugKind:
-    """Base: a named, monotone site detector over a whole application."""
+    """Base: a named, monotone site detector, in two steps.
+
+    :meth:`scan` reads one class and returns what the kind needs of it;
+    :meth:`sites` turns the scans of every class of an application (in
+    class order) into its sites.  A class-local kind's scan is the
+    class's sites, which the default :meth:`sites` concatenates.
+    """
 
     bug_id: str = ""
     description: str = ""
-    #: True when a class's sites depend on that class alone.
-    class_local: bool = False
 
-    def sites(self, app: Application, scale: float = 1.0) -> List[BugSite]:
+    def scan(self, decl: ClassFile, scale: float) -> list:
         raise NotImplementedError
+
+    def sites(
+        self, app: Application, scans: Sequence[list]
+    ) -> List[BugSite]:
+        return [site for scan in scans for site in scan]
 
     def _add(self, out: List[BugSite], site: BugSite) -> None:
         if site not in out:
             out.append(site)
 
 
-class ClassLocalBugKind(BugKind):
-    """A kind whose sites in a class are a function of that class alone.
-
-    Every site names the class it sits in, so the application's sites
-    are the concatenation of each class's, in class order.
-    """
-
-    class_local = True
-
-    def sites(self, app: Application, scale: float = 1.0) -> List[BugSite]:
-        out: List[BugSite] = []
-        for decl in app.classes:
-            out.extend(self.class_sites(decl, scale))
-        return out
-
-    def class_sites(self, decl: ClassFile, scale: float = 1.0) -> List[BugSite]:
-        raise NotImplementedError
-
-
-class InterfaceDispatchBug(ClassLocalBugKind):
+class InterfaceDispatchBug(BugKind):
     bug_id = "iface-dispatch"
     description = (
         "interface calls immediately after a checked cast get a "
@@ -140,7 +129,7 @@ class InterfaceDispatchBug(ClassLocalBugKind):
     #: pushes sit in between).
     WINDOW = 4
 
-    def class_sites(self, decl: ClassFile, scale: float = 1.0) -> List[BugSite]:
+    def scan(self, decl: ClassFile, scale: float) -> List[BugSite]:
         out: List[BugSite] = []
         for method in _code_methods(decl):
             instructions = method.code.instructions
@@ -188,37 +177,52 @@ class ConstructorCacheBug(BugKind):
         "factory call at (hash-selected) construction sites"
     )
 
-    def sites(self, app: Application, scale: float = 1.0) -> List[BugSite]:
-        constructed: Dict[str, List[Tuple[str, Tuple[str, str]]]] = {}
-        for decl, method in _methods_with_code(app):
+    def scan(
+        self, decl: ClassFile, scale: float
+    ) -> List[Tuple[str, Optional[BugSite]]]:
+        """One ``(target, site)`` per method body and constructed class
+        that passes the per-target filter; ``site`` is None when the
+        per-site filter drops that location."""
+        out: List[Tuple[str, Optional[BugSite]]] = []
+        for method in _code_methods(decl):
             seen_here = set()
             for instruction in method.code:
-                if isinstance(instruction, New):
-                    if instruction.class_name not in seen_here:
-                        seen_here.add(instruction.class_name)
-                        constructed.setdefault(
-                            instruction.class_name, []
-                        ).append((decl.name, method.key))
-        out: List[BugSite] = []
-        for target, locations in sorted(constructed.items()):
-            if len(locations) < 2:
-                continue
-            if not selective(20, scale, self.bug_id, target):
-                continue
-            for class_name, method_key in locations:
-                # Per-site filter keeps the per-target footprint small;
-                # the >= 2 trigger above stays unfiltered (monotone).
-                if not selective(
-                    3, scale, self.bug_id, target, class_name, method_key[0]
-                ):
+                if not isinstance(instruction, New):
                     continue
-                self._add(
-                    out,
-                    BugSite(
-                        self.bug_id, class_name, method_key, detail=target
-                    ),
-                )
+                target = instruction.class_name
+                if target in seen_here:
+                    continue
+                seen_here.add(target)
+                if not selective(20, scale, self.bug_id, target):
+                    continue
+                # Per-site filter keeps the per-target footprint small;
+                # the >= 2 trigger counts every location (monotone).
+                site = None
+                if selective(
+                    3, scale, self.bug_id, target, decl.name, method.name
+                ):
+                    site = BugSite(
+                        self.bug_id, decl.name, method.key, detail=target
+                    )
+                out.append((target, site))
         return out
+
+    def sites(
+        self,
+        app: Application,
+        scans: Sequence[List[Tuple[str, Optional[BugSite]]]],
+    ) -> List[BugSite]:
+        constructed: Dict[str, List[Optional[BugSite]]] = {}
+        for scan in scans:
+            for target, site in scan:
+                constructed.setdefault(target, []).append(site)
+        return [
+            site
+            for _target, locations in sorted(constructed.items())
+            if len(locations) >= 2
+            for site in locations
+            if site is not None
+        ]
 
 
 class FieldAliasBug(BugKind):
@@ -228,37 +232,53 @@ class FieldAliasBug(BugKind):
         "to an undeclared variable"
     )
 
-    def sites(self, app: Application, scale: float = 1.0) -> List[BugSite]:
-        out: List[BugSite] = []
-        for decl, method in _methods_with_code(app):
+    def scan(
+        self, decl: ClassFile, scale: float
+    ) -> List[Tuple[str, BugSite]]:
+        """One ``(owner, site)`` per selected field write of the class."""
+        out: List[Tuple[str, BugSite]] = []
+        for method in _code_methods(decl):
             for instruction in method.code:
                 if not isinstance(instruction, PutField):
                     continue
-                owner = app.class_file(instruction.owner)
-                if owner is None or len(owner.fields) < 2:
-                    continue
                 # Keyed by the written field: its writes cluster in the
                 # owning class's module.
-                if selective(
+                if not selective(
                     14, scale, self.bug_id, instruction.owner, instruction.name
                 ):
-                    self._add(
-                        out,
-                        BugSite(
-                            self.bug_id,
-                            decl.name,
-                            method.key,
-                            detail=f"{instruction.owner}.{instruction.name}",
-                        ),
-                    )
+                    continue
+                entry = (
+                    instruction.owner,
+                    BugSite(
+                        self.bug_id,
+                        decl.name,
+                        method.key,
+                        detail=f"{instruction.owner}.{instruction.name}",
+                    ),
+                )
+                if entry not in out:
+                    out.append(entry)
+        return out
+
+    def sites(
+        self,
+        app: Application,
+        scans: Sequence[List[Tuple[str, BugSite]]],
+    ) -> List[BugSite]:
+        out: List[BugSite] = []
+        for scan in scans:
+            for owner, site in scan:
+                owner_decl = app.class_file(owner)
+                if owner_decl is not None and len(owner_decl.fields) >= 2:
+                    out.append(site)
         return out
 
 
-class ParamDropBug(ClassLocalBugKind):
+class ParamDropBug(BugKind):
     bug_id = "param-drop"
     description = "calls to methods with >= 2 parameters lose an argument"
 
-    def class_sites(self, decl: ClassFile, scale: float = 1.0) -> List[BugSite]:
+    def scan(self, decl: ClassFile, scale: float) -> List[BugSite]:
         out: List[BugSite] = []
         for method in _code_methods(decl):
             for instruction in method.code:
@@ -301,11 +321,11 @@ class ParamDropBug(ClassLocalBugKind):
         return out
 
 
-class ReflectionBug(ClassLocalBugKind):
+class ReflectionBug(BugKind):
     bug_id = "reflection"
     description = "class literals are decompiled with a bogus accessor call"
 
-    def class_sites(self, decl: ClassFile, scale: float = 1.0) -> List[BugSite]:
+    def scan(self, decl: ClassFile, scale: float) -> List[BugSite]:
         out: List[BugSite] = []
         for method in _code_methods(decl):
             for instruction in method.code:
@@ -327,13 +347,13 @@ class ReflectionBug(ClassLocalBugKind):
         return out
 
 
-class DuplicateInterfaceBug(ClassLocalBugKind):
+class DuplicateInterfaceBug(BugKind):
     bug_id = "dup-interface"
     description = (
         "classes implementing >= 2 interfaces get the first one repeated"
     )
 
-    def class_sites(self, decl: ClassFile, scale: float = 1.0) -> List[BugSite]:
+    def scan(self, decl: ClassFile, scale: float) -> List[BugSite]:
         if decl.is_interface or len(decl.interfaces) < 2:
             return []
         if not selective(12, scale, self.bug_id, decl.name):
@@ -361,42 +381,29 @@ BUG_KINDS: Dict[str, BugKind] = {
 def sites_for(
     app: Application,
     bug_ids: Tuple[str, ...],
-    scale: float = 1.0,
-    memo: Optional[Dict[int, Tuple[ClassFile, List[BugSite]]]] = None,
+    scale: float,
+    memo: Dict[int, Tuple[ClassFile, Tuple[list, ...]]],
 ) -> List[BugSite]:
     """All sites of the given bug kinds in the application.
 
-    Class by class, the class-local kinds' sites, then the
-    whole-application kinds'.  ``memo``, when given, caches each
-    class's class-local sites under the class object's ``id``; the
-    entry keeps the class itself, and a hit requires ``entry[0] is
-    decl``, so a reused ``id`` is never served.  One memo serves one
-    ``(bug_ids, scale)`` pair.
+    Every kind scans every class, then derives its sites from the
+    scans.  ``memo`` caches each class's scans under the class object's
+    ``id``; the entry keeps the class itself, and a hit requires
+    ``entry[0] is decl``, so a reused ``id`` is never served.  One memo
+    serves one ``(bug_ids, scale)`` pair.
     """
     kinds = [BUG_KINDS[bug_id] for bug_id in bug_ids]
-    local = [kind for kind in kinds if kind.class_local]
-    if memo is None:
-        memo = {}
-    out: List[BugSite] = []
+    scans: List[Tuple[list, ...]] = []
     for decl in app.classes:
         entry = memo.get(id(decl))
         if entry is None or entry[0] is not decl:
-            entry = (
-                decl,
-                [s for kind in local for s in kind.class_sites(decl, scale)],
-            )
+            entry = (decl, tuple(kind.scan(decl, scale) for kind in kinds))
             memo[id(decl)] = entry
-        out.extend(entry[1])
-    for kind in kinds:
-        if not kind.class_local:
-            out.extend(kind.sites(app, scale))
+        scans.append(entry[1])
+    out: List[BugSite] = []
+    for i, kind in enumerate(kinds):
+        out.extend(kind.sites(app, [scan[i] for scan in scans]))
     return out
-
-
-def _methods_with_code(app: Application):
-    for decl in app.classes:
-        for method in _code_methods(decl):
-            yield decl, method
 
 
 def _code_methods(decl: ClassFile):

@@ -18,9 +18,9 @@ beta      ``tmp0, tmp1``  field-alias, param-drop
 gamma     ``local0, ...`` reflection, dup-interface
 ========  ==============  =========================================
 
-:meth:`Decompiler.decompile` optionally takes a :class:`DecompileMemo`,
-which reuses bug sites and decompiled classes across the probes of one
-reduction (the oracle's probe path passes one).
+:meth:`Decompiler.decompile` works through a :class:`DecompileMemo`,
+which reuses bug-site scans and decompiled classes across the probes of
+one reduction; a fresh memo decompiles everything once.
 """
 
 from __future__ import annotations
@@ -102,9 +102,8 @@ class DecompileMemo:
     the *same* reduced :class:`ClassFile` object whenever a class's kept
     items recur.  Both tables key by that object's identity:
 
-    - ``sites`` — ``id(decl) -> (decl, sites)``: the class-local bug
-      kinds' sites of the class (see :func:`~repro.decompiler.bugs
-      .sites_for`);
+    - ``sites`` — ``id(decl) -> (decl, scans)``: every bug kind's scan
+      of the class (see :func:`~repro.decompiler.bugs.sites_for`);
     - ``classes`` — ``(id(decl), class sites) -> (decl, SourceClass)``:
       the decompiled class.  :meth:`Decompiler._decompile_class` reads
       only ``decl``, its sites and the decompiler's fixed style, so the
@@ -116,13 +115,17 @@ class DecompileMemo:
     it without a lock, as they share the materialization memo: a
     duplicate computation stores the same value.
 
-    Telemetry: ``decompile.memo_hits`` / ``decompile.memo_misses``.
+    Telemetry: ``decompile.memo_hits`` / ``decompile.memo_misses`` count
+    the classes of every decompile, with whatever memo it ran on: a
+    class served from the memo is a hit, any other a miss.  A full
+    application's check (``DecompilerOracle.errors_of``) runs on a
+    fresh memo, so all its classes are misses.
     """
 
     __slots__ = ("sites", "classes")
 
     def __init__(self) -> None:
-        self.sites: Dict[int, Tuple[ClassFile, List[BugSite]]] = {}
+        self.sites: Dict[int, Tuple[ClassFile, Tuple[list, ...]]] = {}
         self.classes: Dict[
             Tuple[int, Tuple[BugSite, ...]], Tuple[ClassFile, SourceClass]
         ] = {}
@@ -142,25 +145,18 @@ class Decompiler:
     bug_scale: float = 1.0
 
     def decompile(
-        self, app: Application, memo: Optional[DecompileMemo] = None
+        self, app: Application, memo: DecompileMemo
     ) -> List[SourceClass]:
         """Decompile every class of the application.
 
-        ``memo`` reuses bug sites and decompiled classes across calls on
-        reductions of one application (see :class:`DecompileMemo`); the
-        output is the same with or without it.
+        ``memo`` reuses bug-site scans and decompiled classes across
+        calls on reductions of one application (see
+        :class:`DecompileMemo`); the output does not depend on what it
+        already holds.
         """
         by_class: Dict[str, List[BugSite]] = {}
-        for site in sites_for(
-            app, self.bug_ids, self.bug_scale,
-            memo.sites if memo is not None else None,
-        ):
+        for site in sites_for(app, self.bug_ids, self.bug_scale, memo.sites):
             by_class.setdefault(site.class_name, []).append(site)
-        if memo is None:
-            return [
-                self._decompile_class(decl, by_class.get(decl.name, ()))
-                for decl in app.classes
-            ]
         out: List[SourceClass] = []
         misses = 0
         for decl in app.classes:

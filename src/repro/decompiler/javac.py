@@ -13,9 +13,9 @@ what lets the oracle's "preserve the full error message" predicate be
 monotone.
 
 Each message names the class being checked, and that check reads other
-classes only through their signatures, so :func:`check_sources` can
-reuse a class's messages from an earlier call while those signatures
-are unchanged (its ``memo``; the oracle's probe path passes one).
+classes only through their signatures, so :func:`check_sources` reuses
+a class's messages from an earlier call on the same memo while those
+signatures are unchanged; a fresh memo checks every class.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ CheckMemo = Dict[
 
 
 def check_sources(
-    sources: Sequence[SourceClass], memo: Optional[CheckMemo] = None
+    sources: Sequence[SourceClass], memo: CheckMemo
 ) -> FrozenSet[str]:
     """Check all classes; returns the set of error messages (empty = ok).
 
@@ -89,10 +89,7 @@ def check_sources(
     memo without a lock: a duplicate check stores an equally valid
     entry.
     """
-    checker = _Checker(sources)
-    if memo is None:
-        return checker.run()
-    return checker.run_memoized(memo)
+    return _Checker(sources).run(memo)
 
 
 def _signature(decl: Optional[SourceClass]) -> Any:
@@ -127,7 +124,8 @@ class _Lookups:
         return self.table.get(name)
 
     def __contains__(self, name: str) -> bool:
-        return self.get(name) is not None
+        self.names.add(name)
+        return name in self.table
 
 
 class _Checker:
@@ -135,12 +133,7 @@ class _Checker:
         self.table: Dict[str, SourceClass] = {s.name: s for s in sources}
         self.errors: Set[str] = set()
 
-    def run(self) -> FrozenSet[str]:
-        for decl in self.table.values():
-            self.check_class(decl)
-        return frozenset(self.errors)
-
-    def run_memoized(self, memo: CheckMemo) -> FrozenSet[str]:
+    def run(self, memo: CheckMemo) -> FrozenSet[str]:
         table = self.table
         signatures: Dict[str, Any] = {}
 
@@ -149,26 +142,26 @@ class _Checker:
                 signatures[name] = _signature(table.get(name))
             return signatures[name]
 
-        errors = self.errors
+        errors: Set[str] = set()
         for decl in table.values():
             entry = memo.get(id(decl))
             if (
-                entry is not None
-                and entry[0] is decl
-                and all(signature(name) == seen for name, seen in entry[1])
+                entry is None
+                or entry[0] is not decl
+                or any(signature(name) != seen for name, seen in entry[1])
             ):
-                errors.update(entry[2])
-                continue
-            lookups = _Lookups(table)
-            self.table, self.errors = lookups, set()  # type: ignore[assignment]
-            self.check_class(decl)
-            memo[id(decl)] = (
-                decl,
-                tuple((name, signature(name)) for name in lookups.names),
-                frozenset(self.errors),
-            )
-            errors.update(self.errors)
-        self.table, self.errors = table, errors
+                # The check reads the table through a recorder and
+                # reports into a set of its own.
+                lookups = _Lookups(table)
+                self.table, self.errors = lookups, set()  # type: ignore[assignment]
+                self.check_class(decl)
+                entry = (
+                    decl,
+                    tuple((name, signature(name)) for name in lookups.names),
+                    frozenset(self.errors),
+                )
+                memo[id(decl)] = entry
+            errors.update(entry[2])
         return frozenset(errors)
 
     # ------------------------------------------------------------------
@@ -177,10 +170,12 @@ class _Checker:
         self.errors.add(f"{simple_name(decl.name)}.java: error: {message}")
 
     def type_exists(self, name: str) -> bool:
+        # Builtins first: no class may shadow one, so they need no
+        # (recorded) class-table lookup.
         return (
-            name in self.table
+            name in _PRIMITIVES
             or name in (JAVA_OBJECT, JAVA_STRING)
-            or name in _PRIMITIVES
+            or name in self.table
         )
 
     def check_type(self, decl: SourceClass, name: str) -> None:

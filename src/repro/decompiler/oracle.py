@@ -9,33 +9,37 @@
    ("the goal of the evaluation is to reduce the input program while
    preserving the full error message of the compiler").
 
-Probes are incremental: :meth:`DecompilerOracle.item_predicate`
-decompiles through a per-oracle
-:class:`~repro.decompiler.decompile.DecompileMemo` and compile-checks
-through a per-oracle :func:`~repro.decompiler.javac.check_sources`
-memo, so a reduced class that recurs across probes (the
-materialization memo hands back the same object) is decompiled once
-per run, not once per probe, and rechecked only when a signature it
-resolves against changed.  The full application's decompile (the
-constructor, :meth:`errors_of`) and the class-granularity predicate
-stay unmemoized: a corpus keeps its instances' oracles alive, so what
-they memoized would never be freed.  The simulated cost of a probe
-does not change.
+Every evaluation takes one path: materialize through the oracle's
+:class:`~repro.bytecode.reducer.MaterializationMemo`, decompile through
+a :class:`~repro.decompiler.decompile.DecompileMemo`, compile-check
+through a :func:`~repro.decompiler.javac.check_sources` memo.  A probe
+(:meth:`ProbeOracle.item_predicate`, and
+:meth:`ProbeOracle.class_predicate`, the item probe over every item of
+the kept classes) uses the oracle's own memos, so a reduced class that
+recurs across probes (the materialization memo hands back the same
+object) is decompiled once per run, not once per probe, and rechecked
+only when a signature it resolves against changed.  The full
+application's check (:meth:`DecompilerOracle.errors_of`) runs the same
+code on fresh, throwaway memos.  A reduction run probes an oracle it
+owns (:func:`repro.parallel.procpool.build_oracle`), so the memos live
+exactly as long as the run; a corpus instance's long-lived oracle only
+supplies the original error set.  The simulated cost of a probe does
+not change.
 
 Because every bug site's presence is monotone in the kept items (see
 :mod:`repro.decompiler.bugs`) and messages of *valid* sub-inputs are
 always a subset of the original's, the predicate is monotone on valid
 sub-inputs, matching Definition 4.1.
 
-:func:`build_reduction_problem` assembles the full Input Reduction
-Problem instance — items, constraint CNF (with the entry point required
-by unit clauses, like the paper's hand-added ``[M.main()!code]``), and
-the instrumented predicate.
+:meth:`DecompilerOracle.build_problem` assembles the full Input
+Reduction Problem instance — items, constraint CNF (with the entry point
+required by unit clauses, like the paper's hand-added
+``[M.main()!code]``), and the oracle's item predicate.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional, Set, Tuple
+from typing import AbstractSet, FrozenSet, List, Optional, Tuple
 
 from repro.bytecode.classfile import Application
 from repro.bytecode.constraints import generate_constraints
@@ -56,7 +60,12 @@ from repro.decompiler.javac import CheckMemo, check_sources
 from repro.logic.cnf import CNF, Clause
 from repro.reduction.problem import ReductionProblem
 
-__all__ = ["DecompilerOracle", "build_reduction_problem", "entry_items"]
+__all__ = [
+    "DecompilerOracle",
+    "ProbeOracle",
+    "build_reduction_problem",
+    "entry_items",
+]
 
 
 def entry_items(app: Application) -> Tuple[Item, ...]:
@@ -68,7 +77,38 @@ def entry_items(app: Application) -> Tuple[Item, ...]:
     )
 
 
-class DecompilerOracle:
+class ProbeOracle:
+    """What every oracle shares: one materialization memo per oracle,
+    and a class probe that is the item probe keeping whole classes.
+
+    Subclasses define ``item_predicate``.
+    """
+
+    def __init__(self, app: Application) -> None:
+        self.app = app
+        # Per-oracle, not module-global: each reduction run builds its
+        # own oracle, so it starts cold and its memo telemetry is
+        # deterministic regardless of what ran before.
+        self._materializer = MaterializationMemo(app)
+
+    def item_predicate(self, kept_items: FrozenSet[Item]) -> bool:
+        raise NotImplementedError
+
+    def class_items(self, kept_classes: AbstractSet[str]) -> FrozenSet[Item]:
+        """Every item of the kept classes."""
+        return self._materializer.class_items(kept_classes)
+
+    def class_predicate(self, kept_classes: FrozenSet[str]) -> bool:
+        """P over *class* sets (J-Reduce granularity): whole classes."""
+        return self.item_predicate(self.class_items(kept_classes))
+
+    @property
+    def required_classes(self) -> List[str]:
+        """What binary reduction over the class graph must keep."""
+        return [self.app.entry_class]
+
+
+class DecompilerOracle(ProbeOracle):
     """Decompile + compile-check for one (application, decompiler) pair.
 
     ``original_errors``, when given, is the error set of the full
@@ -82,17 +122,10 @@ class DecompilerOracle:
         decompiler,
         original_errors: Optional[FrozenSet[str]] = None,
     ) -> None:
+        super().__init__(app)
         if isinstance(decompiler, str):
             decompiler = get_decompiler(decompiler)
-        self.app = app
         self.decompiler: Decompiler = decompiler
-        # Probe fast path: per-class materialization memo shared by
-        # every probe of this oracle (reducer.memo_* telemetry).  Kept
-        # per-oracle, not module-global, so each reduction run (which
-        # builds a fresh oracle) starts cold and its memo telemetry is
-        # deterministic regardless of what ran before.
-        self._materializer = MaterializationMemo(app)
-        # Filled only by item_predicate (see the module docstring).
         self._decompile_memo = DecompileMemo()
         self._check_memo: CheckMemo = {}
         if original_errors is None:
@@ -100,18 +133,19 @@ class DecompilerOracle:
         self.original_errors = original_errors
 
     def errors_of(self, app: Application) -> FrozenSet[str]:
-        """The compiler error messages the decompiled output produces."""
-        sources = self.decompiler.decompile(app)
-        return check_sources(sources)
+        """The compiler error messages the decompiled output produces.
+
+        The probe path's decompile and check, on fresh memos: the answer
+        does not depend on this oracle's probes, nor changes their memos.
+        """
+        return check_sources(
+            self.decompiler.decompile(app, DecompileMemo()), {}
+        )
 
     @property
     def is_buggy(self) -> bool:
         """Does this decompiler mistranslate this application at all?"""
         return bool(self.original_errors)
-
-    # ------------------------------------------------------------------
-    # Predicates
-    # ------------------------------------------------------------------
 
     def probe_errors(self, kept_items: FrozenSet[Item]) -> FrozenSet[str]:
         """:meth:`errors_of` the reduced application, incrementally.
@@ -128,53 +162,48 @@ class DecompilerOracle:
         """P over item sets: reduce, decompile, compare messages."""
         return self.probe_errors(kept_items) == self.original_errors
 
-    def class_predicate(self, kept_classes: FrozenSet[str]) -> bool:
-        """P over *class* sets (J-Reduce granularity): whole classes."""
-        reduced = self.app.replace_classes(
-            tuple(c for c in self.app.classes if c.name in kept_classes)
+    def build_problem(
+        self, constraint: Optional[CNF] = None, require_entry: bool = True
+    ) -> ReductionProblem:
+        """The Input Reduction Problem over this oracle's item predicate.
+
+        The constraint includes unit clauses for the entry point when
+        ``require_entry`` is set — the analogue of the paper's
+        hand-added ``[M.main()!code]`` requirement.  ``constraint``,
+        when given, is that constraint compiled earlier (entry clauses
+        included; see :mod:`repro.harness.problems`) and is used
+        instead of generating one.
+
+        Raises ValueError when the decompiler is not buggy on this input
+        (nothing to reduce; the paper's benchmarks keep only buggy
+        pairs).
+        """
+        if not self.is_buggy:
+            raise ValueError(
+                f"decompiler {self.decompiler.name!r} translates this "
+                "application cleanly; no failure to preserve"
+            )
+        if constraint is None:
+            constraint = generate_constraints(self.app)
+            if require_entry:
+                for item in entry_items(self.app):
+                    constraint.add_clause(Clause.unit(item))
+        return ReductionProblem(
+            variables=items_of(self.app),
+            predicate=self.item_predicate,
+            constraint=constraint,
+            description=(
+                f"{self.decompiler.name} on {self.app.entry_class} "
+                f"({len(self.original_errors)} errors)"
+            ),
         )
-        return self.errors_of(reduced) == self.original_errors
 
 
 def build_reduction_problem(
-    app: Application,
-    decompiler,
-    require_entry: bool = True,
-    original_errors: Optional[FrozenSet[str]] = None,
-    constraint: Optional[CNF] = None,
+    app: Application, decompiler, require_entry: bool = True
 ) -> ReductionProblem:
-    """The Input Reduction Problem for one (application, decompiler) pair.
-
-    The returned problem's constraint includes unit clauses for the entry
-    point when ``require_entry`` is set — the analogue of the paper's
-    hand-added ``[M.main()!code]`` requirement.
-
-    The predicate runs on a fresh :class:`DecompilerOracle`, built from
-    ``original_errors`` when the caller has the pair's error set
-    already.  ``constraint``, when given, is that constraint compiled
-    earlier (entry clauses included; see :mod:`repro.harness.problems`)
-    and is used instead of generating one.
-
-    Raises ValueError when the decompiler is not buggy on this input
-    (nothing to reduce; the paper's benchmarks keep only buggy pairs).
-    """
-    oracle = DecompilerOracle(app, decompiler, original_errors)
-    if not oracle.is_buggy:
-        raise ValueError(
-            f"decompiler {oracle.decompiler.name!r} translates this "
-            "application cleanly; no failure to preserve"
-        )
-    if constraint is None:
-        constraint = generate_constraints(app)
-        if require_entry:
-            for item in entry_items(app):
-                constraint.add_clause(Clause.unit(item))
-    return ReductionProblem(
-        variables=items_of(app),
-        predicate=oracle.item_predicate,
-        constraint=constraint,
-        description=(
-            f"{oracle.decompiler.name} on {app.entry_class} "
-            f"({len(oracle.original_errors)} errors)"
-        ),
+    """The Input Reduction Problem for one (application, decompiler)
+    pair, on a new oracle (see :meth:`DecompilerOracle.build_problem`)."""
+    return DecompilerOracle(app, decompiler).build_problem(
+        require_entry=require_entry
     )

@@ -30,14 +30,7 @@ import dataclasses
 import hashlib
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
-from typing import (
-    Any,
-    Dict,
-    FrozenSet,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.bytecode.classfile import Application
 from repro.bytecode.constraints import class_dependency_graph
@@ -60,7 +53,6 @@ from repro.reduction.lossy import LossyVariant, lossy_reduce
 from repro.reduction.predicate import InstrumentedPredicate
 from repro.reduction.problem import ReductionProblem, Stopwatch
 from repro.resilience import Budget, FaultPlan
-from repro.decompiler.oracle import build_reduction_problem
 from repro.workloads.corpus import Benchmark, BuggyInstance
 
 __all__ = [
@@ -471,11 +463,23 @@ def _run_instance_inner(
 ) -> InstanceOutcome:
     # Lazy: repro.parallel imports the scheduler, which imports this
     # module.
-    from repro.parallel.procpool import ProbeTaskSpec, build_chain
+    from repro.parallel.procpool import (
+        ProbeTaskSpec,
+        build_chain,
+        build_oracle,
+    )
 
     tracer = get_tracer()
     app = benchmark.app
-    oracle = instance.oracle
+    scenario = getattr(instance, "scenario", "reduction")
+    original_errors = instance.oracle.original_errors
+    # Every probe of this run goes to an oracle the run owns, built from
+    # the instance's recipe: its memos start empty and die with the run,
+    # and the instance's own long-lived oracle is never probed.
+    oracle = build_oracle(
+        app, scenario, instance.decompiler, benchmark.benchmark_id,
+        original_errors,
+    )
     # The one serialization of the full app: its size, the store keys'
     # app digest, and the process probe pool's task spec.
     app_bytes = serialize_application(app)
@@ -492,8 +496,6 @@ def _run_instance_inner(
             app, instance.decompiler, granularity, tenant=config.tenant,
             app_digest=app_digest,
         )
-
-    scenario = getattr(instance, "scenario", "reduction")
 
     def _knobs(granularity: str) -> Dict[str, Any]:
         """The chain knobs, shared by the parent chain and its spec."""
@@ -526,6 +528,7 @@ def _run_instance_inner(
             granularity=granularity,
             scenario=scenario,
             benchmark_id=benchmark.benchmark_id,
+            original_errors=original_errors,
             **_knobs(granularity),
         )
 
@@ -559,41 +562,27 @@ def _run_instance_inner(
                 )
                 instrumented_cell.append(instrumented)
                 graph = class_dependency_graph(app)
-                # Scenario oracles (debloat) pin more than the entry
-                # class — duck-typed so DecompilerOracle needs no hook.
-                required = list(
-                    getattr(oracle, "required_classes", None)
-                    or [app.entry_class]
-                )
+                required = oracle.required_classes
             with tracer.span("instance.reduce", strategy=strategy), (
                 _maybe_profile(config, tracer)
             ):
-                result = binary_reduction(
-                    graph,
-                    instrumented,
-                    required=required,
-                )
+                result = binary_reduction(graph, instrumented, required)
             with tracer.span("instance.measure", strategy=strategy):
-                reduced = _class_subset(app, result.solution)
+                reduced = reduce_application(
+                    app, oracle.class_items(result.solution)
+                )
         else:
             with tracer.span("instance.setup", strategy=strategy):
-                # Scenario oracles build their own problem (on a fresh
-                # oracle, keeping memo telemetry deterministic); the
-                # default is the paper's decompiler-bug problem, which a
-                # store keeps compiled (repro.harness.problems).
-                builder = getattr(oracle, "build_problem", None)
+                # The paper's decompiler-bug problem is kept compiled in
+                # a store (repro.harness.problems); the debloat problem
+                # pins its coverage set and is always built.
                 order = None
-                if builder is not None:
-                    problem = builder()
-                elif store is not None:
+                if store is not None and scenario == "reduction":
                     problem, order = compiled_problem(
                         app, app_digest, oracle, store, config.tenant
                     )
                 else:
-                    problem = build_reduction_problem(
-                        app, oracle.decompiler,
-                        original_errors=oracle.original_errors,
-                    )
+                    problem = oracle.build_problem()
                 instrumented = InstrumentedPredicate(
                     _chain(problem.predicate, "item"),
                     cost_per_call=config.simulated_seconds_per_run,
@@ -740,12 +729,6 @@ def progress_line(outcome: InstanceOutcome) -> str:
     return (
         f"{prefix}: {outcome.relative_bytes:.1%} bytes in "
         f"{outcome.predicate_calls} runs{suffix}"
-    )
-
-
-def _class_subset(app, kept_classes: FrozenSet[str]):
-    return app.replace_classes(
-        tuple(c for c in app.classes if c.name in kept_classes)
     )
 
 

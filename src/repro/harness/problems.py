@@ -41,7 +41,6 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.bytecode.classfile import Application
 from repro.bytecode.items import items_of
-from repro.decompiler.oracle import build_reduction_problem
 from repro.logic.cnf import CNF
 from repro.observability import get_metrics
 from repro.reduction.ordering import dependency_order
@@ -179,10 +178,9 @@ def compiled_problem(
 
     Loaded from ``store`` when it holds a well-formed record for the
     application (``app_digest`` is the sha256 hex of its serialized
-    bytes); built and recorded otherwise.  ``oracle`` is the instance's
-    :class:`~repro.decompiler.oracle.DecompilerOracle`: the problem's
-    predicate runs on a fresh oracle built from its error set, so the
-    full application is not decompiled again.
+    bytes); built and recorded otherwise.  ``oracle`` is the run's
+    :class:`~repro.decompiler.oracle.DecompilerOracle`, whose item
+    predicate the problem probes.
     """
     namespace = problem_namespace(tenant)
     metrics = get_metrics()
@@ -197,10 +195,7 @@ def compiled_problem(
             metrics.counter("problem.rejected").inc()
         else:
             metrics.counter("problem.hits").inc()
-    problem = build_reduction_problem(
-        app, oracle.decompiler, original_errors=oracle.original_errors,
-        constraint=constraint,
-    )
+    problem = oracle.build_problem(constraint)
     if constraint is None:
         order = dependency_order(problem.constraint, problem.variables)
         store.put_record(namespace, app_digest, encode_record(problem, order))

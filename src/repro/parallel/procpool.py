@@ -17,7 +17,8 @@ The contract (DESIGN.md §10) has three parts:
   which keeps only its :class:`ProbeTaskSpec` — a frozen, picklable
   recipe: the serialized application bytes (``serialize_application``
   round-trips exactly), the scenario and decompiler *name* (resolved by
-  :func:`build_oracle`), the granularity, and the chain knobs (seeded
+  :func:`build_oracle`), the full application's error set, the
+  granularity, and the chain knobs (seeded
   :class:`~repro.resilience.faults.FaultPlan`, retries, deadline, tool
   latency).  Workers rebuild the chain with :func:`build_chain` and
   cache it per spec (the last :data:`PREDICATE_CACHE_SIZE` specs), so
@@ -154,12 +155,24 @@ def build_chain(
     return wrapped
 
 
-def build_oracle(app, scenario: str, decompiler: str, benchmark_id: str):
-    """The one recipe for rebuilding an instance's oracle from its app.
+def build_oracle(
+    app,
+    scenario: str,
+    decompiler: str,
+    benchmark_id: str,
+    original_errors: Optional[FrozenSet[str]] = None,
+):
+    """The one recipe for building an instance's oracle from its app.
 
     ``"debloat"`` instances get the coverage oracle (seeded by the
     benchmark id, so every process derives the same profile); the
     paper's reduction scenario gets the named decompiler's oracle.
+    ``original_errors``, the full application's error set when the
+    caller knows it, spares the oracle its full-application check.
+
+    Every reduction run probes an oracle built here for that run, in
+    the parent and in probe workers alike, so its memos live exactly
+    as long as the run (or the worker's chain cache) keeps it.
     """
     if scenario == "debloat":
         from repro.workloads.debloat import DebloatOracle
@@ -167,7 +180,7 @@ def build_oracle(app, scenario: str, decompiler: str, benchmark_id: str):
         return DebloatOracle(app, benchmark_id)
     from repro.decompiler.oracle import DecompilerOracle
 
-    return DecompilerOracle(app, decompiler)
+    return DecompilerOracle(app, decompiler, original_errors)
 
 
 @dataclass(frozen=True)
@@ -176,8 +189,10 @@ class ProbeTaskSpec:
 
     ``kind == "oracle"`` rebuilds the instance's oracle from
     ``app_bytes`` (the exact ``serialize_application`` round-trip) via
-    :func:`build_oracle`; ``kind == "callable"`` ships a small
-    picklable predicate directly (the CLI's containment oracle).
+    :func:`build_oracle`, passing on ``original_errors`` (the parent
+    knows them, so the worker need not decompile the full application);
+    ``kind == "callable"`` ships a small picklable predicate directly
+    (the CLI's containment oracle).
 
     The spec doubles as the worker-side cache key (it is frozen and
     hashable), so every field must be immutable: the chaos plan is the
@@ -192,6 +207,7 @@ class ProbeTaskSpec:
     granularity: str = "item"
     scenario: str = "reduction"
     benchmark_id: str = ""
+    original_errors: Optional[FrozenSet[str]] = None
     predicate: Optional[Predicate] = None
     chaos: Optional[FaultPlan] = None
     chaos_key: str = ""
@@ -272,6 +288,7 @@ def build_worker_predicate(spec: ProbeTaskSpec) -> Predicate:
             spec.scenario,
             spec.decompiler,
             spec.benchmark_id,
+            spec.original_errors,
         )
         raw = (
             oracle.item_predicate

@@ -3,7 +3,9 @@
 Every strategy takes a :class:`repro.reduction.problem.ReductionProblem`
 (plus optional keyword arguments shared across strategies) and returns a
 :class:`repro.reduction.problem.ReductionResult`.  The experiment harness
-and the CLI dispatch through this registry.
+and the CLI do not dispatch through this registry (the harness names its
+strategies in :func:`repro.harness.experiments.run_instance`); tests use
+it to run any strategy by name.
 
 Registered strategies:
 

@@ -34,6 +34,7 @@ a single application in the parent.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -336,15 +337,6 @@ class _LazyOracle:
         return getattr(self._oracle, attr)
 
 
-def _oracle_factory(app: Application, decompiler: str, scenario: str,
-                    benchmark_id: str):
-    if scenario == "debloat":
-        from repro.workloads.debloat import DebloatOracle
-
-        return lambda: DebloatOracle(app, benchmark_id)
-    return lambda: DecompilerOracle(app, DECOMPILERS[decompiler])
-
-
 def iter_saved_corpus(path: str) -> Iterator[Benchmark]:
     """Stream a persisted corpus back, one benchmark at a time.
 
@@ -354,6 +346,7 @@ def iter_saved_corpus(path: str) -> Iterator[Benchmark]:
     time, so stats come from ``instance.known_errors`` instead.
     """
     from repro.bytecode.serializer import deserialize_application
+    from repro.parallel.procpool import build_oracle
 
     manifest = load_manifest(path)
     for entry in manifest["benchmarks"]:
@@ -376,9 +369,9 @@ def iter_saved_corpus(path: str) -> Iterator[Benchmark]:
                     benchmark_id=entry["benchmark_id"],
                     decompiler=inst["decompiler"],
                     oracle=_LazyOracle(
-                        _oracle_factory(
-                            app, inst["decompiler"], scenario,
-                            entry["benchmark_id"],
+                        functools.partial(
+                            build_oracle, app, scenario,
+                            inst["decompiler"], entry["benchmark_id"],
                         )
                     ),
                     scenario=scenario,

@@ -8,13 +8,12 @@ validates"* — no decompiler, no bug to preserve, just a coverage set
 and the class-file validator standing in for the JVM's bytecode
 verifier.
 
-:class:`DebloatOracle` mirrors :class:`~repro.decompiler.oracle
-.DecompilerOracle`'s surface (``item_predicate`` / ``class_predicate``
-/ ``original_errors``) so every harness strategy — GBR, J-Reduce-style
-binary reduction over the class graph, the lossy variants — runs
-unchanged; ``build_problem()`` / ``required_classes`` are the two
-scenario-specific hooks :func:`repro.harness.experiments.run_instance`
-duck-types.
+:class:`DebloatOracle` is a :class:`~repro.decompiler.oracle
+.ProbeOracle` like :class:`~repro.decompiler.oracle.DecompilerOracle`
+(``item_predicate`` / ``class_predicate`` / ``original_errors`` /
+``build_problem()`` / ``required_classes``), so every harness strategy
+— GBR, J-Reduce-style binary reduction over the class graph, the lossy
+variants — runs unchanged.
 
 Coverage is seeded from the *benchmark id* (``derive_seed(0,
 "debloat:<id>")``), never from batch position, so the covered set — and
@@ -42,9 +41,8 @@ from repro.bytecode.items import (
     items_of,
 )
 from repro.bytecode.constraints import generate_constraints
-from repro.bytecode.reducer import MaterializationMemo
 from repro.bytecode.validator import validate_application
-from repro.decompiler.oracle import entry_items
+from repro.decompiler.oracle import ProbeOracle, entry_items
 from repro.logic.cnf import Clause
 from repro.reduction.problem import ReductionProblem
 from repro.resilience.faults import derive_seed
@@ -54,7 +52,6 @@ __all__ = [
     "DEBLOAT_DECOMPILER",
     "DebloatOracle",
     "add_debloat_instances",
-    "build_debloat_problem",
 ]
 
 #: The "decompiler" label debloat instances carry — it namespaces chaos
@@ -63,7 +60,7 @@ __all__ = [
 DEBLOAT_DECOMPILER = "debloat"
 
 #: Fraction of concrete methods a coverage profile marks as executed.
-DEFAULT_COVERAGE_FRACTION = 0.2
+COVERAGE_FRACTION = 0.2
 
 
 class _DebloatTool:
@@ -72,7 +69,7 @@ class _DebloatTool:
     name = DEBLOAT_DECOMPILER
 
 
-class DebloatOracle:
+class DebloatOracle(ProbeOracle):
     """The coverage predicate for one application.
 
     ``covered_items`` is the seeded coverage profile (always including
@@ -80,20 +77,13 @@ class DebloatOracle:
     kept and the materialized sub-application still validates.
     """
 
-    def __init__(
-        self,
-        app: Application,
-        benchmark_id: str,
-        fraction: float = DEFAULT_COVERAGE_FRACTION,
-    ) -> None:
-        self.app = app
+    def __init__(self, app: Application, benchmark_id: str) -> None:
+        super().__init__(app)
         self.benchmark_id = benchmark_id
-        self.fraction = fraction
         self.decompiler = _DebloatTool()
         #: No compiler errors to preserve — the scenario's "bug" is the
         #: coverage contract itself.
         self.original_errors: FrozenSet[str] = frozenset()
-        self._materializer = MaterializationMemo(app)
         self.covered_items: FrozenSet[Item] = frozenset(
             self._coverage_profile()
         )
@@ -124,7 +114,7 @@ class DebloatOracle:
                     candidates.append(
                         (decl.name, method.name, method.descriptor)
                     )
-        count = max(1, int(round(len(candidates) * self.fraction)))
+        count = max(1, int(round(len(candidates) * COVERAGE_FRACTION)))
         chosen = rng.sample(candidates, min(count, len(candidates)))
         covered: List[Item] = list(entry_items(self.app))
         for class_name, method_name, descriptor in chosen:
@@ -138,29 +128,12 @@ class DebloatOracle:
         """Debloating applies to every app — there is always bloat."""
         return True
 
-    # ------------------------------------------------------------------
-    # Predicates (the DecompilerOracle surface)
-    # ------------------------------------------------------------------
-
     def item_predicate(self, kept_items: FrozenSet[Item]) -> bool:
         """Covered items kept and the materialized program validates."""
         if not self.covered_items <= kept_items:
             return False
         reduced = self._materializer.reduce(kept_items)
         return not validate_application(reduced, raise_on_error=False)
-
-    def class_predicate(self, kept_classes: FrozenSet[str]) -> bool:
-        """Class-granularity variant (the J-Reduce baseline's view)."""
-        if not self.covered_classes <= kept_classes:
-            return False
-        reduced = self.app.replace_classes(
-            tuple(c for c in self.app.classes if c.name in kept_classes)
-        )
-        return not validate_application(reduced, raise_on_error=False)
-
-    # ------------------------------------------------------------------
-    # The scenario hooks run_instance duck-types
-    # ------------------------------------------------------------------
 
     @property
     def required_classes(self) -> List[str]:
@@ -170,49 +143,28 @@ class DebloatOracle:
         return sorted(required)
 
     def build_problem(self) -> ReductionProblem:
-        """The Input Reduction Problem for this coverage profile.
-
-        Builds on a *fresh* oracle (mirroring
-        :func:`~repro.decompiler.oracle.build_reduction_problem`), so
-        every run starts with a cold materialization memo and its
-        ``reducer.memo_*`` telemetry is deterministic regardless of run
-        history.
-        """
-        return build_debloat_problem(
-            self.app, self.benchmark_id, self.fraction
+        """The Input Reduction Problem for this coverage profile."""
+        constraint = generate_constraints(self.app)
+        variables = items_of(self.app)
+        # Unit clauses pin the coverage set, in stable item-universe
+        # order (the debloat analogue of the paper's hand-added
+        # entry-point requirement).  entry_items are part of
+        # covered_items already.
+        for item in variables:
+            if item in self.covered_items:
+                constraint.add_clause(Clause.unit(item))
+        return ReductionProblem(
+            variables=variables,
+            predicate=self.item_predicate,
+            constraint=constraint,
+            description=(
+                f"debloat {self.benchmark_id} "
+                f"({len(self.covered_items)} covered items)"
+            ),
         )
 
 
-def build_debloat_problem(
-    app: Application,
-    benchmark_id: str,
-    fraction: float = DEFAULT_COVERAGE_FRACTION,
-) -> ReductionProblem:
-    """Assemble the debloating reduction problem for one application."""
-    oracle = DebloatOracle(app, benchmark_id, fraction)
-    constraint = generate_constraints(app)
-    variables = items_of(app)
-    # Unit clauses pin the coverage set, in stable item-universe order
-    # (the debloat analogue of the paper's hand-added entry-point
-    # requirement).  entry_items are part of covered_items already.
-    for item in variables:
-        if item in oracle.covered_items:
-            constraint.add_clause(Clause.unit(item))
-    return ReductionProblem(
-        variables=variables,
-        predicate=oracle.item_predicate,
-        constraint=constraint,
-        description=(
-            f"debloat {benchmark_id} "
-            f"({len(oracle.covered_items)} covered items)"
-        ),
-    )
-
-
-def add_debloat_instances(
-    benchmarks: Iterable[Benchmark],
-    fraction: float = DEFAULT_COVERAGE_FRACTION,
-) -> List[Benchmark]:
+def add_debloat_instances(benchmarks: Iterable[Benchmark]) -> List[Benchmark]:
     """Append one debloat instance per benchmark (mutates, returns).
 
     The instance rides the same corpus plumbing as the reduction
@@ -226,9 +178,7 @@ def add_debloat_instances(
             BuggyInstance(
                 benchmark_id=benchmark.benchmark_id,
                 decompiler=DEBLOAT_DECOMPILER,
-                oracle=DebloatOracle(
-                    benchmark.app, benchmark.benchmark_id, fraction
-                ),
+                oracle=DebloatOracle(benchmark.app, benchmark.benchmark_id),
                 scenario="debloat",
                 known_errors=0,
             )

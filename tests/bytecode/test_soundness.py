@@ -52,9 +52,10 @@ class TestSoundness:
         from dataclasses import replace as _replace
 
         from repro.decompiler import check_sources, get_decompiler
+        from repro.decompiler.decompile import DecompileMemo
 
         clean = _replace(get_decompiler("alpha"), bug_ids=())
-        errors = check_sources(clean.decompile(reduced))
+        errors = check_sources(clean.decompile(reduced, DecompileMemo()), {})
         assert errors == frozenset(), (
             f"seed {seed}: valid sub-application decompiled to "
             f"non-compiling source: {sorted(errors)[:3]}"

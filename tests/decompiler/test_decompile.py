@@ -31,7 +31,7 @@ from repro.bytecode.instructions import (
     Return,
 )
 from repro.decompiler import DECOMPILERS, check_sources, get_decompiler
-from repro.decompiler.decompile import Decompiler
+from repro.decompiler.decompile import DecompileMemo, Decompiler
 from repro.decompiler.source import (
     DeclStmt,
     NewExpr,
@@ -44,6 +44,14 @@ from repro.workloads import generate_application
 from repro.workloads.generator import WorkloadConfig
 
 CLEAN = Decompiler("clean", "v", ())  # no defects at all
+
+
+def decompile(decompiler, app):
+    return decompiler.decompile(app, DecompileMemo())
+
+
+def errors_of(decompiler, app):
+    return check_sources(decompile(decompiler, app), {})
 
 
 def ctor(name, superclass="java/lang/Object"):
@@ -67,7 +75,7 @@ class TestCleanDecompilation:
         app = Application(
             classes=(ClassFile(name="app/C", methods=(ctor("app/C"),)),)
         )
-        (source,) = CLEAN.decompile(app)
+        (source,) = decompile(CLEAN, app)
         init = source.methods[0]
         assert isinstance(init.statements[0], SuperCallStmt)
 
@@ -92,7 +100,7 @@ class TestCleanDecompilation:
                 ),
             )
         )
-        sources = CLEAN.decompile(app)
+        sources = decompile(CLEAN, app)
         target = next(s for s in sources if s.name == "app/C")
         stmt = target.methods[0].statements[0]
         assert isinstance(stmt, DeclStmt)
@@ -112,7 +120,7 @@ class TestCleanDecompilation:
                 ClassFile(name="app/C", methods=(ctor("app/C"), trivial)),
             )
         )
-        assert check_sources(CLEAN.decompile(app)) == frozenset()
+        assert errors_of(CLEAN, app) == frozenset()
 
     def test_this_recursion_constructor(self):
         from repro.bytecode.reducer import trivial_code
@@ -124,9 +132,9 @@ class TestCleanDecompilation:
         app = Application(
             classes=(ClassFile(name="app/C", methods=(recursive,)),)
         )
-        (source,) = CLEAN.decompile(app)
+        (source,) = decompile(CLEAN, app)
         assert isinstance(source.methods[0].statements[0], ThisCallStmt)
-        assert check_sources([source]) == frozenset()
+        assert check_sources([source], {}) == frozenset()
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=3000))
@@ -135,7 +143,7 @@ class TestCleanDecompilation:
         app = generate_application(
             seed, WorkloadConfig(num_classes=10, num_interfaces=3)
         )
-        assert check_sources(CLEAN.decompile(app)) == frozenset()
+        assert errors_of(CLEAN, app) == frozenset()
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=3000))
@@ -143,7 +151,7 @@ class TestCleanDecompilation:
         app = generate_application(
             seed, WorkloadConfig(num_classes=8, num_interfaces=2)
         )
-        for source in CLEAN.decompile(app):
+        for source in decompile(CLEAN, app):
             assert render_source(source)
 
 
@@ -184,7 +192,7 @@ class TestCorruptions:
             name="app/U", methods=(MethodDef("u", "()V", code=body),)
         )
         app = Application(classes=(iface, impl, user))
-        errors = check_sources(scaled("alpha").decompile(app))
+        errors = errors_of(scaled("alpha"), app)
         assert errors == {
             "U.java: error: cannot find symbol: method im$iface in I"
         }
@@ -215,8 +223,8 @@ class TestCorruptions:
         alpha = scaled("alpha")
         single = Application(classes=(target, one))
         both = Application(classes=(target, one, two))
-        assert check_sources(alpha.decompile(single)) == frozenset()
-        errors = check_sources(alpha.decompile(both))
+        assert errors_of(alpha, single) == frozenset()
+        errors = errors_of(alpha, both)
         assert errors == {
             "A.java: error: cannot find symbol: method instance$cache in D",
             "B.java: error: cannot find symbol: method instance$cache in D",
@@ -250,12 +258,10 @@ class TestCorruptions:
             name="app/U",
             methods=(MethodDef("u", "()V", code=write_body()),),
         )
-        assert check_sources(
-            beta.decompile(Application(classes=(one_field, user)))
+        assert errors_of(
+            beta, Application(classes=(one_field, user))
         ) == frozenset()
-        errors = check_sources(
-            beta.decompile(Application(classes=(two_fields, user)))
-        )
+        errors = errors_of(beta, Application(classes=(two_fields, user)))
         assert errors == {
             "U.java: error: cannot find symbol: variable alias$f"
         }
@@ -289,7 +295,7 @@ class TestCorruptions:
             name="app/U", methods=(MethodDef("u", "()V", code=body),)
         )
         app = Application(classes=(callee, user))
-        errors = check_sources(scaled("beta").decompile(app))
+        errors = errors_of(scaled("beta"), app)
         assert errors == {
             "U.java: error: method two in D cannot be applied to "
             "given arguments"
@@ -304,7 +310,7 @@ class TestCorruptions:
             name="app/U", methods=(MethodDef("u", "()V", code=body),)
         )
         app = Application(classes=(target, user))
-        errors = check_sources(scaled("gamma").decompile(app))
+        errors = errors_of(scaled("gamma"), app)
         assert errors == {
             "U.java: error: cannot find symbol: method componentType$ "
             "in Class"
@@ -315,7 +321,7 @@ class TestCorruptions:
         i2 = ClassFile(name="app/I2", is_interface=True, is_abstract=True)
         impl = ClassFile(name="app/C", interfaces=("app/I1", "app/I2"))
         app = Application(classes=(i1, i2, impl))
-        errors = check_sources(scaled("gamma").decompile(app))
+        errors = errors_of(scaled("gamma"), app)
         assert errors == {"C.java: error: repeated interface I1"}
 
 

@@ -50,7 +50,7 @@ def method(name, return_type="void", params=(), statements=(ReturnStmt(),),
 
 class TestCleanPrograms:
     def test_empty(self):
-        assert check_sources([]) == frozenset()
+        assert check_sources([], {}) == frozenset()
 
     def test_simple_method(self):
         source = cls(
@@ -64,7 +64,7 @@ class TestCleanPrograms:
                 )
             ],
         )
-        assert check_sources([source]) == frozenset()
+        assert check_sources([source], {}) == frozenset()
 
     def test_inherited_method_call(self):
         parent = cls("app/P", methods=[method("pm")])
@@ -82,7 +82,7 @@ class TestCleanPrograms:
                 )
             ],
         )
-        assert check_sources([parent, child, user]) == frozenset()
+        assert check_sources([parent, child, user], {}) == frozenset()
 
     def test_null_assignable_to_references(self):
         source = cls(
@@ -99,7 +99,7 @@ class TestCleanPrograms:
                 )
             ],
         )
-        assert check_sources([source]) == frozenset()
+        assert check_sources([source], {}) == frozenset()
 
     def test_upcast_via_interface(self):
         iface = cls("app/I", is_interface=True,
@@ -122,7 +122,7 @@ class TestCleanPrograms:
                 )
             ],
         )
-        assert check_sources([iface, impl, user]) == frozenset()
+        assert check_sources([iface, impl, user], {}) == frozenset()
 
     def test_object_methods_available(self):
         source = cls(
@@ -137,7 +137,7 @@ class TestCleanPrograms:
                 )
             ],
         )
-        assert check_sources([source]) == frozenset()
+        assert check_sources([source], {}) == frozenset()
 
     def test_this_and_super_constructor_calls(self):
         parent = cls("app/P", methods=[method("<init>")])
@@ -148,7 +148,7 @@ class TestCleanPrograms:
                 method("<init>", statements=[SuperCallStmt(), ReturnStmt()])
             ],
         )
-        assert check_sources([parent, child]) == frozenset()
+        assert check_sources([parent, child], {}) == frozenset()
 
 
 class TestErrors:
@@ -158,7 +158,7 @@ class TestErrors:
             methods=[method("m", statements=[ExprStmt(VarRef("ghost")),
                                              ReturnStmt()])],
         )
-        errors = check_sources([source])
+        errors = check_sources([source], {})
         assert errors == {
             "C.java: error: cannot find symbol: variable ghost"
         }
@@ -176,13 +176,13 @@ class TestErrors:
                 )
             ],
         )
-        assert check_sources([source]) == {
+        assert check_sources([source], {}) == {
             "C.java: error: cannot find symbol: method ghost in C"
         }
 
     def test_unknown_class(self):
         source = cls("app/C", superclass="app/Ghost")
-        assert check_sources([source]) == {
+        assert check_sources([source], {}) == {
             "C.java: error: cannot find symbol: class Ghost"
         }
 
@@ -202,7 +202,7 @@ class TestErrors:
                 ),
             ],
         )
-        assert check_sources([source]) == {
+        assert check_sources([source], {}) == {
             "C.java: error: method two in C cannot be applied to "
             "given arguments"
         }
@@ -222,7 +222,7 @@ class TestErrors:
                 )
             ],
         )
-        assert check_sources([a, b, user]) == {
+        assert check_sources([a, b, user], {}) == {
             "U.java: error: incompatible types: B cannot be converted to A"
         }
 
@@ -239,7 +239,7 @@ class TestErrors:
                 )
             ],
         )
-        assert check_sources([source]) == {
+        assert check_sources([source], {}) == {
             "C.java: error: int cannot be dereferenced"
         }
 
@@ -260,7 +260,7 @@ class TestErrors:
                 )
             ],
         )
-        assert check_sources([source]) == {
+        assert check_sources([source], {}) == {
             "C.java: error: cannot find symbol: method componentType$ "
             "in Class"
         }
@@ -268,7 +268,7 @@ class TestErrors:
     def test_repeated_interface(self):
         iface = cls("app/I", is_interface=True)
         impl = cls("app/C", interfaces=["app/I", "app/I"])
-        assert check_sources([iface, impl]) == {
+        assert check_sources([iface, impl], {}) == {
             "C.java: error: repeated interface I"
         }
 
@@ -283,7 +283,7 @@ class TestErrors:
                 )
             ],
         )
-        assert check_sources([abstract, user]) == {
+        assert check_sources([abstract, user], {}) == {
             "U.java: error: A is abstract; cannot be instantiated"
         }
 
@@ -292,7 +292,7 @@ class TestErrors:
             "app/C",
             methods=[method("m", "int", statements=[ReturnStmt()])],
         )
-        assert check_sources([source]) == {
+        assert check_sources([source], {}) == {
             "C.java: error: missing return value"
         }
 
@@ -309,7 +309,7 @@ class TestErrors:
                 )
             ],
         )
-        assert check_sources([target, user]) == {
+        assert check_sources([target, user], {}) == {
             "U.java: error: constructor D cannot be applied to "
             "given arguments"
         }
@@ -333,6 +333,6 @@ class TestErrors:
                 )
             ],
         )
-        assert check_sources([source]) == {
+        assert check_sources([source], {}) == {
             "C.java: error: cannot find symbol: variable ghost"
         }

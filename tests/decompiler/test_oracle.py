@@ -133,8 +133,8 @@ class TestBugSiteMonotonicity:
             return
         reduced = reduce_application(app, model)
         for bug_id in BUG_KINDS:
-            full_sites = set(sites_for(app, (bug_id,)))
-            reduced_sites = set(sites_for(reduced, (bug_id,)))
+            full_sites = set(sites_for(app, (bug_id,), 1.0, {}))
+            reduced_sites = set(sites_for(reduced, (bug_id,), 1.0, {}))
             assert reduced_sites <= full_sites, bug_id
 
 
@@ -210,9 +210,71 @@ class TestIncrementalOracle:
         oracle.item_predicate(frozenset(items_of(app)))
         assert oracle._decompile_memo.classes and oracle._check_memo
 
-    def test_class_predicate_leaves_memos_empty(self):
-        app, name, _ = first_buggy()
-        oracle = DecompilerOracle(app, name)
-        oracle.class_predicate(frozenset(app.class_names()))
-        assert not oracle._decompile_memo.classes
-        assert not oracle._check_memo
+
+def _class_subset(app, kept_classes):
+    return app.replace_classes(
+        tuple(c for c in app.classes if c.name in kept_classes)
+    )
+
+
+#: Random class subsets: each class kept with the drawn probability
+#: (high ones keep the classes a predicate needs).
+CLASS_PROBES = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=2**32),
+        st.sampled_from([1.0, 0.95, 0.8, 0.5]),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _draw_classes(app, seed, keep):
+    rng = random.Random(seed)
+    return frozenset(c.name for c in app.classes if rng.random() < keep)
+
+
+class TestClassProbes:
+    """A class probe is the item probe over the kept classes' items."""
+
+    @pytest.mark.parametrize("scale", [1.0, 0.0])
+    @pytest.mark.parametrize("name", sorted(DECOMPILERS))
+    @settings(max_examples=10, deadline=None)
+    @given(CLASS_PROBES)
+    def test_class_predicate_equals_whole_class_errors(
+        self, name, scale, probes
+    ):
+        oracle = shared_oracle(name, scale)
+        app = oracle.app
+        for seed, keep in probes:
+            kept = _draw_classes(app, seed, keep)
+            subset = _class_subset(app, kept)
+            assert oracle._materializer.reduce(
+                oracle.class_items(kept)
+            ) == subset
+            assert oracle.class_predicate(kept) == (
+                oracle.errors_of(subset) == oracle.original_errors
+            )
+
+    @settings(max_examples=20, deadline=None)
+    @given(CLASS_PROBES, st.booleans())
+    def test_debloat_class_predicate_equals_whole_class_check(
+        self, probes, covered
+    ):
+        from repro.bytecode.validator import validate_application
+        from repro.workloads.debloat import DebloatOracle
+
+        oracle = _ORACLES.get("debloat")
+        if oracle is None:
+            app = generate_application(7, CONFIG)
+            oracle = _ORACLES["debloat"] = DebloatOracle(app, "b007")
+        app = oracle.app
+        for seed, keep in probes:
+            kept = _draw_classes(app, seed, keep)
+            if covered:
+                kept |= oracle.covered_classes
+            subset = _class_subset(app, kept)
+            assert oracle.class_predicate(kept) == (
+                oracle.covered_classes <= kept
+                and not validate_application(subset, raise_on_error=False)
+            )

@@ -64,6 +64,27 @@ class TestRunInstance:
 
 
 class TestCorpusExperiment:
+    def test_runs_leave_instance_oracles_unprobed(self):
+        from repro.workloads.debloat import add_debloat_instances
+
+        corpus = build_corpus(
+            CorpusConfig(num_benchmarks=2, min_classes=8, max_classes=12)
+        )
+        add_debloat_instances(corpus)
+        run_corpus_experiment(
+            corpus, ExperimentConfig(strategies=("our-reducer", "jreduce")),
+            jobs=1,
+        )
+        oracles = [i.oracle for b in corpus for i in b.instances]
+        assert any(o.decompiler.name == "debloat" for o in oracles)
+        assert any(o.decompiler.name != "debloat" for o in oracles)
+        for oracle in oracles:
+            assert not oracle._materializer._reduced
+            if oracle.decompiler.name != "debloat":
+                assert not oracle._decompile_memo.sites
+                assert not oracle._decompile_memo.classes
+                assert not oracle._check_memo
+
     def test_all_strategies_ran(self, tiny_corpus, outcomes):
         instances = sum(len(b.instances) for b in tiny_corpus)
         assert len(outcomes) == 4 * instances

@@ -29,6 +29,7 @@ from repro.harness.problems import (
 )
 from repro.observability.metrics import MetricsRegistry, scoped_metrics
 from repro.parallel import open_store
+from repro.parallel.procpool import build_oracle
 from repro.reduction import dependency_order
 from repro.workloads.corpus import CorpusConfig, build_benchmark
 
@@ -226,15 +227,15 @@ def test_problem_build_reuses_the_oracle_error_set(monkeypatch):
     calls = []
     original = type(decompiler).decompile
 
-    def spy(self, app):
+    def spy(self, app, memo):
         calls.append(app is benchmark.app)
-        return original(self, app)
+        return original(self, app, memo)
 
     monkeypatch.setattr(type(decompiler), "decompile", spy)
-    build_reduction_problem(
-        benchmark.app, decompiler,
-        original_errors=instance.oracle.original_errors,
-    )
+    build_oracle(
+        benchmark.app, instance.scenario, instance.decompiler,
+        benchmark.benchmark_id, instance.oracle.original_errors,
+    ).build_problem()
     assert calls == []
 
 
@@ -245,6 +246,7 @@ import json, sys
 from repro.harness.experiments import ExperimentConfig, run_instance
 from repro.observability.metrics import MetricsRegistry, scoped_metrics
 from repro.parallel import open_store
+from repro.parallel.procpool import build_oracle
 from repro.workloads.corpus import CorpusConfig, build_benchmark
 
 config = CorpusConfig(num_benchmarks=1, min_classes=8, max_classes=8, seed=1)

@@ -9,7 +9,6 @@ from repro.workloads.debloat import (
     DEBLOAT_DECOMPILER,
     DebloatOracle,
     add_debloat_instances,
-    build_debloat_problem,
 )
 
 
@@ -69,8 +68,8 @@ class TestDebloatOracle:
 class TestDebloatProblem:
     def test_problem_pins_coverage_with_unit_clauses(self, corpus):
         benchmark = corpus[0]
-        problem = build_debloat_problem(benchmark.app, benchmark.benchmark_id)
         oracle = DebloatOracle(benchmark.app, benchmark.benchmark_id)
+        problem = oracle.build_problem()
         units = {
             lit.var
             for clause in problem.constraint.clauses
