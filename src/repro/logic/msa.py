@@ -24,8 +24,10 @@ time and respects a total variable order ``<``:
 The :class:`MsaSolver` also exposes an *incremental* ``extend`` operation,
 which the PROGRESSION subroutine uses: given a consistent true-set and a
 batch of newly-required variables, it cascades only through the clauses
-the new variables can violate, so building a whole progression costs
-roughly one pass over the clause database instead of one per entry.
+the new variables can violate and grows the caller's set in place,
+returning just the variables it added.  Building a whole progression
+therefore costs roughly one pass over the clause database, and one set,
+instead of one pass and one copy of the covered set per entry.
 """
 
 from __future__ import annotations
@@ -145,36 +147,54 @@ class MsaSolver:
         seeds = deque(self._positive_clauses)
         for var in require_true:
             seeds.extend(self._neg_occurrences.get(var, ()))
-        if self._cascade(true_set, seeds):
+        if self._cascade(true_set, seeds, []):
             return frozenset(true_set)
         return self._fallback(require_true)
 
     def extend(
         self,
-        current: AbstractSet[VarName],
+        true_set: Set[VarName],
         new_true: Iterable[VarName],
-    ) -> Optional[FrozenSet[VarName]]:
+    ) -> Optional[List[VarName]]:
         """Minimally extend a consistent true-set with new requirements.
 
-        ``current`` must already satisfy the CNF.  Returns the full
-        extended true-set (a superset of ``current`` and ``new_true``), or
-        None when no extension satisfies the CNF.
+        ``true_set`` must already satisfy the CNF; it is extended in
+        place, so a caller that grows one set across many calls (a
+        progression) copies nothing per call.  Returns the variables
+        added to it — ``new_true``'s missing members and the cascade's
+        repairs — or None, leaving ``true_set`` as it was, when no
+        extension satisfies the CNF.
+
+        When the cascade gets stuck on a pure-negative clause, its own
+        additions are rolled back and the solver fallback computes a
+        model of ``true_set | new_true``; what that model adds is then
+        added in place.
         """
-        required = frozenset(current) | frozenset(new_true)
-        true_set: Set[VarName] = set(current)
+        added: List[VarName] = []
         seeds: deque = deque()
         for var in new_true:
             if var not in true_set:
                 true_set.add(var)
+                added.append(var)
                 seeds.extend(self._neg_occurrences.get(var, ()))
-        if self._cascade(true_set, seeds):
-            return frozenset(true_set)
-        return self._fallback(required)
+        fresh = len(added)  # new_true's members not already true
+        if self._cascade(true_set, seeds, added):
+            return added
+        true_set.difference_update(added)
+        model = self._fallback(true_set.union(added[:fresh]))
+        if model is None:
+            return None
+        added = [var for var in model if var not in true_set]
+        true_set.update(added)
+        return added
 
     # -- internals --------------------------------------------------------------
 
-    def _cascade(self, true_set: Set[VarName], seeds: deque) -> bool:
-        """Greedy repair loop; mutates ``true_set``.
+    def _cascade(
+        self, true_set: Set[VarName], seeds: deque, added: List[VarName]
+    ) -> bool:
+        """Greedy repair loop; adds each repair to ``true_set`` and
+        appends it to ``added``.
 
         Returns False when it gets stuck on a clause with no positive
         literals (the caller then uses the solver fallback).
@@ -193,6 +213,7 @@ class MsaSolver:
                 choice = self.smallest(candidates)
                 repairs += 1
                 true_set.add(choice)
+                added.append(choice)
                 seeds.extend(self._neg_occurrences.get(choice, ()))
                 # The clause itself is now satisfied (choice is positive
                 # in it).

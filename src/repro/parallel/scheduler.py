@@ -67,6 +67,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -220,6 +221,10 @@ class InstanceTaskSpec:
     probe_workers: Optional[int] = None
     #: The parent's ``TraceContext.to_dict()``, or None when untraced.
     ctx: Optional[Dict[str, Any]] = None
+    #: The full application's error set when the parent's instance
+    #: already holds it (in-memory corpora), so the worker's oracle
+    #: skips its full-application decompile; None for manifest tasks.
+    original_errors: Optional[FrozenSet[str]] = None
 
 
 @dataclass
@@ -317,7 +322,8 @@ def _materialize(spec: InstanceTaskSpec) -> Tuple[Benchmark, BuggyInstance]:
         benchmark_id=spec.benchmark_id,
         decompiler=spec.decompiler,
         oracle=build_oracle(
-            app, spec.scenario, spec.decompiler, spec.benchmark_id
+            app, spec.scenario, spec.decompiler, spec.benchmark_id,
+            spec.original_errors,
         ),
         scenario=spec.scenario,
     )
@@ -787,11 +793,15 @@ def _spec_of(
     probe_workers: Optional[int] = None,
     ctx: Optional[Dict[str, Any]] = None,
 ) -> InstanceTaskSpec:
-    app_bytes = None
+    app_bytes = original_errors = None
     if task.app_path is None:
         from repro.bytecode.serializer import serialize_application
 
         app_bytes = serialize_application(task.benchmark.app)
+        # An in-memory instance's oracle is built, so its error set is
+        # known; a corpus loaded from disk (app_path set) keeps its
+        # oracles lazy and unforced.
+        original_errors = task.instance.oracle.original_errors
     return InstanceTaskSpec(
         benchmark_id=task.benchmark_id,
         decompiler=task.decompiler,
@@ -805,6 +815,7 @@ def _spec_of(
         store=store_spec,
         probe_workers=probe_workers,
         ctx=ctx,
+        original_errors=original_errors,
     )
 
 

@@ -15,7 +15,10 @@ sub-input** (satisfies ``R_I``) that overlaps every learned set in ``L``
 The per-entry MSA calls are implemented incrementally
 (:meth:`repro.logic.msa.MsaSolver.extend`), so building a progression is
 one cascading pass over the clause database rather than a fresh solve per
-entry.
+entry.  The pass keeps one covered set, which ``extend`` grows in place
+and which no entry copies: each entry is just the variables that call
+added, so a build costs time linear in the scope plus the cascade's
+repairs, not one copy of the covered set per entry.
 
 Across GBR iterations the work is incremental too: a
 :class:`ProgressionEngine` keeps one working CNF, one
@@ -193,7 +196,7 @@ class ProgressionEngine:
                 # satisfying R+ (INV-PRO) instead of being appended as
                 # one unchecked raw entry.
                 stragglers = sorted(
-                    scope - set(scoped_order), key=solver.rank
+                    scope.difference(scoped_order), key=solver.rank
                 )
 
                 first = solver.compute(
@@ -206,19 +209,19 @@ class ProgressionEngine:
                     )
 
                 entries: List[FrozenSet[VarName]] = [first]
+                # One covered set for the whole build: extend grows it
+                # in place and returns just the entry's variables.
                 covered = set(first)
                 for var in scoped_order + stragglers:
                     if var in covered:
                         continue
-                    extended = solver.extend(covered, [var])
-                    if extended is None:
+                    added = solver.extend(covered, (var,))
+                    if added is None:
                         raise ReductionError(
                             f"could not extend progression with {var!r}; "
                             "is R(J) violated?"
                         )
-                    entry = frozenset(extended - covered)
-                    entries.append(entry)
-                    covered = set(extended)
+                    entries.append(frozenset(added))
             finally:
                 solver.set_scope(None)
             sp.set_attr("entries", len(entries))

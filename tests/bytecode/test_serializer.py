@@ -79,24 +79,153 @@ class TestMetrics:
         assert application_size_bytes(smaller) < application_size_bytes(app)
 
 
-class TestApplicationSerializer:
-    """The memoized probe fast path must be byte-identical to the
-    reduce-then-serialize reference on every input."""
+def _every_member_kind() -> Application:
+    """One application with every member the size parts distinguish:
+    interfaces (one extending another), an abstract method, code-less
+    and coded constructors, a superclass, static and instance methods,
+    ``CheckCast`` with and without ``known_from``, fields, a repeated
+    interface, repeated and non-ASCII attributes."""
+    from repro.bytecode.classfile import Attribute
+    from repro.bytecode.instructions import (
+        CheckCast,
+        GetField,
+        InvokeSpecial,
+        InvokeVirtual,
+        Load,
+        New,
+    )
 
-    @staticmethod
-    def _app():
-        return generate_application(
+    base = ClassFile(
+        name="app/A",
+        interfaces=("app/I",),
+        is_abstract=True,
+        fields=(Field("f", "I"),),
+        methods=(
+            MethodDef("<init>", "()V"),
+            MethodDef("n", "()I", is_abstract=True),
+            MethodDef("m", "()V", code=Code(1, 1, (Return("void"),))),
+        ),
+        attributes=(Attribute("SourceFile", "A.java"),),
+    )
+    body = Code(
+        3,
+        2,
+        (
+            New("app/B"),
+            CheckCast("app/A", known_from="app/B"),
+            CheckCast("app/I"),
+            Load(0),
+            GetField("app/A", "f", "I"),
+            InvokeVirtual("app/A", "n", "()I"),
+            Return("int"),
+        ),
+    )
+    sub = ClassFile(
+        name="app/B",
+        superclass="app/A",
+        interfaces=("app/J", "app/J"),
+        fields=(Field("g", "Lapp/A;"), Field("s", "I", is_static=True)),
+        methods=(
+            MethodDef(
+                "<init>",
+                "(I)V",
+                code=Code(
+                    1,
+                    2,
+                    (
+                        Load(0),
+                        InvokeSpecial(
+                            "app/A", "<init>", "()V", is_super_call=True
+                        ),
+                        Return("void"),
+                    ),
+                ),
+            ),
+            MethodDef("n", "()I", code=body),
+            MethodDef("k", "(II)Lapp/A;", is_static=True),
+            MethodDef("main", "()V", is_static=True, code=body),
+        ),
+        attributes=(
+            Attribute("SourceFile", "B.java"),
+            Attribute("Deprecated"),
+            Attribute("Note", "r\u00e9sum\u00e9"),
+            Attribute("SourceFile", "B2.java"),
+        ),
+    )
+    return Application(
+        classes=(
+            ClassFile(
+                name="app/I",
+                is_interface=True,
+                interfaces=("app/J",),
+                methods=(MethodDef("m", "()V"),),
+            ),
+            ClassFile(name="app/J", is_interface=True),
+            base,
+            sub,
+        ),
+        entry_class="app/B",
+    )
+
+
+def _apps():
+    return [
+        _every_member_kind(),
+        generate_application(
             11, WorkloadConfig(num_classes=16, num_interfaces=4)
+        ),
+        generate_application(
+            29, WorkloadConfig(num_classes=10, num_interfaces=3)
+        ),
+    ]
+
+
+class TestApplicationSerializer:
+    """The summed parts must equal the length of the reduce-then-
+    serialize reference on every input."""
+
+    APPS = _apps()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_size_of_items_equals_serialized_length(self, data):
+        from repro.bytecode.items import items_of
+        from repro.bytecode.reducer import reduce_application
+        from repro.bytecode.serializer import ApplicationSerializer
+
+        app = data.draw(st.sampled_from(self.APPS))
+        kept = data.draw(st.sets(st.sampled_from(items_of(app))))
+        expected = serialize_application(reduce_application(app, kept))
+        assert ApplicationSerializer(app).size_of_items(kept) == len(
+            expected
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_size_of_classes_equals_serialized_length(self, data):
+        from repro.bytecode.serializer import ApplicationSerializer
+
+        app = data.draw(st.sampled_from(self.APPS))
+        names = [decl.name for decl in app.classes]
+        kept = data.draw(st.sets(st.sampled_from(names)))
+        expected = serialize_application(
+            app.replace_classes(
+                tuple(decl for decl in app.classes if decl.name in kept)
+            )
+        )
+        assert ApplicationSerializer(app).size_of_classes(kept) == len(
+            expected
         )
 
     def test_item_granularity_bytes_identical(self):
+        """One serializer answers a run's many kept sets."""
         import random
 
         from repro.bytecode.items import items_of
         from repro.bytecode.reducer import reduce_application
         from repro.bytecode.serializer import ApplicationSerializer
 
-        app = self._app()
+        app = self.APPS[1]
         universe = items_of(app)
         serializer = ApplicationSerializer(app)
         rng = random.Random(3)
@@ -107,7 +236,6 @@ class TestApplicationSerializer:
             expected = serialize_application(
                 reduce_application(app, subset)
             )
-            assert serializer.serialize_items(subset) == expected
             assert serializer.size_of_items(subset) == len(expected)
 
     def test_class_granularity_bytes_identical(self):
@@ -115,42 +243,42 @@ class TestApplicationSerializer:
 
         from repro.bytecode.serializer import ApplicationSerializer
 
-        app = self._app()
+        app = self.APPS[1]
         names = [decl.name for decl in app.classes]
         serializer = ApplicationSerializer(app)
         rng = random.Random(4)
         for _ in range(15):
-            kept = frozenset(rng.sample(names, rng.randint(0, len(names))))
+            kept = rng.sample(names, rng.randint(0, len(names)))
             subset = app.replace_classes(
                 tuple(d for d in app.classes if d.name in kept)
             )
             expected = serialize_application(subset)
-            assert serializer.serialize_classes(kept) == expected
             assert serializer.size_of_classes(kept) == len(expected)
 
     def test_full_set_round_trips(self):
+        """Keeping every item of a generated application (every concrete
+        method has code) reduces to the application itself, whose size
+        both granularities report."""
         from repro.bytecode.items import items_of
+        from repro.bytecode.reducer import reduce_application
         from repro.bytecode.serializer import ApplicationSerializer
 
-        app = self._app()
-        everything = frozenset(items_of(app))
-        data = ApplicationSerializer(app).serialize_items(everything)
-        assert deserialize_application(data) == app
+        for app in self.APPS[1:]:
+            everything = frozenset(items_of(app))
+            data = serialize_application(reduce_application(app, everything))
+            assert deserialize_application(data) == app
+            serializer = ApplicationSerializer(app)
+            assert serializer.size_of_items(everything) == len(data)
+            assert serializer.size_of_classes(
+                decl.name for decl in app.classes
+            ) == len(data)
 
-    def test_memo_hits_are_counted(self):
-        from repro.bytecode.items import items_of
+    def test_items_of_other_applications_are_ignored(self):
+        from repro.bytecode.items import ClassItem, items_of
         from repro.bytecode.serializer import ApplicationSerializer
-        from repro.observability import scoped_metrics
 
-        app = self._app()
-        everything = frozenset(items_of(app))
-        serializer = ApplicationSerializer(app)
-        with scoped_metrics() as metrics:
-            serializer.size_of_items(everything)
-            cold = dict(metrics.counter_values())
-            serializer.size_of_items(everything)
-            warm = dict(metrics.counter_values())
-        classes = len(app.classes)
-        assert cold.get("serializer.memo_misses") == classes
-        assert warm.get("serializer.memo_hits") == classes
-        assert warm.get("serializer.memo_misses") == classes
+        app = self.APPS[1]
+        kept = frozenset(items_of(app)) | {ClassItem("app/Elsewhere")}
+        assert ApplicationSerializer(app).size_of_items(kept) == len(
+            serialize_application(app)
+        )

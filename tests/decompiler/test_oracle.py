@@ -111,9 +111,9 @@ class TestMonotonicity:
             if not remaining:
                 break
             batch = rng.sample(remaining, min(len(remaining), 40))
-            extended = solver.extend(current, batch)
-            assert extended is not None
-            current = extended
+            extended = set(current)
+            assert solver.extend(extended, batch) is not None
+            current = frozenset(extended)
         assert oracle.item_predicate(frozenset(items))
 
 

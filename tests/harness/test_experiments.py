@@ -63,6 +63,44 @@ class TestRunInstance:
             run_instance(benchmark, benchmark.instances[0], "nope")
 
 
+    @pytest.mark.parametrize(
+        "strategy", ["our-reducer", "jreduce", "lossy-first", "lossy-last"]
+    )
+    def test_final_size_equals_serializing_the_output(
+        self, tiny_corpus, strategy, monkeypatch
+    ):
+        """The run's serializer measures the output without serializing
+        it: the final bytes and classes equal the reduce-then-serialize
+        figures of the solution the strategy returned."""
+        from repro.bytecode.reducer import reduce_application
+        from repro.harness import experiments
+
+        results = []
+        for name in (
+            "generalized_binary_reduction",
+            "binary_reduction",
+            "lossy_reduce",
+        ):
+            original = getattr(experiments, name)
+
+            def keep(*args, _original=original, **kwargs):
+                results.append(_original(*args, **kwargs))
+                return results[-1]
+
+            monkeypatch.setattr(experiments, name, keep)
+        benchmark = next(b for b in tiny_corpus if b.instances)
+        instance = benchmark.instances[0]
+        outcome = run_instance(benchmark, instance, strategy)
+        (result,) = results
+        kept = result.solution
+        if strategy == "jreduce":
+            kept = instance.oracle.class_items(kept)
+        reduced = reduce_application(benchmark.app, kept)
+        assert outcome.final_bytes == application_size_bytes(reduced)
+        assert outcome.final_classes == len(reduced.classes)
+        assert outcome.final_bytes < outcome.total_bytes
+
+
 class TestCorpusExperiment:
     def test_runs_leave_instance_oracles_unprobed(self):
         from repro.workloads.debloat import add_debloat_instances

@@ -12,6 +12,7 @@ from repro.logic import (
 )
 from repro.logic.msa import MsaSolver
 from repro.logic.session import SolverSession
+from repro.observability import scoped_metrics
 from tests.strategies import implication_cnfs, satisfiable_cnfs
 
 
@@ -106,19 +107,64 @@ class TestExtend:
         solver = MsaSolver(cnf, ["p", "q", "x", "y"])
         base = solver.compute(require_true={"p"})
         assert base == {"p", "q"}
-        extended = solver.extend(base, ["x"])
+        extended = set(base)
+        added = solver.extend(extended, ["x"])
+        assert sorted(added) == ["x", "y"]
         assert extended == {"p", "q", "x", "y"}
 
     def test_extend_on_satisfied_set_is_identity_plus_new(self):
         cnf = CNF([edge("a", "b")], variables=["a", "b", "c"])
         solver = MsaSolver(cnf, ["a", "b", "c"])
-        extended = solver.extend(frozenset(), ["c"])
+        extended = set()
+        assert solver.extend(extended, ["c"]) == ["c"]
         assert extended == {"c"}
+
+    def test_extend_of_present_variable_adds_nothing(self):
+        cnf = CNF([edge("a", "b")], variables=["a", "b"])
+        solver = MsaSolver(cnf, ["a", "b"])
+        extended = {"a", "b"}
+        assert solver.extend(extended, ["a"]) == []
+        assert extended == {"a", "b"}
 
     def test_extend_unsat(self):
         cnf = CNF([Clause.unit("a", positive=False)], variables=["a"])
         solver = MsaSolver(cnf, ["a"])
-        assert solver.extend(frozenset(), ["a"]) is None
+        extended = set()
+        assert solver.extend(extended, ["a"]) is None
+        assert extended == set()
+
+    def test_stuck_cascade_rolls_back_before_the_fallback(self):
+        # x forces y or z; y is taken first (order) but "not (x and y)"
+        # is a pure-negative clause, so the cascade gets stuck with y
+        # added.  The fallback must see {p, x} only, not the stray y.
+        cnf = CNF(
+            [
+                Clause.implication(["x"], ["y", "z"]),
+                Clause.implication(["x", "y"], []),
+            ],
+            variables=["p", "x", "y", "z"],
+        )
+        solver = MsaSolver(cnf, ["p", "x", "y", "z"])
+        extended = {"p"}
+        with scoped_metrics() as metrics:
+            added = solver.extend(extended, ["x"])
+        assert metrics.counter_values().get("msa.fallbacks") == 1
+        assert sorted(added) == ["x", "z"]
+        assert extended == {"p", "x", "z"}
+        assert cnf.satisfied_by(extended)
+
+    def test_unsat_after_a_stuck_cascade_leaves_the_set_unchanged(self):
+        cnf = CNF(
+            [
+                Clause.implication(["x"], ["y"]),
+                Clause.implication(["x", "y"], []),
+            ],
+            variables=["p", "x", "y"],
+        )
+        solver = MsaSolver(cnf, ["p", "x", "y"])
+        extended = {"p"}
+        assert solver.extend(extended, ["x"]) is None
+        assert extended == {"p"}
 
 
 class TestMinimizeModel:
@@ -285,8 +331,10 @@ class TestMsaProperties:
         base = solver.compute()
         assert base is not None
         new = sorted(cnf.variables - base, key=repr)[:1]
-        extended = solver.extend(base, new)
-        assert extended is not None
+        extended = set(base)
+        added = solver.extend(extended, new)
+        assert added is not None
+        assert set(added) == extended - base
         assert cnf.satisfied_by(extended)
         assert base <= extended
         assert set(new) <= extended

@@ -345,6 +345,49 @@ class TestManifestPlanning:
         ), "debloat row-group missing from the manifest plan"
 
 
+class TestInlineSpecs:
+    def test_materializing_inline_specs_decompiles_no_full_app(
+        self, corpus, config, monkeypatch
+    ):
+        """In-memory specs carry the parent's error set, so a worker's
+        rebuilt oracle decompiles nothing until it is probed."""
+        from repro.decompiler.oracle import DecompilerOracle
+        from repro.observability import scoped_metrics
+        from repro.parallel import scheduler
+
+        def forbidden(self, app):
+            raise AssertionError("full-application decompile")
+
+        monkeypatch.setattr(DecompilerOracle, "errors_of", forbidden)
+        tasks = scheduler._plan_in_memory(corpus, config)
+        assert tasks
+        with scoped_metrics() as metrics:
+            for task in tasks:
+                spec = scheduler._spec_of(task, config)
+                assert spec.app_path is None
+                assert (
+                    spec.original_errors
+                    == task.instance.oracle.original_errors
+                )
+                _, instance = scheduler._materialize(spec)
+                assert (
+                    instance.oracle.original_errors == spec.original_errors
+                )
+        assert "decompile.memo_misses" not in metrics.counter_values()
+
+    def test_manifest_specs_leave_the_error_set_to_the_worker(
+        self, tmp_path, config
+    ):
+        from repro.parallel import scheduler
+
+        path = str(tmp_path / "corpus")
+        save_corpus(build_corpus(tiny_corpus_config()), path)
+        tasks = scheduler._plan_from_manifest(path, config)
+        assert tasks
+        for task in tasks:
+            assert scheduler._spec_of(task, config).original_errors is None
+
+
 class TestCostHints:
     def test_load_cost_hints_sums_real_seconds(self, tmp_path):
         path = tmp_path / "results.jsonl"

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.logic import CNF, Clause
+from repro.logic.msa import MsaSolver
+from repro.observability import scoped_metrics
 from repro.reduction import build_progression
 from repro.reduction.problem import ReductionError
 from repro.reduction.progression import Progression, ProgressionEngine
@@ -182,6 +184,59 @@ class TestEngineMatchesReference:
             learned.append(from_engine[r])
             engine.learn(from_engine[r])
             scope = from_engine.prefix_union(r)
+
+    def test_fallback_mid_build_rolls_back_the_stuck_cascade(
+        self, monkeypatch
+    ):
+        """x needs y or z, but "not (x and y)" has no positive literal:
+        extending with x, the cascade picks y (order-smallest), gets
+        stuck, and must take y back out before the fallback adds z.
+
+        A stuck cascade means the scope itself violates R (every
+        variable of a clause that stuck is in the scope), so the build
+        ends in an error at y; both builders must record the same
+        entries up to it and fail on the same variable.
+        """
+        cnf = CNF(
+            [
+                Clause.implication(["x"], ["y", "z"]),
+                Clause.implication(["x", "y"], []),
+            ],
+            variables=["a", "x", "y", "z", "w"],
+        )
+        order = ["a", "x", "y", "z", "w"]
+        scope = frozenset(order)
+        extend = MsaSolver.extend
+        recorded = []
+
+        def spy(solver, true_set, new_true):
+            before = set(true_set)
+            added = extend(solver, true_set, new_true)
+            if added is None:
+                assert true_set == before
+                recorded[-1].append(None)
+            else:
+                assert set(added) == true_set - before
+                recorded[-1].append(frozenset(added))
+            return added
+
+        monkeypatch.setattr(MsaSolver, "extend", spy)
+        outcomes = []
+        for builder in (build_progression, build_progression_reference):
+            recorded.append([])
+            with scoped_metrics() as metrics:
+                with pytest.raises(ReductionError) as error:
+                    builder(cnf, order, [], scope)
+            outcomes.append(
+                (str(error.value), metrics.counter_values()["msa.fallbacks"])
+            )
+        assert recorded[0] == recorded[1] == [
+            frozenset({"a"}),
+            frozenset({"x", "z"}),
+            None,
+        ]
+        assert outcomes[0] == outcomes[1]
+        assert "'y'" in outcomes[0][0] and outcomes[0][1] == 2
 
     def test_learned_set_outside_scope_raises(self):
         cnf = CNF(variables=["a", "b", "c"])

@@ -446,15 +446,17 @@ def build_progression_reference(
         for var in scoped_order + stragglers:
             if var in covered:
                 continue
-            extended = solver.extend(covered, [var])
-            if extended is None:
+            # extend grows its argument in place; the reference hands it
+            # a copy and derives each entry from the sets themselves.
+            extended = set(covered)
+            if solver.extend(extended, [var]) is None:
                 raise ReductionError(
                     f"could not extend progression with {var!r}; "
                     "is R(J) violated?"
                 )
             entry = frozenset(extended - covered)
             entries.append(entry)
-            covered = set(extended)
+            covered = extended
         sp.set_attr("entries", len(entries))
 
     return Progression(entries)
