@@ -173,8 +173,9 @@ def bench_lanes(apps: int, min_classes: int, max_classes: int,
 
 
 def check_against_baseline(
-    payload: Dict, baseline_path: str, tolerance: float
+    payload: Dict, baseline: Dict, tolerance: float
 ) -> List[str]:
+    """The gate's failures for ``payload`` against a loaded baseline."""
     failures = []
     lanes = payload["telemetry_overhead"]
     for lane in ("tracing_memory", "tracing_sharded"):
@@ -185,8 +186,6 @@ def check_against_baseline(
                 f"{tolerance:.0%} (the typical rep ran that much slower "
                 f"than its paired tracing-off rep)"
             )
-    with open(baseline_path) as handle:
-        baseline = json.load(handle)
     old_volume = baseline["telemetry_overhead"]["events_per_instance"]
     new_volume = lanes["events_per_instance"]
     ceiling = old_volume * 1.5
@@ -209,6 +208,13 @@ def main(argv=None) -> int:
     parser.add_argument("--min-classes", type=int, default=30)
     parser.add_argument("--max-classes", type=int, default=50)
     args = parser.parse_args(argv)
+
+    # Read the baseline before anything is written: with the default
+    # --out, ``--check BENCH_6.json`` names the file this run replaces.
+    baseline = None
+    if args.check:
+        with open(args.check) as handle:
+            baseline = json.load(handle)
 
     payload = {
         "bench": "telemetry",
@@ -238,8 +244,8 @@ def main(argv=None) -> int:
     )
     print(f"wrote {args.out}")
 
-    if args.check:
-        failures = check_against_baseline(payload, args.check, args.tolerance)
+    if baseline is not None:
+        failures = check_against_baseline(payload, baseline, args.tolerance)
         for failure in failures:
             print(f"REGRESSION: {failure}", file=sys.stderr)
         if failures:

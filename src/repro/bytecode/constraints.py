@@ -19,13 +19,27 @@ Three constraint families, mirroring the running example's taxonomy:
   relation items, which makes ``mAny`` a disjunction of conjunctions —
   the beyond-graph fragment the paper is about.
 
+Every rule has the shape ``(/\\ body) => head``: the body is a
+conjunction of items and the head a monotone formula over items.  The
+generator writes each head straight down in clause form — a tuple of
+clauses, each a frozenset of item numbers (all positive) — so the rule
+becomes one clause ``~body \\/ c`` per clause ``c`` of its head, with no
+formula tree in between.  A conjunction concatenates its parts' clauses
+and a disjunction distributes them (one clause per choice of a clause
+from each part), exactly as NNF and distribution of the corresponding
+formula would, so the clause list — order included — is the one the
+formula route gives (``tests/reference_engines.py`` keeps that route as
+the executable specification).  Each resolution (a type, a descriptor's
+types, ``mAny``, ``fAny``, a concrete ``mAny``, a subtype derivation) is
+computed once per key and reused by every rule that mentions it.
+
 :func:`class_dependency_graph` produces the *class-granularity* graph
 J-Reduce works on (one node per class, an edge per reference).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.bytecode.classfile import (
     Application,
@@ -43,27 +57,27 @@ from repro.bytecode.descriptors import (
 from repro.bytecode.hierarchy import Hierarchy
 from repro.bytecode.instructions import (
     CheckCast,
+    Instruction,
     InvokeSpecial,
     LoadClassConstant,
+    MethodRef,
 )
 from repro.bytecode.items import (
     AttributeItem,
-    ClassItem,
     CodeItem,
     ConstructorCodeItem,
     ConstructorItem,
     FieldItem,
     ImplementsItem,
-    InterfaceItem,
     Item,
     MethodItem,
     SignatureItem,
     SuperClassItem,
+    class_root,
     items_of,
 )
 from repro.graphs.digraph import DiGraph
 from repro.logic.cnf import CNF
-from repro.logic.formula import FALSE, TRUE, Formula, Implies, Var, conj, disj
 
 __all__ = ["generate_constraints", "class_dependency_graph", "ConstraintError"]
 
@@ -78,6 +92,10 @@ BUILTIN_METHODS = frozenset(
     }
 )
 
+#: A monotone formula in clause form: a tuple of clauses, each the
+#: frozenset of the numbers of its (positive) items.  ``()`` is TRUE.
+Clauses = Tuple[FrozenSet[int], ...]
+
 
 class ConstraintError(ValueError):
     """The application is not closed (a reference cannot resolve)."""
@@ -88,40 +106,112 @@ def generate_constraints(app: Application) -> CNF:
     return _Generator(app).run()
 
 
+def _disjunction(options: Sequence[Clauses]) -> Clauses:
+    """The clauses of ``\\/ options`` by distribution, duplicates dropped.
+
+    One clause per choice of a clause from each option, the first
+    option's choice varying slowest; an option with no clauses (TRUE)
+    makes the whole disjunction TRUE.
+    """
+    product: List[FrozenSet[int]] = [frozenset()]
+    for option in options:
+        product = [prefix | clause for prefix in product for clause in option]
+    return tuple(dict.fromkeys(product))
+
+
 class _Generator:
+    """Emits one application's clauses, numbering items as it goes.
+
+    Item ``k`` is ``names[k - 1]``: first ``items_of(app)``, then any
+    other item a rule mentions (the universe is all of them).  Clauses
+    are frozensets of signed item numbers (DIMACS style) until
+    :meth:`run` hands them to :meth:`CNF.from_numbered`.
+    """
+
     def __init__(self, app: Application):
         self.app = app
         self.hierarchy = Hierarchy(app)
+        self.names: List[Item] = items_of(app)
+        self.numbers: Dict[Item, int] = {
+            item: k for k, item in enumerate(self.names, 1)
+        }
+        self.clauses: List[FrozenSet[int]] = []
+        self.seen: Set[FrozenSet[int]] = set()
+        # One resolution per key.
+        self._types: Dict[str, Clauses] = {}
+        self._descriptors: Dict[Tuple[str, bool], Clauses] = {}
+        self._instructions: Dict[Instruction, Clauses] = {}
+        self._constructors: Dict[Tuple[str, str], Clauses] = {}
+        self._methods: Dict[Tuple[str, str, str], Clauses] = {}
+        self._concrete: Dict[Tuple[str, str, str], Clauses] = {}
+        self._fields: Dict[Tuple[str, str], Clauses] = {}
+        self._paths: Dict[Tuple[str, str], List[Tuple[int, ...]]] = {}
+        self._path_clauses: Dict[Tuple[str, str], Optional[Clauses]] = {}
 
     # ------------------------------------------------------------------
 
     def run(self) -> CNF:
-        cnf = CNF(variables=items_of(self.app))
         for decl in self.app.classes:
-            for formula in self.class_constraints(decl):
-                cnf.add_formula(formula)
-        return cnf
+            self.class_constraints(decl)
+        return CNF.from_numbered(
+            self.names, self.clauses, range(len(self.names))
+        )
+
+    def number(self, item: Item) -> int:
+        number = self.numbers.get(item)
+        if number is None:
+            self.names.append(item)
+            number = self.numbers[item] = len(self.names)
+        return number
+
+    def unit(self, item: Item) -> FrozenSet[int]:
+        return frozenset((self.number(item),))
+
+    def implies(self, body: FrozenSet[int], head: Sequence[FrozenSet[int]]) -> None:
+        """Emit ``(/\\ body) => head``, one clause per clause of ``head``.
+
+        Tautologies (an item on both sides) and clauses already emitted
+        are dropped, as :meth:`CNF.add_clause` drops them.
+        """
+        negated = frozenset([-k for k in body])
+        seen = self.seen
+        for clause in head:
+            if body.isdisjoint(clause):
+                literals = negated | clause
+                if literals not in seen:
+                    seen.add(literals)
+                    self.clauses.append(literals)
 
     # ------------------------------------------------------------------
-    # Formula helpers
+    # Resolutions, each in clause form and computed once per key
     # ------------------------------------------------------------------
 
-    def type_formula(self, name: str) -> Formula:
-        if name in BUILTIN_CLASSES:
-            return TRUE
-        decl = self.app.class_file(name)
-        if decl is None:
-            raise ConstraintError(f"reference to unknown type {name!r}")
-        if decl.is_interface:
-            return Var(InterfaceItem(name))
-        return Var(ClassItem(name))
+    def type_clauses(self, name: str) -> Clauses:
+        clauses = self._types.get(name)
+        if clauses is None:
+            if name in BUILTIN_CLASSES:
+                clauses = ()
+            else:
+                decl = self.app.class_file(name)
+                if decl is None:
+                    raise ConstraintError(f"reference to unknown type {name!r}")
+                clauses = (self.unit(class_root(decl)),)
+            self._types[name] = clauses
+        return clauses
 
-    def descriptor_types(self, descriptor: str, is_method: bool) -> Formula:
-        if is_method:
-            refs = parse_method_descriptor(descriptor).referenced_classes()
-        else:
-            refs = parse_field_descriptor(descriptor).referenced_classes()
-        return conj(self.type_formula(name) for name in sorted(refs))
+    def descriptor_types(self, descriptor: str, is_method: bool) -> Clauses:
+        key = (descriptor, is_method)
+        clauses = self._descriptors.get(key)
+        if clauses is None:
+            if is_method:
+                refs = parse_method_descriptor(descriptor).referenced_classes()
+            else:
+                refs = parse_field_descriptor(descriptor).referenced_classes()
+            clauses = ()
+            for name in sorted(refs):
+                clauses += self.type_clauses(name)
+            self._descriptors[key] = clauses
+        return clauses
 
     def member_item(self, class_name: str, method: MethodDef) -> Item:
         decl = self.app.class_file(class_name)
@@ -131,180 +221,259 @@ class _Generator:
             return SignatureItem(class_name, method.name, method.descriptor)
         return MethodItem(class_name, method.name, method.descriptor)
 
-    def paths_formula(self, sub: str, sup: str) -> Formula:
-        """Disjunction over subtype derivations (FALSE when none)."""
-        paths = self.hierarchy.subtype_paths(sub, sup)
-        if not paths:
-            return FALSE
-        return disj(conj(Var(item) for item in sorted(path, key=str))
-                    for path in paths)
+    def paths(self, sub: str, sup: str) -> List[Tuple[int, ...]]:
+        """The subtype derivations of ``sub <= sup`` as item numbers."""
+        key = (sub, sup)
+        paths = self._paths.get(key)
+        if paths is None:
+            paths = self._paths[key] = [
+                tuple(self.number(item) for item in sorted(path, key=str))
+                for path in self.hierarchy.subtype_paths(sub, sup)
+            ]
+        return paths
 
-    def m_any(self, owner: str, name: str, descriptor: str) -> Formula:
-        """At least one reachable declaration of owner.name:descriptor.
+    def path_clauses(self, sub: str, sup: str) -> Optional[Clauses]:
+        """Some derivation of ``sub <= sup`` holds; None when none can."""
+        key = (sub, sup)
+        if key not in self._path_clauses:
+            paths = self.paths(sub, sup)
+            self._path_clauses[key] = _disjunction(
+                [tuple(frozenset((k,)) for k in path) for path in paths]
+            ) if paths else None
+        return self._path_clauses[key]
 
-        A candidate declared on ancestor X contributes
-        ``(path owner->X alive) /\\ [X.name]``.
-        """
-        if (owner, name, descriptor) in BUILTIN_METHODS:
-            return TRUE
-        candidates = self.hierarchy.method_candidates(owner, name, descriptor)
-        options: List[Formula] = []
-        for declaring, method in candidates:
-            path = self.paths_formula(owner, declaring)
-            if path == FALSE:
-                continue
-            options.append(
-                conj([path, Var(self.member_item(declaring, method))])
-            )
-        if not options:
-            raise ConstraintError(
-                f"method {owner}.{name}{descriptor} does not resolve"
-            )
-        return disj(options)
+    def candidates(
+        self, owner: str, found: List[Tuple[str, Item]]
+    ) -> List[Clauses]:
+        """``(path owner->X alive) /\\ [X.member]`` per reachable candidate."""
+        options = []
+        for declaring, item in found:
+            path = self.path_clauses(owner, declaring)
+            if path is not None:
+                options.append(path + (self.unit(item),))
+        return options
 
-    def f_any(self, owner: str, name: str) -> Formula:
-        candidates = self.hierarchy.field_candidates(owner, name)
-        options: List[Formula] = []
-        for declaring, _field in candidates:
-            path = self.paths_formula(owner, declaring)
-            if path == FALSE:
-                continue
-            options.append(
-                conj([path, Var(FieldItem(declaring, name))])
-            )
-        if not options:
-            raise ConstraintError(f"field {owner}.{name} does not resolve")
-        return disj(options)
+    def constructor(self, owner: str, descriptor: str) -> Clauses:
+        key = (owner, descriptor)
+        clauses = self._constructors.get(key)
+        if clauses is None:
+            if (owner, INIT, descriptor) in BUILTIN_METHODS:
+                clauses = ()
+            else:
+                owner_decl = self.app.class_file(owner)
+                if (
+                    owner_decl is None
+                    or owner_decl.method(INIT, descriptor) is None
+                ):
+                    raise ConstraintError(
+                        f"constructor {owner}.<init>{descriptor} "
+                        "does not resolve"
+                    )
+                clauses = (self.unit(ConstructorItem(owner, descriptor)),)
+            self._constructors[key] = clauses
+        return clauses
+
+    def m_any(self, owner: str, name: str, descriptor: str) -> Clauses:
+        """At least one reachable declaration of owner.name:descriptor."""
+        key = (owner, name, descriptor)
+        clauses = self._methods.get(key)
+        if clauses is None:
+            if key in BUILTIN_METHODS:
+                clauses = ()
+            else:
+                options = self.candidates(owner, [
+                    (declaring, self.member_item(declaring, method))
+                    for declaring, method in
+                    self.hierarchy.method_candidates(owner, name, descriptor)
+                ])
+                if not options:
+                    raise ConstraintError(
+                        f"method {owner}.{name}{descriptor} does not resolve"
+                    )
+                clauses = _disjunction(options)
+            self._methods[key] = clauses
+        return clauses
+
+    def f_any(self, owner: str, name: str) -> Clauses:
+        key = (owner, name)
+        clauses = self._fields.get(key)
+        if clauses is None:
+            options = self.candidates(owner, [
+                (declaring, FieldItem(declaring, name))
+                for declaring, _field in
+                self.hierarchy.field_candidates(owner, name)
+            ])
+            if not options:
+                raise ConstraintError(f"field {owner}.{name} does not resolve")
+            clauses = self._fields[key] = _disjunction(options)
+        return clauses
+
+    def concrete_m_any(self, owner: str, name: str, descriptor: str) -> Clauses:
+        """Like ``m_any`` but only concrete implementations count."""
+        key = (owner, name, descriptor)
+        clauses = self._concrete.get(key)
+        if clauses is None:
+            found = []
+            for declaring, method in self.hierarchy.method_candidates(
+                owner, name, descriptor
+            ):
+                if method.is_abstract:
+                    continue
+                declaring_decl = self.app.class_file(declaring)
+                if declaring_decl is not None and declaring_decl.is_interface:
+                    continue
+                found.append((declaring, self.member_item(declaring, method)))
+            options = self.candidates(owner, found)
+            if not options:
+                raise ConstraintError(
+                    f"{owner} has no concrete implementation of "
+                    f"{name}{descriptor}"
+                )
+            clauses = self._concrete[key] = _disjunction(options)
+        return clauses
 
     # ------------------------------------------------------------------
     # Per-class constraints
     # ------------------------------------------------------------------
 
-    def class_constraints(self, decl: ClassFile) -> Iterable[Formula]:
+    def class_constraints(self, decl: ClassFile) -> None:
         name = decl.name
-        self_var = self.type_formula(name)
+        own = self.type_clauses(name)
 
         # Relations.
         if not decl.is_interface and decl.superclass != JAVA_OBJECT:
-            super_item = Var(SuperClassItem(name))
-            yield Implies(super_item, self_var)
-            yield Implies(super_item, self.type_formula(decl.superclass))
+            self.implies(
+                self.unit(SuperClassItem(name)),
+                own + self.type_clauses(decl.superclass),
+            )
         for iface in decl.interfaces:
-            impl = Var(ImplementsItem(name, iface))
-            yield Implies(impl, self_var)
-            yield Implies(impl, self.type_formula(iface))
+            self.implies(
+                self.unit(ImplementsItem(name, iface)),
+                own + self.type_clauses(iface),
+            )
 
         # Attributes.
         for attribute in decl.attributes:
-            yield Implies(Var(AttributeItem(name, attribute.name)), self_var)
+            self.implies(self.unit(AttributeItem(name, attribute.name)), own)
 
         # Fields.
         for fdecl in decl.fields:
-            field_var = Var(FieldItem(name, fdecl.name))
-            yield Implies(field_var, self_var)
-            types = self.descriptor_types(fdecl.descriptor, is_method=False)
-            if types != TRUE:
-                yield Implies(field_var, types)
+            self.implies(
+                self.unit(FieldItem(name, fdecl.name)),
+                own + self.descriptor_types(fdecl.descriptor, is_method=False),
+            )
 
         # Methods, signatures, constructors.
         for method in decl.methods:
-            yield from self.method_constraints(decl, method)
+            self.method_constraints(decl, method, own)
 
         # Interface / abstract obligations (only concrete classes carry
         # them; abstract classes defer to their concrete subclasses).
         if not decl.is_interface and not decl.is_abstract:
-            yield from self.obligation_constraints(decl)
+            self.obligation_constraints(decl)
 
     def method_constraints(
-        self, decl: ClassFile, method: MethodDef
-    ) -> Iterable[Formula]:
+        self, decl: ClassFile, method: MethodDef, own: Clauses
+    ) -> None:
         name = decl.name
-        member_var = Var(self.member_item(name, method))
-        yield Implies(member_var, self.type_formula(name))
-        types = self.descriptor_types(method.descriptor, is_method=True)
-        if types != TRUE:
-            yield Implies(member_var, types)
-
+        member = self.unit(self.member_item(name, method))
+        self.implies(
+            member, own + self.descriptor_types(method.descriptor, is_method=True)
+        )
         if method.code is None:
             return
         if method.is_constructor:
-            code_var: Formula = Var(
-                ConstructorCodeItem(name, method.descriptor)
-            )
+            code = ConstructorCodeItem(name, method.descriptor)
         else:
-            code_var = Var(CodeItem(name, method.name, method.descriptor))
-        yield Implies(code_var, member_var)
-        for requirement in self.code_requirements(decl, method):
-            if requirement != TRUE:
-                yield Implies(code_var, requirement)
+            code = CodeItem(name, method.name, method.descriptor)
+        requirements = [member]
+        self.code_requirements(decl, method, requirements)
+        self.implies(self.unit(code), requirements)
 
     def code_requirements(
-        self, decl: ClassFile, method: MethodDef
-    ) -> Iterable[Formula]:
+        self, decl: ClassFile, method: MethodDef, out: List[FrozenSet[int]]
+    ) -> None:
+        """Append the clauses a method body requires, in instruction order.
+
+        An instruction's clauses depend on the instruction alone, apart
+        from an explicit super call's (they name the calling class), so
+        the rest are computed once per distinct instruction.
+        """
         assert method.code is not None
+        memo = self._instructions
         for instruction in method.code:
-            # Direct type references.
-            for type_name in sorted(instruction.type_refs()):
-                yield self.type_formula(type_name)
+            clauses = memo.get(instruction)
+            if clauses is None:
+                clauses = self.instruction_requirements(decl, instruction)
+                if not (
+                    isinstance(instruction, InvokeSpecial)
+                    and instruction.is_super_call
+                ):
+                    memo[instruction] = clauses
+            out.extend(clauses)
 
-            method_ref = instruction.method_ref()
-            if method_ref is not None:
-                if isinstance(instruction, InvokeSpecial):
-                    yield from self.invoke_special_requirements(
-                        decl, instruction
-                    )
-                else:
-                    yield self.m_any(
-                        method_ref.owner, method_ref.name, method_ref.descriptor
-                    )
+    def instruction_requirements(
+        self, decl: ClassFile, instruction: Instruction
+    ) -> Clauses:
+        out: List[FrozenSet[int]] = []
+        # Direct type references.
+        for type_name in sorted(instruction.type_refs()):
+            out.extend(self.type_clauses(type_name))
 
-            field_ref = instruction.field_ref()
-            if field_ref is not None:
-                yield self.f_any(field_ref.owner, field_ref.name)
-
-            if isinstance(instruction, CheckCast):
-                if instruction.known_from is not None:
-                    paths = self.paths_formula(
-                        instruction.known_from, instruction.class_name
-                    )
-                    if paths == FALSE:
-                        raise ConstraintError(
-                            f"cast {instruction.known_from} -> "
-                            f"{instruction.class_name} can never succeed"
-                        )
-                    yield paths
-
-            if isinstance(instruction, LoadClassConstant):
-                # The generics/reflection approximation: reflection on C
-                # depends on C extending all its superclasses.
-                yield from self.reflection_requirements(
-                    instruction.class_name
+        method_ref = instruction.method_ref()
+        if method_ref is not None:
+            if isinstance(instruction, InvokeSpecial):
+                self.invoke_special_requirements(
+                    decl, instruction, method_ref, out
                 )
+            else:
+                out.extend(self.m_any(
+                    method_ref.owner, method_ref.name, method_ref.descriptor
+                ))
+
+        field_ref = instruction.field_ref()
+        if field_ref is not None:
+            out.extend(self.f_any(field_ref.owner, field_ref.name))
+
+        if isinstance(instruction, CheckCast):
+            if instruction.known_from is not None:
+                paths = self.path_clauses(
+                    instruction.known_from, instruction.class_name
+                )
+                if paths is None:
+                    raise ConstraintError(
+                        f"cast {instruction.known_from} -> "
+                        f"{instruction.class_name} can never succeed"
+                    )
+                out.extend(paths)
+
+        if isinstance(instruction, LoadClassConstant):
+            # The generics/reflection approximation: reflection on C
+            # depends on C extending all its superclasses.
+            self.reflection_requirements(instruction.class_name, out)
+        return tuple(out)
 
     def invoke_special_requirements(
-        self, decl: ClassFile, instruction: InvokeSpecial
-    ) -> Iterable[Formula]:
+        self,
+        decl: ClassFile,
+        instruction: InvokeSpecial,
+        ref: MethodRef,
+        out: List[FrozenSet[int]],
+    ) -> None:
         """invokespecial: constructors and super calls."""
-        ref = instruction.method_ref()
         if instruction.is_super_call and ref.owner != JAVA_OBJECT:
             # An explicit super dispatch needs the extends relation:
             # without it the class extends Object and the target vanishes.
-            yield Var(SuperClassItem(decl.name))
+            out.append(self.unit(SuperClassItem(decl.name)))
         if ref.name == INIT:
-            if (ref.owner, ref.name, ref.descriptor) in BUILTIN_METHODS:
-                return
-            owner_decl = self.app.class_file(ref.owner)
-            if owner_decl is None or owner_decl.method(INIT, ref.descriptor) is None:
-                raise ConstraintError(
-                    f"constructor {ref.owner}.<init>{ref.descriptor} "
-                    "does not resolve"
-                )
-            yield Var(ConstructorItem(ref.owner, ref.descriptor))
+            out.extend(self.constructor(ref.owner, ref.descriptor))
         else:
             # Private or super method call: resolve like a virtual call.
-            yield self.m_any(ref.owner, ref.name, ref.descriptor)
+            out.extend(self.m_any(ref.owner, ref.name, ref.descriptor))
 
-    def reflection_requirements(self, class_name: str) -> Iterable[Formula]:
+    def reflection_requirements(
+        self, class_name: str, out: List[FrozenSet[int]]
+    ) -> None:
         current = class_name
         while True:
             decl = self.app.class_file(current)
@@ -312,10 +481,10 @@ class _Generator:
                 return
             if decl.superclass == JAVA_OBJECT:
                 return
-            yield Var(SuperClassItem(current))
+            out.append(self.unit(SuperClassItem(current)))
             current = decl.superclass
 
-    def obligation_constraints(self, decl: ClassFile) -> Iterable[Formula]:
+    def obligation_constraints(self, decl: ClassFile) -> None:
         """(relation-path alive /\\ signature alive) => mAny.
 
         Covers interfaces (directly or transitively implemented) and
@@ -328,11 +497,11 @@ class _Generator:
             iface = self.app.class_file(iface_name)
             if iface is None:
                 continue
-            paths = self.hierarchy.subtype_paths(name, iface_name)
+            paths = self.paths(name, iface_name)
             for signature in iface.methods:
                 if signature.is_constructor:
                     continue
-                sig_var = Var(
+                sig = self.number(
                     SignatureItem(
                         iface_name, signature.name, signature.descriptor
                     )
@@ -341,63 +510,29 @@ class _Generator:
                     name, signature.name, signature.descriptor
                 )
                 for path in paths:
-                    antecedent = conj(
-                        [sig_var]
-                        + [Var(item) for item in sorted(path, key=str)]
-                    )
-                    yield Implies(antecedent, implementation)
+                    self.implies(frozenset((sig,) + path), implementation)
 
         # Abstract-method obligations up the superclass chain.
-        chain_items: List[Item] = []
+        chain: List[int] = []
         current = decl.superclass
         chain_source = name
         while current not in BUILTIN_CLASSES:
             ancestor = self.app.class_file(current)
             if ancestor is None:
                 break
-            chain_items.append(SuperClassItem(chain_source))
+            chain.append(self.number(SuperClassItem(chain_source)))
             for method in ancestor.methods:
                 if not method.is_abstract:
                     continue
-                sig_var = Var(
+                sig = self.number(
                     SignatureItem(current, method.name, method.descriptor)
                 )
-                antecedent = conj(
-                    [sig_var] + [Var(item) for item in chain_items]
-                )
-                yield Implies(
-                    antecedent,
-                    self.concrete_m_any(
-                        name, method.name, method.descriptor
-                    ),
+                self.implies(
+                    frozenset([sig] + chain),
+                    self.concrete_m_any(name, method.name, method.descriptor),
                 )
             chain_source = current
             current = ancestor.superclass
-
-    def concrete_m_any(
-        self, owner: str, name: str, descriptor: str
-    ) -> Formula:
-        """Like ``m_any`` but only concrete implementations count."""
-        candidates = self.hierarchy.method_candidates(owner, name, descriptor)
-        options: List[Formula] = []
-        for declaring, method in candidates:
-            if method.is_abstract:
-                continue
-            declaring_decl = self.app.class_file(declaring)
-            if declaring_decl is not None and declaring_decl.is_interface:
-                continue
-            path = self.paths_formula(owner, declaring)
-            if path == FALSE:
-                continue
-            options.append(
-                conj([path, Var(self.member_item(declaring, method))])
-            )
-        if not options:
-            raise ConstraintError(
-                f"{owner} has no concrete implementation of "
-                f"{name}{descriptor}"
-            )
-        return disj(options)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ paper:
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import (
     AbstractSet,
     Dict,
@@ -29,7 +30,7 @@ from typing import (
     Tuple,
 )
 
-from repro.logic.formula import TRUE, And, Formula, Not, Or, Var
+from repro.logic.formula import Formula
 
 __all__ = ["Lit", "Clause", "CNF", "pos", "neg", "IndexedCNF"]
 
@@ -61,9 +62,15 @@ def neg(var: VarName) -> Lit:
 
 
 class Clause:
-    """A disjunction of literals (immutable)."""
+    """A disjunction of literals (immutable).
 
-    __slots__ = ("literals",)
+    The variables occurring positively (:attr:`positives`) and
+    negatively (:attr:`negatives`) are each collected on first read and
+    kept: the MSA cascade reads a clause's positives every time the
+    clause is violated.
+    """
+
+    __slots__ = ("literals", "_positives", "_negatives")
 
     def __init__(self, literals: Iterable[Lit]):
         lits = []
@@ -72,6 +79,8 @@ class Clause:
                 raise TypeError(f"expected Lit, got {lit!r}")
             lits.append(lit)
         self.literals: FrozenSet[Lit] = frozenset(lits)
+        self._positives: Optional[FrozenSet[VarName]] = None
+        self._negatives: Optional[FrozenSet[VarName]] = None
 
     # -- constructors -------------------------------------------------------
 
@@ -85,6 +94,7 @@ class Clause:
         # Built from Lits right here, so __init__'s type check is moot.
         clause = cls.__new__(cls)
         clause.literals = frozenset(lits)
+        clause._positives = clause._negatives = None
         return clause
 
     @classmethod
@@ -96,11 +106,19 @@ class Clause:
 
     @property
     def positives(self) -> FrozenSet[VarName]:
-        return frozenset(lit.var for lit in self.literals if lit.positive)
+        if self._positives is None:
+            self._positives = frozenset(
+                lit.var for lit in self.literals if lit.positive
+            )
+        return self._positives
 
     @property
     def negatives(self) -> FrozenSet[VarName]:
-        return frozenset(lit.var for lit in self.literals if not lit.positive)
+        if self._negatives is None:
+            self._negatives = frozenset(
+                lit.var for lit in self.literals if not lit.positive
+            )
+        return self._negatives
 
     def variables(self) -> FrozenSet[VarName]:
         return frozenset(lit.var for lit in self.literals)
@@ -239,23 +257,8 @@ class CNF:
         return True
 
     def add_formula(self, formula: Formula) -> None:
-        """Add all clauses of a formula.
-
-        An implication between conjunctions of variables, such as the
-        edge ``[a] => [b]`` that most type rules emit, becomes one
-        clause per consequent directly.  Any other shape goes through
-        NNF and distribution; both routes give the same clauses in the
-        same order.
-        """
+        """Add all clauses of a formula (via NNF and distribution)."""
         self._indexed_cache = None
-        horn = _horn_shape(formula)
-        if horn is not None:
-            antecedents, consequents = horn
-            if not consequents:
-                self._variables.update(antecedents)
-            for consequent in consequents:
-                self.add_clause(Clause.implication(antecedents, (consequent,)))
-            return
         self._variables.update(formula.variables())
         for raw in formula.to_clauses():
             self.add_clause(Clause(Lit(v, p) for (v, p) in raw))
@@ -308,14 +311,18 @@ class CNF:
         tautology, and every clause variable in the universe.
         """
         # table[k] is the positive literal on names[k - 1]; table[-k],
-        # counted from the end, is the negative one.
+        # counted from the end, is the negative one.  tuple.__new__
+        # builds each Lit without a Python-level call.
         table: List[Optional[Lit]] = [None]
-        table.extend(Lit(name, True) for name in names)
-        table.extend(Lit(name, False) for name in reversed(names))
+        table.extend(map(tuple.__new__, repeat(Lit), zip(names, repeat(True))))
+        table.extend(
+            map(tuple.__new__, repeat(Lit), zip(reversed(names), repeat(False)))
+        )
         out = cls()
         for numbers in clauses:
             clause = Clause.__new__(Clause)
             clause.literals = frozenset(map(table.__getitem__, numbers))
+            clause._positives = clause._negatives = None
             out.clauses.append(clause)
         out._clause_set = set(out.clauses)
         out._variables = {names[i] for i in universe}
@@ -425,31 +432,6 @@ class CNF:
             f"CNF({len(self.clauses)} clauses, "
             f"{len(self._variables)} variables)"
         )
-
-
-def _horn_shape(
-    formula: Formula,
-) -> Optional[Tuple[List[VarName], List[VarName]]]:
-    """``(antecedents, consequents)`` when ``formula`` is an implication
-    ``a1 /\\ ... /\\ ak => b1 /\\ ... /\\ bn`` over variables (``k >= 1``;
-    TRUE conjuncts on the right are dropped); None for any other shape.
-    """
-    if type(formula) is not Or or len(formula.operands) != 2:
-        return None
-    body, head = formula.operands
-    if type(body) is not Not:
-        return None
-    body = body.operand
-    premises = body.operands if type(body) is And else (body,)
-    if not premises or any(type(p) is not Var for p in premises):
-        return None
-    consequents = []
-    for conjunct in head.operands if type(head) is And else (head,):
-        if type(conjunct) is Var:
-            consequents.append(conjunct.name)
-        elif conjunct is not TRUE:
-            return None
-    return [p.name for p in premises], consequents
 
 
 class IndexedCNF:

@@ -92,11 +92,13 @@ class MsaSolver:
             self._index_clause(clause)
 
     def _index_clause(self, clause: Clause) -> None:
-        negatives = clause.negatives
-        if not negatives:
+        positive_only = True
+        for var, positive in clause.literals:
+            if not positive:
+                positive_only = False
+                self._neg_occurrences.setdefault(var, []).append(clause)
+        if positive_only:
             self._positive_clauses.append(clause)
-        for var in negatives:
-            self._neg_occurrences.setdefault(var, []).append(clause)
 
     def notice_clause(self, clause: Clause) -> None:
         """Register a clause appended to ``self.cnf`` after construction.

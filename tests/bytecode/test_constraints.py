@@ -367,3 +367,95 @@ class TestClassDependencyGraph:
         )
         graph = class_dependency_graph(app)
         assert graph.num_edges() == 0
+
+
+def abstract_interface(name="app/I", method="im"):
+    return ClassFile(
+        name=name,
+        is_interface=True,
+        is_abstract=True,
+        methods=(MethodDef(method, "()V", is_abstract=True),),
+    )
+
+
+#: One app per ConstraintError case, with the message it must raise.
+BROKEN_APPS = {
+    "unknown type": (
+        Application(classes=(
+            ClassFile(name="app/A", methods=(
+                concrete("m", "()V", New("app/Ghost")),
+            )),
+        )),
+        "reference to unknown type 'app/Ghost'",
+    ),
+    "unresolved method": (
+        Application(classes=(
+            ClassFile(name="app/A", methods=(
+                concrete("m", "()V", InvokeVirtual("app/A", "gone", "()V")),
+            )),
+        )),
+        "method app/A.gone()V does not resolve",
+    ),
+    "unresolved field": (
+        Application(classes=(
+            ClassFile(name="app/A", methods=(
+                concrete("m", "()V", GetField("app/A", "gone", "I")),
+            )),
+        )),
+        "field app/A.gone does not resolve",
+    ),
+    "unresolved constructor": (
+        Application(classes=(
+            ClassFile(name="app/A", methods=(
+                concrete("m", "()V", InvokeSpecial("app/A", INIT, "(I)V")),
+            )),
+        )),
+        "constructor app/A.<init>(I)V does not resolve",
+    ),
+    "impossible cast": (
+        Application(classes=(
+            ClassFile(name="app/X"),
+            ClassFile(name="app/I", is_interface=True, is_abstract=True),
+            ClassFile(name="app/U", methods=(
+                concrete("m", "()V", CheckCast("app/I", known_from="app/X")),
+            )),
+        )),
+        "cast app/X -> app/I can never succeed",
+    ),
+    "no concrete implementation": (
+        Application(classes=(
+            abstract_interface(),
+            ClassFile(name="app/C", interfaces=("app/I",)),
+        )),
+        "app/C has no concrete implementation of im()V",
+    ),
+    # Two faults: both generators walk the rules in the same order, so
+    # the first fault met (the field's type) is the one reported.
+    "first of two faults": (
+        Application(classes=(
+            ClassFile(
+                name="app/A",
+                fields=(Field("f", "Lapp/Ghost;"),),
+                methods=(concrete(
+                    "m", "()V", InvokeVirtual("app/A", "gone", "()V")
+                ),),
+            ),
+        )),
+        "reference to unknown type 'app/Ghost'",
+    ),
+}
+
+
+class TestErrorParity:
+    """The emitter raises what the formula-based reference raises."""
+
+    @pytest.mark.parametrize("case", sorted(BROKEN_APPS))
+    def test_same_error_as_the_reference(self, case):
+        from tests.reference_engines import generate_constraints_reference
+
+        app, message = BROKEN_APPS[case]
+        with pytest.raises(ConstraintError) as produced:
+            generate_constraints(app)
+        with pytest.raises(ConstraintError) as expected:
+            generate_constraints_reference(app)
+        assert str(produced.value) == str(expected.value) == message

@@ -20,6 +20,13 @@ class TestClause:
         assert clause.negatives == {"a", "b"}
         assert clause.positives == {"c"}
 
+    def test_polarity_sets_are_built_once(self):
+        clause = Clause([pos("a"), neg("b"), neg("c")])
+        assert clause.positives == {"a"}
+        assert clause.negatives == {"b", "c"}
+        assert clause.positives is clause.positives
+        assert clause.negatives is clause.negatives
+
     def test_unit(self):
         clause = Clause.unit("x")
         assert clause.is_unit()
@@ -196,6 +203,10 @@ class TestCNFProperties:
         for clause in cnf.clauses:
             assert not loaded.add_clause(clause)
         assert loaded.to_indexed().clauses == cnf.to_indexed().clauses
+        # Bulk-built clauses split their polarities like any other.
+        for built, original in zip(loaded.clauses, cnf.clauses):
+            assert built.positives == original.positives
+            assert built.negatives == original.negatives
 
     @given(clauses(max_size=3))
     def test_shape_checks_match_their_set_definitions(self, clause):

@@ -21,9 +21,13 @@ as executable specifications:
   :func:`repro.graphs.scc.strongly_connected_components` and
   :func:`repro.reduction.ordering.dependency_order` must match
   element-for-element;
-- :func:`add_formula_reference` / :func:`generate_constraints_reference`
-  — every formula through NNF and distribution, which
-  :meth:`repro.logic.cnf.CNF.add_formula` must match clause-for-clause.
+- :func:`generate_constraints_reference` — the formula-based bytecode
+  constraint generator (each type rule a
+  :class:`~repro.logic.formula.Formula` tree, put through NNF and
+  distribution by :func:`add_formula_reference`), which
+  :func:`repro.bytecode.constraints.generate_constraints`, emitting
+  clauses straight from the rules, must match clause-for-clause and
+  error-for-error.
 
 Nothing under ``src/`` imports this module.
 """
@@ -43,11 +47,43 @@ from typing import (
     Tuple,
 )
 
-from repro.bytecode.constraints import _Generator
-from repro.bytecode.items import items_of
+from repro.bytecode.classfile import (
+    Application,
+    BUILTIN_CLASSES,
+    ClassFile,
+    INIT,
+    JAVA_OBJECT,
+    MethodDef,
+)
+from repro.bytecode.constraints import BUILTIN_METHODS, ConstraintError
+from repro.bytecode.descriptors import (
+    parse_field_descriptor,
+    parse_method_descriptor,
+)
+from repro.bytecode.hierarchy import Hierarchy
+from repro.bytecode.instructions import (
+    CheckCast,
+    InvokeSpecial,
+    LoadClassConstant,
+)
+from repro.bytecode.items import (
+    AttributeItem,
+    ClassItem,
+    CodeItem,
+    ConstructorCodeItem,
+    ConstructorItem,
+    FieldItem,
+    ImplementsItem,
+    InterfaceItem,
+    Item,
+    MethodItem,
+    SignatureItem,
+    SuperClassItem,
+    items_of,
+)
 from repro.graphs.digraph import DiGraph
 from repro.logic.cnf import CNF, Clause, IndexedCNF, Lit
-from repro.logic.formula import Formula
+from repro.logic.formula import FALSE, TRUE, Formula, Implies, Var, conj, disj
 from repro.logic.msa import MsaSolver
 from repro.logic.propagation import WatchedIndex, propagate_watched
 from repro.logic.session import SatResult, _SolverStats
@@ -591,10 +627,327 @@ def add_formula_reference(cnf: CNF, formula: Formula) -> None:
 
 
 def generate_constraints_reference(app) -> CNF:
-    """The bytecode constraint CNF with every formula on the NNF route."""
+    """The bytecode constraint CNF built from the type rules' formulas.
+
+    Each rule is a :class:`~repro.logic.formula.Formula` tree that goes
+    through NNF and distribution; the production generator emits the
+    same clauses directly and must match this clause-for-clause.
+    """
     generator = _Generator(app)
     cnf = CNF(variables=items_of(app))
     for decl in app.classes:
         for formula in generator.class_constraints(decl):
             add_formula_reference(cnf, formula)
     return cnf
+
+
+class _Generator:
+    def __init__(self, app: Application):
+        self.app = app
+        self.hierarchy = Hierarchy(app)
+
+    # ------------------------------------------------------------------
+
+    def run(self) -> CNF:
+        cnf = CNF(variables=items_of(self.app))
+        for decl in self.app.classes:
+            for formula in self.class_constraints(decl):
+                cnf.add_formula(formula)
+        return cnf
+
+    # ------------------------------------------------------------------
+    # Formula helpers
+    # ------------------------------------------------------------------
+
+    def type_formula(self, name: str) -> Formula:
+        if name in BUILTIN_CLASSES:
+            return TRUE
+        decl = self.app.class_file(name)
+        if decl is None:
+            raise ConstraintError(f"reference to unknown type {name!r}")
+        if decl.is_interface:
+            return Var(InterfaceItem(name))
+        return Var(ClassItem(name))
+
+    def descriptor_types(self, descriptor: str, is_method: bool) -> Formula:
+        if is_method:
+            refs = parse_method_descriptor(descriptor).referenced_classes()
+        else:
+            refs = parse_field_descriptor(descriptor).referenced_classes()
+        return conj(self.type_formula(name) for name in sorted(refs))
+
+    def member_item(self, class_name: str, method: MethodDef) -> Item:
+        decl = self.app.class_file(class_name)
+        if method.is_constructor:
+            return ConstructorItem(class_name, method.descriptor)
+        if method.is_abstract or (decl is not None and decl.is_interface):
+            return SignatureItem(class_name, method.name, method.descriptor)
+        return MethodItem(class_name, method.name, method.descriptor)
+
+    def paths_formula(self, sub: str, sup: str) -> Formula:
+        """Disjunction over subtype derivations (FALSE when none)."""
+        paths = self.hierarchy.subtype_paths(sub, sup)
+        if not paths:
+            return FALSE
+        return disj(conj(Var(item) for item in sorted(path, key=str))
+                    for path in paths)
+
+    def m_any(self, owner: str, name: str, descriptor: str) -> Formula:
+        """At least one reachable declaration of owner.name:descriptor.
+
+        A candidate declared on ancestor X contributes
+        ``(path owner->X alive) /\\ [X.name]``.
+        """
+        if (owner, name, descriptor) in BUILTIN_METHODS:
+            return TRUE
+        candidates = self.hierarchy.method_candidates(owner, name, descriptor)
+        options: List[Formula] = []
+        for declaring, method in candidates:
+            path = self.paths_formula(owner, declaring)
+            if path == FALSE:
+                continue
+            options.append(
+                conj([path, Var(self.member_item(declaring, method))])
+            )
+        if not options:
+            raise ConstraintError(
+                f"method {owner}.{name}{descriptor} does not resolve"
+            )
+        return disj(options)
+
+    def f_any(self, owner: str, name: str) -> Formula:
+        candidates = self.hierarchy.field_candidates(owner, name)
+        options: List[Formula] = []
+        for declaring, _field in candidates:
+            path = self.paths_formula(owner, declaring)
+            if path == FALSE:
+                continue
+            options.append(
+                conj([path, Var(FieldItem(declaring, name))])
+            )
+        if not options:
+            raise ConstraintError(f"field {owner}.{name} does not resolve")
+        return disj(options)
+
+    # ------------------------------------------------------------------
+    # Per-class constraints
+    # ------------------------------------------------------------------
+
+    def class_constraints(self, decl: ClassFile) -> Iterable[Formula]:
+        name = decl.name
+        self_var = self.type_formula(name)
+
+        # Relations.
+        if not decl.is_interface and decl.superclass != JAVA_OBJECT:
+            super_item = Var(SuperClassItem(name))
+            yield Implies(super_item, self_var)
+            yield Implies(super_item, self.type_formula(decl.superclass))
+        for iface in decl.interfaces:
+            impl = Var(ImplementsItem(name, iface))
+            yield Implies(impl, self_var)
+            yield Implies(impl, self.type_formula(iface))
+
+        # Attributes.
+        for attribute in decl.attributes:
+            yield Implies(Var(AttributeItem(name, attribute.name)), self_var)
+
+        # Fields.
+        for fdecl in decl.fields:
+            field_var = Var(FieldItem(name, fdecl.name))
+            yield Implies(field_var, self_var)
+            types = self.descriptor_types(fdecl.descriptor, is_method=False)
+            if types != TRUE:
+                yield Implies(field_var, types)
+
+        # Methods, signatures, constructors.
+        for method in decl.methods:
+            yield from self.method_constraints(decl, method)
+
+        # Interface / abstract obligations (only concrete classes carry
+        # them; abstract classes defer to their concrete subclasses).
+        if not decl.is_interface and not decl.is_abstract:
+            yield from self.obligation_constraints(decl)
+
+    def method_constraints(
+        self, decl: ClassFile, method: MethodDef
+    ) -> Iterable[Formula]:
+        name = decl.name
+        member_var = Var(self.member_item(name, method))
+        yield Implies(member_var, self.type_formula(name))
+        types = self.descriptor_types(method.descriptor, is_method=True)
+        if types != TRUE:
+            yield Implies(member_var, types)
+
+        if method.code is None:
+            return
+        if method.is_constructor:
+            code_var: Formula = Var(
+                ConstructorCodeItem(name, method.descriptor)
+            )
+        else:
+            code_var = Var(CodeItem(name, method.name, method.descriptor))
+        yield Implies(code_var, member_var)
+        for requirement in self.code_requirements(decl, method):
+            if requirement != TRUE:
+                yield Implies(code_var, requirement)
+
+    def code_requirements(
+        self, decl: ClassFile, method: MethodDef
+    ) -> Iterable[Formula]:
+        assert method.code is not None
+        for instruction in method.code:
+            # Direct type references.
+            for type_name in sorted(instruction.type_refs()):
+                yield self.type_formula(type_name)
+
+            method_ref = instruction.method_ref()
+            if method_ref is not None:
+                if isinstance(instruction, InvokeSpecial):
+                    yield from self.invoke_special_requirements(
+                        decl, instruction
+                    )
+                else:
+                    yield self.m_any(
+                        method_ref.owner, method_ref.name, method_ref.descriptor
+                    )
+
+            field_ref = instruction.field_ref()
+            if field_ref is not None:
+                yield self.f_any(field_ref.owner, field_ref.name)
+
+            if isinstance(instruction, CheckCast):
+                if instruction.known_from is not None:
+                    paths = self.paths_formula(
+                        instruction.known_from, instruction.class_name
+                    )
+                    if paths == FALSE:
+                        raise ConstraintError(
+                            f"cast {instruction.known_from} -> "
+                            f"{instruction.class_name} can never succeed"
+                        )
+                    yield paths
+
+            if isinstance(instruction, LoadClassConstant):
+                # The generics/reflection approximation: reflection on C
+                # depends on C extending all its superclasses.
+                yield from self.reflection_requirements(
+                    instruction.class_name
+                )
+
+    def invoke_special_requirements(
+        self, decl: ClassFile, instruction: InvokeSpecial
+    ) -> Iterable[Formula]:
+        """invokespecial: constructors and super calls."""
+        ref = instruction.method_ref()
+        if instruction.is_super_call and ref.owner != JAVA_OBJECT:
+            # An explicit super dispatch needs the extends relation:
+            # without it the class extends Object and the target vanishes.
+            yield Var(SuperClassItem(decl.name))
+        if ref.name == INIT:
+            if (ref.owner, ref.name, ref.descriptor) in BUILTIN_METHODS:
+                return
+            owner_decl = self.app.class_file(ref.owner)
+            if owner_decl is None or owner_decl.method(INIT, ref.descriptor) is None:
+                raise ConstraintError(
+                    f"constructor {ref.owner}.<init>{ref.descriptor} "
+                    "does not resolve"
+                )
+            yield Var(ConstructorItem(ref.owner, ref.descriptor))
+        else:
+            # Private or super method call: resolve like a virtual call.
+            yield self.m_any(ref.owner, ref.name, ref.descriptor)
+
+    def reflection_requirements(self, class_name: str) -> Iterable[Formula]:
+        current = class_name
+        while True:
+            decl = self.app.class_file(current)
+            if decl is None or decl.is_interface:
+                return
+            if decl.superclass == JAVA_OBJECT:
+                return
+            yield Var(SuperClassItem(current))
+            current = decl.superclass
+
+    def obligation_constraints(self, decl: ClassFile) -> Iterable[Formula]:
+        """(relation-path alive /\\ signature alive) => mAny.
+
+        Covers interfaces (directly or transitively implemented) and
+        abstract superclasses of this concrete class.
+        """
+        name = decl.name
+
+        # Interface obligations.
+        for iface_name in sorted(self.hierarchy.all_interfaces(name)):
+            iface = self.app.class_file(iface_name)
+            if iface is None:
+                continue
+            paths = self.hierarchy.subtype_paths(name, iface_name)
+            for signature in iface.methods:
+                if signature.is_constructor:
+                    continue
+                sig_var = Var(
+                    SignatureItem(
+                        iface_name, signature.name, signature.descriptor
+                    )
+                )
+                implementation = self.concrete_m_any(
+                    name, signature.name, signature.descriptor
+                )
+                for path in paths:
+                    antecedent = conj(
+                        [sig_var]
+                        + [Var(item) for item in sorted(path, key=str)]
+                    )
+                    yield Implies(antecedent, implementation)
+
+        # Abstract-method obligations up the superclass chain.
+        chain_items: List[Item] = []
+        current = decl.superclass
+        chain_source = name
+        while current not in BUILTIN_CLASSES:
+            ancestor = self.app.class_file(current)
+            if ancestor is None:
+                break
+            chain_items.append(SuperClassItem(chain_source))
+            for method in ancestor.methods:
+                if not method.is_abstract:
+                    continue
+                sig_var = Var(
+                    SignatureItem(current, method.name, method.descriptor)
+                )
+                antecedent = conj(
+                    [sig_var] + [Var(item) for item in chain_items]
+                )
+                yield Implies(
+                    antecedent,
+                    self.concrete_m_any(
+                        name, method.name, method.descriptor
+                    ),
+                )
+            chain_source = current
+            current = ancestor.superclass
+
+    def concrete_m_any(
+        self, owner: str, name: str, descriptor: str
+    ) -> Formula:
+        """Like ``m_any`` but only concrete implementations count."""
+        candidates = self.hierarchy.method_candidates(owner, name, descriptor)
+        options: List[Formula] = []
+        for declaring, method in candidates:
+            if method.is_abstract:
+                continue
+            declaring_decl = self.app.class_file(declaring)
+            if declaring_decl is not None and declaring_decl.is_interface:
+                continue
+            path = self.paths_formula(owner, declaring)
+            if path == FALSE:
+                continue
+            options.append(
+                conj([path, Var(self.member_item(declaring, method))])
+            )
+        if not options:
+            raise ConstraintError(
+                f"{owner} has no concrete implementation of "
+                f"{name}{descriptor}"
+            )
+        return disj(options)
