@@ -8,9 +8,10 @@ Emits ``BENCH_6.json`` with three lanes over the same seeded corpus of
 - **tracing_memory** — a :func:`~repro.observability.tracing_session`
   with in-memory accumulation: full span tree, dual clocks, and the
   probe provenance ledger (one event per physical probe).
-- **tracing_sharded** — the same session streaming to per-worker JSONL
-  shard files (the ``--jobs``/``--trace`` production configuration),
-  including the flush-per-line durability write.
+- **tracing_sharded** — the same session given a trace path, so it
+  streams to per-worker JSONL shard files (what every ``--trace`` run
+  does), including the flush-per-line durability write and the metric
+  lines appended on exit.
 
 The lanes interleave within each rep; per rep, each tracing lane's wall
 time is divided by the *same rep's* tracing-off wall time, and the gate
@@ -43,7 +44,7 @@ import time
 from typing import Dict, List
 
 from repro.harness import ExperimentConfig, run_instance
-from repro.observability import ShardSet, load_traces, tracing_session
+from repro.observability import discover_shards, load_traces, tracing_session
 from repro.workloads.corpus import CorpusConfig, build_corpus
 
 SEED = 2021
@@ -103,11 +104,15 @@ def bench_lanes(apps: int, min_classes: int, max_classes: int,
         workdir = tempfile.mkdtemp(prefix="bench-telemetry-")
         base = f"{workdir}/run.jsonl"
         try:
-            with ShardSet(base, run_id="bench-6") as shards:
-                with tracing_session(run_id="bench-6", shards=shards):
-                    check(_run_corpus(pairs, config))
-                shard_files = len(shards.paths())
-            trace_events = len(load_traces([base]))
+            with tracing_session(base, label="bench-6"):
+                check(_run_corpus(pairs, config))
+            shard_files = len(discover_shards(base))
+            # The volume gate counts span, ledger and meta lines; the
+            # metric lines a session appends on exit stay out of it.
+            trace_events = sum(
+                event["type"] not in ("counter", "gauge", "histogram")
+                for event in load_traces([base])
+            )
         finally:
             shutil.rmtree(workdir, ignore_errors=True)
 

@@ -18,7 +18,8 @@ import pathlib
 
 import pytest
 
-from repro.harness.experiments import ExperimentConfig, run_corpus_experiment
+from repro.harness.experiments import ExperimentConfig
+from repro.parallel.scheduler import run_scheduled_corpus_experiment
 from repro.workloads.corpus import CorpusConfig, build_corpus
 
 ARTIFACTS = pathlib.Path(__file__).parent / "artifacts"
@@ -40,7 +41,7 @@ def corpus():
 
 @pytest.fixture(scope="session")
 def outcomes(corpus):
-    return run_corpus_experiment(corpus, ExperimentConfig())
+    return run_scheduled_corpus_experiment(corpus, ExperimentConfig())
 
 
 @pytest.fixture()

@@ -703,15 +703,6 @@ def _demo() -> int:
     return 0
 
 
-def _open_trace(path: str):
-    """Open a trace file for writing, failing fast (before the run)."""
-    try:
-        return open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        print(f"jlreduce: cannot write {path}: {exc}", file=sys.stderr)
-        return None
-
-
 def _load_program(path: str):
     from repro.fji import ParseError, TypeError_, check_program, parse_program
 
@@ -866,7 +857,7 @@ def _reduce(args) -> int:
             )
 
     try:
-        result = _traced(args.trace, 1, f"reduce {path}", run)
+        result = _traced(args.trace, f"reduce {path}", run)
     finally:
         if probes is not None:
             probes.shutdown(wait=True)
@@ -906,8 +897,8 @@ def _bench(args) -> int:
     """
     import os
 
-    from repro.harness.experiments import run_corpus_experiment
     from repro.harness.report import ResultsWriter, StreamingReport
+    from repro.parallel.scheduler import run_scheduled_corpus_experiment
     from repro.reduction import ReductionError
     from repro.resilience import OracleCrash, TransientOracleError
     from repro.workloads.corpus import MANIFEST_NAME, CorpusConfig
@@ -986,7 +977,7 @@ def _bench(args) -> int:
                 writer.write(outcome)
 
         def run():
-            return run_corpus_experiment(
+            return run_scheduled_corpus_experiment(
                 config=experiment,
                 progress=progress,
                 jobs=jobs,
@@ -997,7 +988,7 @@ def _bench(args) -> int:
             )
 
         try:
-            outcomes = _traced(args.trace, jobs, f"bench {args.profile}", run)
+            outcomes = _traced(args.trace, f"bench {args.profile}", run)
         except (ReductionError, OracleCrash, TransientOracleError) as exc:
             print(f"jlreduce: instance failed: {exc}", file=sys.stderr)
             print("jlreduce: rerun with --keep-going to record failed "
@@ -1025,42 +1016,28 @@ def _bench(args) -> int:
     return 0
 
 
-def _traced(trace_path: Optional[str], jobs: int, label: str, run):
+def _traced(trace_path: Optional[str], label: str, run):
     """``run()`` under a tracing session when ``trace_path`` is set.
 
-    ``jobs == 1`` writes one trace file.  Otherwise per-worker shard
-    files stream next to the base trace (worker "main" writes the base
-    file itself), so a killed worker loses at most one torn line; the
-    ``trace`` subcommands discover and merge the shard family.  Returns
-    None when the trace file cannot be opened.
+    Events stream to shard files as they finish: worker "main" writes
+    the base file, and other workers write ``*.shard-<worker>.jsonl``
+    files beside it, which the ``trace`` subcommands discover and
+    merge.  The run's metric lines land in the base file when the
+    session exits, even if ``run()`` raises.  Returns None when the
+    trace file cannot be opened.
     """
-    from repro.observability import (
-        ShardSet,
-        metric_events,
-        new_run_id,
-        tracing_session,
-        write_trace,
-    )
+    from repro.observability import tracing_session
 
     if not trace_path:
         return run()
-    handle = _open_trace(trace_path)
-    if handle is None:
-        return None
-    if jobs == 1:
-        with handle:
-            with tracing_session() as (tracer, metrics):
-                result = run()
-            write_trace(handle, tracer, metrics, label=label)
-        return result
-    handle.close()
-    run_id = new_run_id()
-    with ShardSet(trace_path, run_id=run_id, label=label) as shards:
-        with tracing_session(run_id=run_id, shards=shards) as (_, metrics):
-            result = run()
-            for event in metric_events(metrics, run_id=run_id):
-                shards.emit_main(event)
-    return result
+    with ExitStack() as stack:
+        try:
+            stack.enter_context(tracing_session(trace_path, label))
+        except OSError as exc:
+            print(f"jlreduce: cannot write {trace_path}: {exc}",
+                  file=sys.stderr)
+            return None
+        return run()
 
 
 def _corpus_generate(
@@ -1234,18 +1211,17 @@ def _trace_explain(handle: str, patterns: List[str]) -> int:
 
 
 def _trace_merge(patterns: List[str], out: Optional[str] = None) -> int:
-    from repro.observability import JsonlSink
+    from repro.observability import encode_line
 
     events = _load_merged(patterns)
     if events is None:
         return 1
     if out is None:
-        for event in events:
-            print(json.dumps(event, sort_keys=True, default=str))
+        sys.stdout.writelines(encode_line(event) for event in events)
         return 0
     try:
-        with JsonlSink(out) as sink:
-            sink.emit_all(events)
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.writelines(encode_line(event) for event in events)
     except OSError as exc:
         print(f"jlreduce: cannot write {out}: {exc}", file=sys.stderr)
         return 1
@@ -1322,12 +1298,17 @@ def _serve(args) -> int:
             with open(args.ready_file, "w", encoding="utf-8") as handle:
                 handle.write(f"{host} {port}\n")
 
-    return serve(
-        config,
-        trace_path=args.trace,
-        ready=_ready,
-        log=lambda message: print(f"jlreduce serve: {message}", flush=True),
-    )
+    try:
+        return serve(
+            config,
+            trace_path=args.trace,
+            ready=_ready,
+            log=lambda message: print(f"jlreduce serve: {message}",
+                                      flush=True),
+        )
+    except OSError as exc:  # an unwritable --trace, or a taken port
+        print(f"jlreduce: {exc}", file=sys.stderr)
+        return 1
 
 
 def _submit(args) -> int:

@@ -14,14 +14,13 @@ and across serial/parallel execution; only ``real_seconds`` varies.
 
 This module runs one strategy on one instance (:func:`run_instance`).
 A whole corpus runs through one executor,
-:func:`repro.parallel.scheduler.run_scheduled_corpus_experiment`, which
-this module re-exports as ``run_corpus_experiment``: ``jobs=1`` runs
-inline, ``jobs=N`` fans whole instances out to worker processes, and
-outcomes commit in serial order either way.  Passing a predicate store
-(:func:`repro.parallel.open_store`) makes predicate outcomes persist
-across runs (a warm store re-runs an instance with zero fresh
-predicate calls).  ``ExperimentConfig.tenant`` namespaces the store so
-many tenants can share one warm cache safely.
+:func:`repro.parallel.scheduler.run_scheduled_corpus_experiment`:
+``jobs=1`` runs inline, ``jobs=N`` fans whole instances out to worker
+processes, and outcomes commit in serial order either way.  Passing a
+predicate store (:func:`repro.parallel.open_store`) makes predicate
+outcomes persist across runs (a warm store re-runs an instance with
+zero fresh predicate calls).  ``ExperimentConfig.tenant`` namespaces
+the store so many tenants can share one warm cache safely.
 """
 
 from __future__ import annotations
@@ -68,7 +67,6 @@ __all__ = [
     "probe_pool",
     "progress_line",
     "run_instance",
-    "run_corpus_experiment",
     "STRATEGY_NAMES",
 ]
 
@@ -737,14 +735,3 @@ def progress_line(outcome: InstanceOutcome) -> str:
         f"{prefix}: {outcome.relative_bytes:.1%} bytes in "
         f"{outcome.predicate_calls} runs{suffix}"
     )
-
-
-def __getattr__(name: str):
-    # ``run_corpus_experiment`` is the scheduler's entry point under its
-    # historical name.  Resolved lazily: the scheduler imports this
-    # module, so an eager import here would be circular.
-    if name == "run_corpus_experiment":
-        from repro.parallel.scheduler import run_scheduled_corpus_experiment
-
-        return run_scheduled_corpus_experiment
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

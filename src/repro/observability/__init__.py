@@ -16,13 +16,16 @@ Observability v2 (DESIGN.md §9) made it causal and multi-process:
   clocks (wall + virtual), causal parent links across workers via
   :meth:`Tracer.attach`, free-form ledger events, and a process-global
   :class:`Tracer` (disabled unless installed, so instrumented hot paths
-  pay one attribute check),
+  pay one attribute check); spans and ledger events are recorded as
+  the dicts their JSONL lines carry, in one list, in emit order,
 - :mod:`repro.observability.metrics` — a registry of named counters,
   gauges, and fixed-bucket histograms with ``snapshot()`` / ``reset()``,
-- :mod:`repro.observability.shard` — per-worker JSONL shard files with
-  a deterministic serial-commit-order merge,
-- :mod:`repro.observability.sink` — JSONL trace write/load (torn-line
-  tolerant) and ``summarize()`` behind ``jlreduce trace summarize``,
+- :mod:`repro.observability.shard` — the one trace writer: per-worker
+  JSONL shard files, flushed per line, with a deterministic
+  serial-commit-order merge,
+- :mod:`repro.observability.sink` — JSONL trace load (torn-line
+  tolerant), the metric fold, and ``summarize()`` behind ``jlreduce
+  trace summarize``,
 - :mod:`repro.observability.provenance` — the probe provenance ledger
   (why did this probe run, at what cost on both clocks) behind
   ``jlreduce trace explain``,
@@ -39,18 +42,20 @@ resilience layer (``predicate.retries`` / ``predicate.timeouts`` from
 :class:`~repro.resilience.predicate.ResilientPredicate`,
 ``runner.failures`` from degraded corpus instances).
 
-:func:`tracing_session` is the one-stop entry point::
+:func:`tracing_session` is the one entry point.  Given a path, it
+streams every event to the shard family at that path as it finishes,
+and appends the run's metric lines when the block exits, whether it
+returns or raises::
+
+    with tracing_session("run.jsonl", label="gbr"):
+        result = generalized_binary_reduction(problem)
+    summarize(load_traces(["run.jsonl"]))
+
+Without a path, events stay in memory::
 
     with tracing_session() as (tracer, metrics):
         result = generalized_binary_reduction(problem)
-    write_trace("run.jsonl", tracer, metrics)
-
-For a sharded (multi-worker) session, hand it a
-:class:`~repro.observability.shard.ShardSet`::
-
-    with ShardSet("run.jsonl", run_id=run_id) as shards:
-        with tracing_session(run_id=run_id, shards=shards) as (t, m):
-            run_corpus_experiment(corpus, jobs=4)
+    summarize(tracer.events())
 """
 
 from contextlib import contextmanager
@@ -62,7 +67,6 @@ from repro.observability.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    counter_deltas,
     get_metrics,
     scoped_metrics,
     set_metrics,
@@ -77,22 +81,21 @@ from repro.observability.provenance import (
 from repro.observability.shard import (
     ShardSet,
     discover_shards,
+    encode_line,
     expand_trace_args,
     merge_events,
     shard_path,
 )
 from repro.observability.sink import (
-    JsonlSink,
+    fold_metrics,
     load_trace,
     load_traces,
     metric_events,
     render_summary,
     summarize,
-    write_trace,
 )
 from repro.observability.spans import (
     NULL_SPAN,
-    SpanEvent,
     Tracer,
     get_tracer,
     set_tracer,
@@ -114,7 +117,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "counter_deltas",
     "get_metrics",
     "scoped_metrics",
     "set_metrics",
@@ -126,17 +128,16 @@ __all__ = [
     "render_explain",
     "ShardSet",
     "discover_shards",
+    "encode_line",
     "expand_trace_args",
     "merge_events",
     "shard_path",
-    "JsonlSink",
+    "fold_metrics",
     "load_trace",
     "load_traces",
     "metric_events",
     "render_summary",
     "summarize",
-    "write_trace",
-    "SpanEvent",
     "Tracer",
     "NULL_SPAN",
     "get_tracer",
@@ -154,21 +155,30 @@ __all__ = [
 
 @contextmanager
 def tracing_session(
-    run_id: Optional[str] = None,
-    shards: Optional[ShardSet] = None,
+    path: Optional[str] = None,
+    label: str = "",
 ) -> Iterator[Tuple[Tracer, MetricsRegistry]]:
     """Install a fresh enabled tracer and a fresh metrics registry.
 
     Yields ``(tracer, metrics)`` scoped to the ``with`` block; the
     previous globals are restored on exit, so nothing from the session
-    bleeds into (or out of) the surrounding process state.  With
-    ``shards``, events stream to per-worker shard files instead of
-    accumulating in memory.
+    bleeds into (or out of) the surrounding process state.
+
+    With ``path``, the session opens a
+    :class:`~repro.observability.shard.ShardSet` there before the block
+    runs (its ``meta`` line carries ``label``; an unwritable path
+    raises ``OSError`` before any work) and streams every event to it
+    as it finishes.  On exit, whether the block returns or raises, the
+    registry's metric lines are appended to the main shard and the
+    shards close, so a failed run keeps its trace.  Without ``path``,
+    events stay in memory for ``tracer.events()``.
     """
-    tracer = Tracer(enabled=True, run_id=run_id)
-    if shards is not None:
-        tracer.set_shards(shards)
+    tracer = Tracer(enabled=True)
     metrics = MetricsRegistry()
+    shards = None
+    if path is not None:
+        shards = ShardSet(path, run_id=tracer.run_id, label=label)
+        tracer.set_shards(shards)
     previous_tracer = set_tracer(tracer)
     previous_metrics = set_metrics(metrics)
     try:
@@ -176,3 +186,7 @@ def tracing_session(
     finally:
         set_tracer(previous_tracer)
         set_metrics(previous_metrics)
+        if shards is not None:
+            with shards:
+                for event in metric_events(metrics, run_id=tracer.run_id):
+                    shards.emit_main(event)

@@ -43,7 +43,6 @@ __all__ = [
     "get_metrics",
     "set_metrics",
     "scoped_metrics",
-    "counter_deltas",
     "DEFAULT_LATENCY_BUCKETS",
 ]
 
@@ -283,22 +282,6 @@ class MetricsRegistry:
                 gauge.reset()
             for histogram in self._histograms.values():
                 histogram.reset()
-
-
-def counter_deltas(
-    before: Dict[str, int], after: Dict[str, int]
-) -> Dict[str, int]:
-    """Per-counter increase from ``before`` to ``after`` (non-zero only).
-
-    Kept for trace tooling and tests; run attribution now uses
-    :func:`scoped_metrics` instead, which stays exact when several runs
-    execute concurrently.
-    """
-    return {
-        name: value - before.get(name, 0)
-        for name, value in after.items()
-        if value - before.get(name, 0)
-    }
 
 
 _GLOBAL_METRICS = MetricsRegistry()

@@ -1,18 +1,19 @@
 """Per-worker JSONL trace shards and their deterministic merge.
 
-The PR-2 JSONL sink assumed one writer in one process: the tracer
-buffered every event in memory and ``write_trace`` dumped the lot at
-the end.  That breaks twice on the ROADMAP's path — a process-pool
-worker cannot append to the parent's buffer, and a killed run loses its
-whole trace.  Shards fix both:
+A :class:`ShardSet` is the one trace writer: every traced run streams
+its events through it (see
+:func:`repro.observability.tracing_session`), so a process-pool worker
+never needs the parent's memory and a run that raises, or is killed,
+keeps every line written before it stopped.
 
 - **One shard file per worker.**  A :class:`ShardSet` owns the base
   trace path; worker ``main`` writes the base file itself, worker ``w3``
-  writes ``<base stem>.shard-w3.jsonl`` next to it.  Each shard opens
-  with its own ``meta`` line (schema, run id, shard label) and every
-  event line is flushed on write, so a crashed worker leaves at most
-  one torn final line — which the tolerant loader skips, exactly like
-  :mod:`repro.parallel.store`.
+  writes ``<base stem>.shard-w3.jsonl`` next to it.  The base file is
+  opened when the set is built, so an unwritable path fails before any
+  work.  Each shard opens with its own ``meta`` line (schema, run id,
+  shard label) and every event line is flushed on write, so a crashed
+  worker leaves at most one torn final line — which the tolerant loader
+  skips, exactly like :mod:`repro.parallel.store`.
 - **Deterministic merge.**  Events carry ``serial`` (the owning task's
   serial commit position — the same order ``scheduler.py`` commits
   outcomes and ``speculate.py`` commits batch results) and ``seq`` (per-tracer
@@ -38,6 +39,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, TextIO
 __all__ = [
     "ShardSet",
     "discover_shards",
+    "encode_line",
     "expand_trace_args",
     "merge_events",
     "shard_path",
@@ -45,6 +47,11 @@ __all__ = [
 
 #: Keeps shard filenames legible and glob-discoverable.
 _SHARD_MARK = ".shard-"
+
+
+def encode_line(event: Dict[str, Any]) -> str:
+    """One event as a trace line (sorted keys, newline-terminated)."""
+    return json.dumps(event, sort_keys=True, default=str) + "\n"
 
 
 def shard_path(base: str, worker: str) -> str:
@@ -124,9 +131,9 @@ class _ShardWriter:
         self.emit(header)
 
     def emit(self, event: Dict[str, Any]) -> None:
-        line = json.dumps(event, sort_keys=True, default=str)
+        line = encode_line(event)
         with self._lock:
-            self._handle.write(line + "\n")
+            self._handle.write(line)
             self._handle.flush()
 
     def close(self) -> None:
@@ -141,7 +148,9 @@ class ShardSet:
     :meth:`~repro.observability.spans.Tracer.set_shards`; the tracer
     then streams every finished span and ledger event here, keyed by
     the worker label of the event's attached
-    :class:`~repro.observability.context.TraceContext`.
+    :class:`~repro.observability.context.TraceContext`.  Building the
+    set writes the base file's ``meta`` line (``OSError`` when the path
+    cannot be written); worker shards open on their first event.
     """
 
     def __init__(self, base: str, run_id: str, label: str = ""):
@@ -150,17 +159,14 @@ class ShardSet:
         self.label = label
         self._writers: Dict[str, _ShardWriter] = {}
         self._lock = threading.Lock()
+        self._writer_for("main")
 
     def emit(self, worker: str, event: Dict[str, Any]) -> None:
         self._writer_for(worker).emit(event)
 
     def emit_main(self, event: Dict[str, Any]) -> None:
-        """Append a line to the main shard (end-of-run metrics dump)."""
+        """Append a line to the main shard (the end-of-run metric lines)."""
         self.emit("main", event)
-
-    def paths(self) -> List[str]:
-        with self._lock:
-            return [w.path for w in self._writers.values()]
 
     def close(self) -> None:
         with self._lock:

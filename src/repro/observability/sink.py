@@ -1,4 +1,4 @@
-"""JSONL trace files: writing, reading back, merging, aggregating.
+"""JSONL trace files: reading back, merging, aggregating.
 
 A trace file is one JSON object per line, each tagged with a ``type``:
 
@@ -19,6 +19,12 @@ A trace file is one JSON object per line, each tagged with a ``type``:
 
 Schema 2 (Observability v2) adds the causal/provenance fields; schema-1
 traces still load and summarize (the new fields just read as absent).
+
+The tracer records spans and ledger events as exactly these dicts, and
+:class:`~repro.observability.shard.ShardSet` is the one writer: every
+traced run streams its lines as they finish, and the metric lines
+follow when the run ends (see
+:func:`repro.observability.tracing_session`).
 
 Loading is torn-line tolerant the way :mod:`repro.parallel.store` is:
 a truncated final line (killed writer, full disk) is skipped, not
@@ -41,11 +47,9 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, TextIO, Union
 
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.shard import expand_trace_args, merge_events
-from repro.observability.spans import SpanEvent, Tracer
 
 __all__ = [
-    "JsonlSink",
-    "write_trace",
+    "fold_metrics",
     "load_trace",
     "load_traces",
     "metric_events",
@@ -59,40 +63,6 @@ TRACE_SCHEMA_VERSION = 2
 
 #: How many of the slowest ``instance.run`` spans ``summarize`` keeps.
 INSTANCE_TOP = 10
-
-
-class JsonlSink:
-    """Writes JSON-serializable event dicts, one per line.
-
-    Accepts a path (opened lazily, closed by :meth:`close` / ``with``)
-    or an already-open text stream (left open).
-    """
-
-    def __init__(self, target: Union[str, TextIO]):
-        if isinstance(target, str):
-            self._handle: TextIO = open(target, "w", encoding="utf-8")
-            self._owns_handle = True
-        else:
-            self._handle = target
-            self._owns_handle = False
-
-    def emit(self, event: Dict[str, Any]) -> None:
-        json.dump(event, self._handle, sort_keys=True, default=str)
-        self._handle.write("\n")
-
-    def emit_all(self, events: Iterable[Dict[str, Any]]) -> None:
-        for event in events:
-            self.emit(event)
-
-    def close(self) -> None:
-        if self._owns_handle:
-            self._handle.close()
-
-    def __enter__(self) -> "JsonlSink":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
 
 def metric_events(
@@ -121,41 +91,6 @@ def metric_events(
             {"type": "histogram", "name": name, "run_id": run_id, **hist}
         )
     return events
-
-
-def write_trace(
-    target: Union[str, TextIO],
-    tracer: Optional[Tracer] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    label: str = "",
-) -> int:
-    """Dump a tracer's spans/ledger and a registry's metrics as JSONL.
-
-    Either source may be None.  Returns the number of lines written
-    (including the meta header).
-    """
-    run_id = tracer.run_id if tracer is not None else ""
-    lines = 1
-    with JsonlSink(target) as sink:
-        sink.emit({
-            "type": "meta",
-            "schema": TRACE_SCHEMA_VERSION,
-            "label": label,
-            "run_id": run_id,
-            "shard": "main",
-        })
-        if tracer is not None:
-            for event in tracer.events():
-                sink.emit(event.to_dict())
-                lines += 1
-            for raw in tracer.raw_events():
-                sink.emit(raw)
-                lines += 1
-        if metrics is not None:
-            for event in metric_events(metrics, run_id=run_id):
-                sink.emit(event)
-                lines += 1
-    return lines
 
 
 def load_trace(target: Union[str, TextIO]) -> List[Dict[str, Any]]:
@@ -210,103 +145,28 @@ def _parse_lines(handle: TextIO) -> List[Dict[str, Any]]:
     return events
 
 
-def summarize(
-    events: Union[Iterable[Dict[str, Any]], Iterable[SpanEvent]],
-) -> Dict[str, Any]:
-    """Aggregate trace events into a compact summary.
+def fold_metrics(events: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
+    """Fold a trace's metric lines into one value per metric name.
 
-    Returns::
-
-        {"spans": {name: {"count", "total", "mean", "p95", "max",
-                          "vtotal"}},
-         "counters": {name: total},
-         "gauges": {name: value},
-         "histograms": {name: {"count", "sum", "mean", "p50", "p95"}},
-         "probes": {"count", "fresh", "store", "errors", "wall_seconds",
-                    "virtual_seconds", "retries"},
-         "store": {"lookups", "hits", "misses", "hit_rate", "records",
-                   "evictions", "compactions", "shard_loads"},
-         "service": {"submitted", "admitted", "rejected", "completed",
-                     "failed", "queue_depth": {...}, "tenants": {...}},
-         "instances": [{"benchmark", "decompiler", "strategy", "serial",
-                        "worker", "wall_seconds", "virtual_seconds",
-                        "probes", "fresh", "store_hits"}, ...]}
-
-    Accepts either raw :class:`SpanEvent` objects (straight from a
-    tracer) or dicts (from :func:`load_trace`); counter lines for the
-    same name are summed, so concatenated traces aggregate sensibly.
-    The ``probes`` section appears only when the trace carries a
-    provenance ledger; the ``store`` section (cache-tier hit rate,
-    evictions, compactions — see :mod:`repro.parallel.store`) only when
-    the run consulted a persistent predicate store.
-
-    Histogram events carrying bucket bounds and counts (the
-    :class:`~repro.observability.metrics.MetricsRegistry` snapshot
-    shape) get interpolated ``p50``/``p95`` estimates; repeated
-    histogram lines for the same name fold their bucket counts
-    together, matching counter semantics.  The ``service`` section
-    appears only when a service-tier run emitted ``service.*``
-    counters: total and per-tenant admission/completion tallies, tenant
-    latency quantiles from the ``service.latency.<tenant>`` histograms,
-    and the queue-depth time series sampled into the trace by the
-    server's gauge events (their ``t`` field is seconds since the run
-    epoch).
-
-    ``instances`` lists the slowest ``instance.run`` spans (at most
-    :data:`INSTANCE_TOP`, by wall clock) with their probe tallies
-    joined by serial commit number.  Traces without serials (a
-    ``--jobs 1`` bench writes every event with serial ``-1``) still
-    list the slow instances, but their probe columns read ``None`` —
-    probes cannot be attributed to one instance without the serial.
+    Returns ``{"counters": {name: total}, "gauges": {name: value},
+    "histograms": {name: {"count", "sum", "buckets", "counts"}}}``.
+    Counters are summed and gauges keep their last value, so
+    concatenated traces and shard families aggregate sensibly.  A
+    histogram line merges its bucket counts, sum and count into an
+    earlier line of the same name with the same bucket bounds (and
+    replaces one whose bounds differ).  ``summarize``, the Prometheus
+    export and ``clock_totals`` all read metrics through this fold.
     """
-    durations: Dict[str, List[float]] = {}
-    vtotals: Dict[str, float] = {}
     counters: Dict[str, float] = {}
     gauges: Dict[str, float] = {}
     histograms: Dict[str, Dict[str, Any]] = {}
-    depth_samples: List[Dict[str, float]] = []
-    probes = {
-        "count": 0,
-        "fresh": 0,
-        "store": 0,
-        "errors": 0,
-        "wall_seconds": 0.0,
-        "virtual_seconds": 0.0,
-        "retries": 0,
-    }
-    instance_runs: List[Dict[str, Any]] = []
-    probes_by_serial: Dict[int, Dict[str, int]] = {}
-
     for event in events:
-        if isinstance(event, SpanEvent):
-            event = event.to_dict()
         kind = event.get("type")
-        if kind == "span":
-            name = event["name"]
-            durations.setdefault(name, []).append(float(event["duration"]))
-            vtotals[name] = vtotals.get(name, 0.0) + float(
-                event.get("vduration", 0.0)
-            )
-            if name == "instance.run":
-                attrs = event.get("attrs") or {}
-                instance_runs.append({
-                    "benchmark": attrs.get("benchmark", "?"),
-                    "decompiler": attrs.get("decompiler", "?"),
-                    "strategy": attrs.get("strategy", "?"),
-                    "serial": event.get("serial"),
-                    "worker": event.get("worker", ""),
-                    "wall_seconds": float(event["duration"]),
-                    "virtual_seconds": float(event.get("vduration", 0.0)),
-                })
-        elif kind == "counter":
+        if kind == "counter":
             name = event["name"]
             counters[name] = counters.get(name, 0) + event["value"]
         elif kind == "gauge":
             gauges[event["name"]] = event["value"]
-            if event["name"] == "service.queue_depth" and "t" in event:
-                depth_samples.append(
-                    {"t": float(event["t"]), "value": float(event["value"])}
-                )
         elif kind == "histogram":
             name = event["name"]
             count = event.get("count", 0)
@@ -328,6 +188,103 @@ def summarize(
                     "buckets": buckets,
                     "counts": bucket_counts,
                 }
+    return {"counters": counters, "gauges": gauges, "histograms": histograms}
+
+
+def summarize(events: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
+    """Aggregate trace events into a compact summary.
+
+    Returns::
+
+        {"spans": {name: {"count", "total", "mean", "p95", "max",
+                          "vtotal"}},
+         "counters": {name: total},
+         "gauges": {name: value},
+         "histograms": {name: {"count", "sum", "mean", "p50", "p95"}},
+         "probes": {"count", "fresh", "store", "errors", "wall_seconds",
+                    "virtual_seconds", "retries"},
+         "store": {"lookups", "hits", "misses", "hit_rate", "records",
+                   "evictions", "compactions", "shard_loads"},
+         "service": {"submitted", "admitted", "rejected", "completed",
+                     "failed", "queue_depth": {...}, "tenants": {...}},
+         "instances": [{"benchmark", "decompiler", "strategy", "serial",
+                        "worker", "wall_seconds", "virtual_seconds",
+                        "probes", "fresh", "store_hits"}, ...]}
+
+    Accepts event dicts, from :meth:`Tracer.events
+    <repro.observability.spans.Tracer.events>` or :func:`load_trace`.
+    Metrics come from
+    :func:`fold_metrics`: counter lines for the same name are summed and
+    repeated histogram lines fold their bucket counts together, so
+    concatenated traces aggregate sensibly.
+    The ``probes`` section appears only when the trace carries a
+    provenance ledger; the ``store`` section (cache-tier hit rate,
+    evictions, compactions — see :mod:`repro.parallel.store`) only when
+    the run consulted a persistent predicate store.
+
+    Histogram events carrying bucket bounds and counts (the
+    :class:`~repro.observability.metrics.MetricsRegistry` snapshot
+    shape) get interpolated ``p50``/``p95`` estimates.  The ``service``
+    section appears only when a service-tier run emitted ``service.*``
+    counters: total and per-tenant admission/completion tallies, tenant
+    latency quantiles from the ``service.latency.<tenant>`` histograms,
+    and the queue-depth time series sampled into the trace by the
+    server's gauge events (their ``t`` field is seconds since the run
+    epoch).
+
+    ``instances`` lists the slowest ``instance.run`` spans (at most
+    :data:`INSTANCE_TOP`, by wall clock) with their probe tallies
+    joined by serial commit number.  Traces without serials (a
+    ``--jobs 1`` bench writes every event with serial ``-1``) still
+    list the slow instances, but their probe columns read ``None`` —
+    probes cannot be attributed to one instance without the serial.
+    """
+    events = list(events)
+    metrics = fold_metrics(events)
+    counters = metrics["counters"]
+    histograms = metrics["histograms"]
+    durations: Dict[str, List[float]] = {}
+    vtotals: Dict[str, float] = {}
+    depth_samples: List[Dict[str, float]] = []
+    probes = {
+        "count": 0,
+        "fresh": 0,
+        "store": 0,
+        "errors": 0,
+        "wall_seconds": 0.0,
+        "virtual_seconds": 0.0,
+        "retries": 0,
+    }
+    instance_runs: List[Dict[str, Any]] = []
+    probes_by_serial: Dict[int, Dict[str, int]] = {}
+
+    for event in events:
+        kind = event.get("type")
+        if kind == "span":
+            name = event["name"]
+            durations.setdefault(name, []).append(float(event["duration"]))
+            vtotals[name] = vtotals.get(name, 0.0) + float(
+                event.get("vduration", 0.0)
+            )
+            if name == "instance.run":
+                attrs = event.get("attrs") or {}
+                instance_runs.append({
+                    "benchmark": attrs.get("benchmark", "?"),
+                    "decompiler": attrs.get("decompiler", "?"),
+                    "strategy": attrs.get("strategy", "?"),
+                    "serial": event.get("serial"),
+                    "worker": event.get("worker", ""),
+                    "wall_seconds": float(event["duration"]),
+                    "virtual_seconds": float(event.get("vduration", 0.0)),
+                })
+        elif (
+            kind == "gauge"
+            and event["name"] == "service.queue_depth"
+            and "t" in event
+        ):
+            depth_samples.append(
+                {"t": float(event["t"]), "value": float(event["value"])}
+            )
         elif kind == "probe":
             probes["count"] += 1
             cache = event.get("cache")
@@ -369,7 +326,7 @@ def summarize(
     summary: Dict[str, Any] = {
         "spans": spans,
         "counters": counters,
-        "gauges": gauges,
+        "gauges": metrics["gauges"],
         "histograms": histograms,
     }
     if probes["count"]:

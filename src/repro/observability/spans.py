@@ -22,11 +22,15 @@ What changed in Observability v2 (see DESIGN.md §9):
   the run's :meth:`InstrumentedPredicate.virtual_now`).  This is what
   lets ``trace diff`` show a wall-vs-simulated gap from telemetry
   alone.
+- **One event shape.**  A finished span is recorded as the dict its
+  JSONL line carries (``type``, ``name``, ``start``, ``duration``,
+  ``vstart``, ``vduration``, ``span_id``, ``parent_span_id``, …), and
+  :meth:`Tracer.event` emits non-span ledger entries (probe provenance,
+  profiles) with the same context stamps.  Spans and ledger events sit
+  in one list, in emit order.
 - **Streaming shard sinks.**  With :meth:`Tracer.set_shards`, finished
   events stream to per-worker JSONL shard files instead of
   accumulating in memory (see :mod:`repro.observability.shard`).
-- **Free-form events.**  :meth:`Tracer.event` emits non-span ledger
-  entries (probe provenance, profiles) with the same context stamps.
 
 Design constraints (this is a hot-path layer):
 
@@ -37,18 +41,15 @@ Design constraints (this is a hot-path layer):
 - **Thread-local nesting.**  Each thread keeps its own stack of open
   spans; *lexical* parent links never cross threads — cross-thread
   causality is attached explicitly via contexts.
-- **No dangling parents.**  Sampled-out spans (``sample_every``) are
-  never pushed on the stack, so a child whose parent was sampled out
-  attaches to the nearest recorded ancestor; spans leaked open when an
-  ancestor exits are emitted (marked ``leaked``) rather than silently
-  discarded, so every ``parent_span_id`` in a trace resolves.
+- **No dangling parents.**  Spans leaked open when an ancestor exits
+  are emitted (marked ``leaked``) rather than silently discarded, so
+  every ``parent_span_id`` in a trace resolves.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from contextlib import contextmanager
@@ -56,60 +57,12 @@ from contextlib import contextmanager
 from repro.observability.context import TraceContext, new_run_id
 
 __all__ = [
-    "SpanEvent",
     "Tracer",
     "NULL_SPAN",
     "get_tracer",
     "set_tracer",
     "span",
 ]
-
-
-@dataclass(frozen=True)
-class SpanEvent:
-    """One finished span, causally addressed and dual-clocked.
-
-    ``span_id``/``parent_id`` tie the events into a tree (``parent_id``
-    is None for roots); ids are ``"<worker>:<seq>"`` strings, unique
-    across workers.  ``start`` is wall seconds since the tracer epoch
-    and ``duration`` wall seconds; ``vstart``/``vduration`` are the
-    virtual-clock equivalents (0.0 when no virtual clock was attached).
-    ``serial`` is the owning task's serial commit position and ``seq``
-    the tracer-wide emit index — together the deterministic merge key.
-    """
-
-    name: str
-    start: float
-    duration: float
-    span_id: str
-    parent_id: Optional[str]
-    run_id: str = ""
-    trace_id: str = ""
-    serial: int = -1
-    worker: str = "main"
-    seq: int = 0
-    vstart: float = 0.0
-    vduration: float = 0.0
-    attrs: Dict[str, Any] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Flat JSON-friendly form (the JSONL sinks write these)."""
-        return {
-            "type": "span",
-            "name": self.name,
-            "start": self.start,
-            "duration": self.duration,
-            "vstart": self.vstart,
-            "vduration": self.vduration,
-            "span_id": self.span_id,
-            "parent_span_id": self.parent_id,
-            "run_id": self.run_id,
-            "trace_id": self.trace_id,
-            "serial": self.serial,
-            "worker": self.worker,
-            "seq": self.seq,
-            "attrs": self.attrs,
-        }
 
 
 class _NullSpan:
@@ -191,13 +144,6 @@ class Tracer:
     Args:
         enabled: a disabled tracer hands out null spans and records
             nothing; the process-global default tracer is disabled.
-        sample_every: stride sampling for high-frequency spans — record
-            only every Nth ``span()`` call (1 = record all).  The stride
-            counter is a plain attribute increment, not locked: under
-            threads the sampling is best-effort, which is fine for a
-            load-shedding knob.  Sampled-out spans never enter the
-            nesting stack, so their children re-parent onto the nearest
-            recorded ancestor (no dangling ids).
         run_id: the telemetry session id stamped on every event
             (generated when omitted).
     """
@@ -205,19 +151,13 @@ class Tracer:
     def __init__(
         self,
         enabled: bool = True,
-        sample_every: int = 1,
         run_id: Optional[str] = None,
     ):
-        if sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
         self._enabled = enabled
-        self._sample_every = sample_every
-        self._sample_tick = 0
         self._epoch = time.perf_counter()
         self.epoch_unix = time.time()
         self.run_id = run_id if run_id is not None else new_run_id()
-        self._events: List[SpanEvent] = []
-        self._raw: List[Dict[str, Any]] = []
+        self._events: List[Dict[str, Any]] = []
         self._lock = threading.Lock()
         self._next_seq = 0
         self._local = threading.local()
@@ -227,18 +167,14 @@ class Tracer:
     def enabled(self) -> bool:
         return self._enabled
 
-    @property
-    def sample_every(self) -> int:
-        return self._sample_every
-
     # -- contexts and clocks -------------------------------------------------
 
     def current_context(self) -> TraceContext:
         """The serializable capsule a worker needs to continue this trace.
 
-        ``span_id`` is the innermost *recorded* open span on this thread
-        (sampled-out spans never qualify), so a re-attached worker links
-        to an id that is guaranteed to appear in the merged trace.
+        ``span_id`` is the innermost open span on this thread, so a
+        re-attached worker links to an id that appears in the merged
+        trace once that span finishes.
         """
         ctx = getattr(self._local, "ctx", None)
         stack = getattr(self._local, "stack", None)
@@ -339,10 +275,6 @@ class Tracer:
         """
         if not self._enabled:
             return _NULL_SPAN
-        if self._sample_every > 1:
-            self._sample_tick += 1
-            if self._sample_tick % self._sample_every:
-                return _NULL_SPAN
         stack = self._stack()
         ctx = getattr(self._local, "ctx", None)
         seq = self._mint_seq()
@@ -419,15 +351,25 @@ class Tracer:
         ``"<worker>:<seq>"`` are minted (unique: a process worker's
         label carries its pid); ``parent_span_id`` — the spawning
         context's span — is kept, so the merged trace stays one
-        connected tree.  Returns the minted span id, or None when
-        disabled.
+        connected tree.  The rest of the payload is copied as it is;
+        a missing ``type``, ``run_id``/``trace_id`` or ``worker`` takes
+        this tracer's default.  Returns the minted span id, or None
+        when disabled.
         """
         if not self._enabled:
             return None
         seq = self._mint_seq()
-        span_id = f"{payload.get('worker', 'main')}:{seq}"
-        self._record(self._span_from(payload, span_id, seq))
-        return span_id
+        event = {
+            "type": "span",
+            "run_id": self.run_id,
+            "trace_id": self.run_id,
+            "worker": "main",
+            **payload,
+            "seq": seq,
+        }
+        event["span_id"] = f"{event['worker']}:{seq}"
+        self._record(event)
+        return event["span_id"]
 
     def ingest(
         self, payload: Dict[str, Any], time_offset: float = 0.0
@@ -444,30 +386,21 @@ class Tracer:
         events all come from one worker, and serials never straddle
         tasks, so intra-task order is exactly the worker's emit order.
 
-        ``time_offset`` re-bases the worker's wall clock (its ``start``
-        / ``t`` are relative to *its* tracer epoch) onto this tracer's:
-        pass ``worker_epoch_unix - parent.epoch_unix``.
+        ``time_offset`` re-bases the worker's wall clock (a span's
+        ``start``, a ledger event's ``t``, both relative to *its*
+        tracer epoch) onto this tracer's: pass
+        ``worker_epoch_unix - parent.epoch_unix``.
         """
         if not self._enabled:
             return
-        worker = payload.get("worker", "main")
-        if payload.get("type") == "span":
-            self._record(
-                self._span_from(
-                    payload,
-                    payload.get("span_id", f"{worker}:?"),
-                    int(payload.get("seq", 0)),
-                    time_offset,
-                )
-            )
-            return
-        payload = dict(payload)
-        if "t" in payload:
-            payload["t"] = float(payload["t"]) + time_offset
-        self._record(payload)
+        event = dict(payload)
+        for key in ("start", "t"):
+            if key in event:
+                event[key] = float(event[key]) + time_offset
+        self._record(event)
 
-    def events(self) -> List[SpanEvent]:
-        """Snapshot of the finished spans, in finish order.
+    def events(self) -> List[Dict[str, Any]]:
+        """Snapshot of the finished spans and ledger events, in emit order.
 
         In shard-streaming mode events go to the shard files instead;
         read them back with :func:`repro.observability.sink.load_traces`.
@@ -475,16 +408,10 @@ class Tracer:
         with self._lock:
             return list(self._events)
 
-    def raw_events(self) -> List[Dict[str, Any]]:
-        """Snapshot of the free-form ledger events (probes, profiles)."""
-        with self._lock:
-            return list(self._raw)
-
     def clear(self) -> None:
         """Drop recorded events (open spans are unaffected)."""
         with self._lock:
             self._events.clear()
-            self._raw.clear()
 
     # -- internals -----------------------------------------------------------
 
@@ -512,22 +439,22 @@ class Tracer:
     def _emit(self, open_span: _Span, end: float) -> None:
         ctx = open_span._ctx
         vend = self.virtual_now()
-        event = SpanEvent(
-            name=open_span.name,
-            start=open_span._start - self._epoch,
-            duration=end - open_span._start,
-            vstart=open_span._vstart,
-            vduration=max(0.0, vend - open_span._vstart),
-            span_id=open_span.span_id,
-            parent_id=open_span.parent_id,
-            run_id=ctx.run_id if ctx is not None else self.run_id,
-            trace_id=ctx.trace_id if ctx is not None else self.run_id,
-            serial=ctx.serial if ctx is not None else -1,
-            worker=ctx.worker if ctx is not None else "main",
-            seq=open_span.seq,
-            attrs=open_span.attrs,
-        )
-        self._record(event)
+        self._record({
+            "type": "span",
+            "name": open_span.name,
+            "start": open_span._start - self._epoch,
+            "duration": end - open_span._start,
+            "vstart": open_span._vstart,
+            "vduration": max(0.0, vend - open_span._vstart),
+            "span_id": open_span.span_id,
+            "parent_span_id": open_span.parent_id,
+            "run_id": ctx.run_id if ctx is not None else self.run_id,
+            "trace_id": ctx.trace_id if ctx is not None else self.run_id,
+            "serial": ctx.serial if ctx is not None else -1,
+            "worker": ctx.worker if ctx is not None else "main",
+            "seq": open_span.seq,
+            "attrs": open_span.attrs,
+        })
 
     def _mint_seq(self) -> int:
         """The next tracer-wide emit index (the merge order)."""
@@ -536,46 +463,11 @@ class Tracer:
             self._next_seq += 1
         return seq
 
-    def _span_from(
-        self,
-        payload: Dict[str, Any],
-        span_id: str,
-        seq: int,
-        time_offset: float = 0.0,
-    ) -> SpanEvent:
-        """A worker-built span payload as a :class:`SpanEvent`.
-
-        The one conversion behind :meth:`adopt` and :meth:`ingest`,
-        which differ only in the ``span_id``/``seq`` they pass: freshly
-        minted, or kept from the worker's own tracer.
-        """
-        return SpanEvent(
-            name=payload.get("name", "span"),
-            start=float(payload.get("start", 0.0)) + time_offset,
-            duration=float(payload.get("duration", 0.0)),
-            vstart=float(payload.get("vstart", 0.0)),
-            vduration=float(payload.get("vduration", 0.0)),
-            span_id=span_id,
-            parent_id=payload.get("parent_span_id"),
-            run_id=payload.get("run_id") or self.run_id,
-            trace_id=payload.get("trace_id") or self.run_id,
-            serial=int(payload.get("serial", -1)),
-            worker=payload.get("worker", "main"),
-            seq=seq,
-            attrs=dict(payload.get("attrs") or {}),
-        )
-
-    def _record(self, event) -> None:
-        """Route one finished event to its worker's shard, or to memory.
-
-        ``event`` is a :class:`SpanEvent` or a ledger event dict.
-        """
-        is_span = isinstance(event, SpanEvent)
+    def _record(self, event: Dict[str, Any]) -> None:
+        """Route one finished event to its worker's shard, or to memory."""
         if self._shards is None:
             with self._lock:
-                (self._events if is_span else self._raw).append(event)
-        elif is_span:
-            self._shards.emit(event.worker, event.to_dict())
+                self._events.append(event)
         else:
             self._shards.emit(event.get("worker", "main"), event)
 

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.observability.sink import fold_metrics, summarize
+
 __all__ = [
     "render_timeline",
     "folded_stacks",
@@ -162,30 +164,15 @@ def clock_totals(events: Sequence[Dict[str, Any]]) -> Dict[str, float]:
         for s in spans
         if s.get("parent_span_id") not in ids
     )
-    simulated = 0.0
-    for event in events:
-        if (
-            event.get("type") == "counter"
-            and event.get("name") == "predicate.virtual_seconds"
-        ):
-            simulated += float(event.get("value", 0.0))
+    simulated = float(
+        fold_metrics(events)["counters"].get("predicate.virtual_seconds", 0.0)
+    )
     if simulated == 0.0 and spans:
         simulated = max(
             float(s.get("vstart", 0.0)) + float(s.get("vduration", 0.0))
             for s in spans
         )
     return {"wall": wall, "simulated": simulated}
-
-
-def _span_totals(events: Sequence[Dict[str, Any]]) -> Dict[str, float]:
-    totals: Dict[str, float] = {}
-    for event in events:
-        if event.get("type") == "span":
-            name = event["name"]
-            totals[name] = totals.get(name, 0.0) + float(
-                event.get("duration", 0.0)
-            )
-    return totals
 
 
 def diff_traces(
@@ -213,8 +200,10 @@ def diff_traces(
             "b": b_val,
             "speedup": (a_val / b_val) if b_val else 0.0,
         }
-    a_spans = _span_totals(a_events)
-    b_spans = _span_totals(b_events)
+    a_spans, b_spans = (
+        {name: stats["total"] for name, stats in summarize(e)["spans"].items()}
+        for e in (a_events, b_events)
+    )
     spans = [
         {
             "name": name,
@@ -278,21 +267,15 @@ def prometheus_exposition(
 
     Counters become ``<prefix>_<name>_total``, gauges plain gauges,
     histograms native Prometheus histograms with cumulative ``le``
-    buckets plus ``_sum``/``_count``.  Counter lines with the same name
-    (concatenated shards) are summed.
+    buckets plus ``_sum``/``_count``.  Repeated lines of one name
+    (concatenated shards) fold as in
+    :func:`~repro.observability.sink.fold_metrics`: counters summed,
+    gauges last, histograms bucket-merged.
     """
-    counters: Dict[str, float] = {}
-    gauges: Dict[str, float] = {}
-    histograms: Dict[str, Dict[str, Any]] = {}
-    for event in events:
-        kind = event.get("type")
-        if kind == "counter":
-            name = event["name"]
-            counters[name] = counters.get(name, 0) + event["value"]
-        elif kind == "gauge":
-            gauges[event["name"]] = event["value"]
-        elif kind == "histogram":
-            histograms[event["name"]] = event
+    metrics = fold_metrics(events)
+    counters = metrics["counters"]
+    gauges = metrics["gauges"]
+    histograms = metrics["histograms"]
 
     lines: List[str] = []
     for name in sorted(counters):
@@ -317,8 +300,8 @@ def prometheus_exposition(
         if len(counts) > len(buckets):
             cumulative += counts[-1]
         lines.append(f'{metric}_bucket{{le="+Inf"}} {cumulative}')
-        lines.append(f"{metric}_sum {hist.get('sum', 0.0)}")
-        lines.append(f"{metric}_count {hist.get('count', cumulative)}")
+        lines.append(f"{metric}_sum {hist['sum']}")
+        lines.append(f"{metric}_count {hist['count']}")
     if not lines:
         return "# (no metrics)\n"
     return "\n".join(lines) + "\n"

@@ -7,8 +7,7 @@ outcome reuse across runs, even though the predicate — the paper's
 kept items).  This package amortizes both axes:
 
 - :mod:`repro.parallel.scheduler` — the one corpus executor
-  (``jlreduce bench --jobs N``, and ``repro.harness.run_corpus_experiment``
-  under its historical name): ``jobs=1`` runs inline, otherwise whole
+  (``jlreduce bench --jobs N``): ``jobs=1`` runs inline, otherwise whole
   reduction instances fan out to spawn-safe worker processes
   (:class:`InstanceTaskSpec`), dispatched adaptive longest-job-first,
   committed in serial order (outcomes, metrics, spans, ledger), with a

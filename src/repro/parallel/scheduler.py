@@ -1,8 +1,7 @@
 """The corpus executor: whole reduction instances across cores.
 
 :func:`run_scheduled_corpus_experiment` is the only way a corpus runs
-(``repro.harness.run_corpus_experiment`` is the same function, and
-``jlreduce bench --jobs N`` calls it).  ``jobs=1`` runs inline in the
+(``jlreduce bench --jobs N`` calls it).  ``jobs=1`` runs inline in the
 calling process; any other count fans **whole reduction instances** out
 to spawn-safe worker processes, the way the paper's evaluation actually
 ran: one machine, many benchmarks, all cores busy.
@@ -389,8 +388,7 @@ def run_instance_task(spec: InstanceTaskSpec) -> InstanceTaskResult:
                 error = exc
         events: List[Dict[str, Any]] = []
         if tracer is not None:
-            events = [event.to_dict() for event in tracer.events()]
-            events.extend(tracer.raw_events())
+            events = tracer.events()
             tracer.clear()
         results.append(
             StrategyResult(

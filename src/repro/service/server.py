@@ -45,7 +45,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.harness.experiments import ExperimentConfig
-from repro.observability import get_metrics, get_tracer
+from repro.observability import get_metrics, get_tracer, tracing_session
 from repro.parallel.procpool import spawn_pool
 from repro.parallel.scheduler import StoreSpec, fold_result, run_instance_task
 from repro.service.admission import AdmissionController, TenantPolicy
@@ -615,35 +615,16 @@ def serve(
     """Run the service until SIGTERM/SIGINT (or POST /v1/shutdown).
 
     With ``trace_path``, the whole service session runs inside a
-    sharded tracing session: per-job events stream to per-worker shard
-    files as they commit, and the final metrics snapshot lands in the
-    main shard — ``trace summarize`` / ``timeline`` / ``metrics
-    export`` read service output exactly like bench output.
+    tracing session: per-job events stream to per-worker shard files as
+    they commit, and the final metrics snapshot lands in the main shard
+    when the service stops — ``trace summarize`` / ``timeline`` /
+    ``metrics export`` read service output exactly like bench output.
+    An unwritable ``trace_path`` raises ``OSError`` before the server
+    starts.
     """
-    from repro.observability import (
-        ShardSet,
-        metric_events,
-        new_run_id,
-        tracing_session,
-    )
-
     with ExitStack() as stack:
         if trace_path:
-            run_id = new_run_id()
-            shards = stack.enter_context(
-                ShardSet(trace_path, run_id=run_id, label="serve")
-            )
-            tracer, metrics = stack.enter_context(
-                tracing_session(run_id=run_id, shards=shards)
-            )
-            # Flush the final metrics snapshot as the session unwinds
-            # (after the pool is down, before the shards close).
-            stack.callback(
-                lambda: [
-                    shards.emit_main(event)
-                    for event in metric_events(metrics, run_id=run_id)
-                ]
-            )
+            stack.enter_context(tracing_session(trace_path, label="serve"))
         service = ReductionService(config)
         asyncio.run(_serve_async(service, ready=ready, log=log))
     return 0

@@ -12,11 +12,11 @@ from repro.harness import (
     render_lossy_comparison,
     render_statistics,
     render_timeline,
-    run_corpus_experiment,
     run_instance,
 )
 from repro.harness.report import by_strategy
 from repro.harness.timeline import reduction_factor_at
+from repro.parallel.scheduler import run_scheduled_corpus_experiment
 from repro.workloads.corpus import CorpusConfig, build_corpus
 
 
@@ -32,7 +32,7 @@ def outcomes(tiny_corpus):
     config = ExperimentConfig(
         strategies=("our-reducer", "jreduce", "lossy-first", "lossy-last")
     )
-    return run_corpus_experiment(tiny_corpus, config)
+    return run_scheduled_corpus_experiment(tiny_corpus, config)
 
 
 class TestRunInstance:
@@ -109,7 +109,7 @@ class TestCorpusExperiment:
             CorpusConfig(num_benchmarks=2, min_classes=8, max_classes=12)
         )
         add_debloat_instances(corpus)
-        run_corpus_experiment(
+        run_scheduled_corpus_experiment(
             corpus, ExperimentConfig(strategies=("our-reducer", "jreduce")),
             jobs=1,
         )

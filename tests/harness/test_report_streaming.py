@@ -8,7 +8,6 @@ import pytest
 from repro.harness.experiments import (
     ExperimentConfig,
     InstanceOutcome,
-    run_corpus_experiment,
 )
 from repro.harness.report import (
     ResultsWriter,
@@ -16,6 +15,7 @@ from repro.harness.report import (
     iter_results,
     report_from_results,
 )
+from repro.parallel.scheduler import run_scheduled_corpus_experiment
 from repro.workloads.corpus import CorpusConfig, build_corpus
 
 
@@ -124,7 +124,7 @@ class TestStreamingReport:
             )
         )
         config = ExperimentConfig(strategies=("our-reducer", "jreduce"))
-        outcomes = run_corpus_experiment(corpus, config)
+        outcomes = run_scheduled_corpus_experiment(corpus, config)
 
         inline = StreamingReport()
         path = tmp_path / "results.jsonl"

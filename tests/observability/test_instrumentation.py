@@ -4,10 +4,9 @@ from repro.fji.examples import MAIN_CODE, figure1_problem
 from repro.logic import CNF, Clause, count_models, solve
 from repro.observability import (
     get_tracer,
-    load_trace,
+    load_traces,
     summarize,
     tracing_session,
-    write_trace,
 )
 from repro.reduction import generalized_binary_reduction
 
@@ -17,12 +16,11 @@ class TestGbrTelemetry:
         """The acceptance criterion: summarized predicate-call count ==
         ``ReductionResult.predicate_calls``."""
         path = tmp_path / "gbr.jsonl"
-        with tracing_session() as (tracer, metrics):
+        with tracing_session(str(path)):
             result = generalized_binary_reduction(
                 figure1_problem(), require_true=frozenset({MAIN_CODE})
             )
-            write_trace(str(path), tracer, metrics)
-        summary = summarize(load_trace(str(path)))
+        summary = summarize(load_traces([str(path)]))
         assert summary["counters"]["predicate.calls"] == \
             result.predicate_calls
         assert result.predicate_calls > 0
@@ -59,17 +57,18 @@ class TestGbrTelemetry:
             events = tracer.events()
         by_name = {}
         for event in events:
-            by_name.setdefault(event.name, []).append(event)
+            if event["type"] == "span":
+                by_name.setdefault(event["name"], []).append(event)
         assert len(by_name["gbr.run"]) == 1
         run = by_name["gbr.run"][0]
-        assert run.parent_id is None
-        assert run.attrs["iterations"] == len(by_name["gbr.iteration"])
+        assert run["parent_span_id"] is None
+        assert run["attrs"]["iterations"] == len(by_name["gbr.iteration"])
         for iteration in by_name["gbr.iteration"]:
-            assert iteration.parent_id == run.span_id
+            assert iteration["parent_span_id"] == run["span_id"]
         # Each iteration contains a prefix search and a rebuild.
-        iteration_ids = {e.span_id for e in by_name["gbr.iteration"]}
+        iteration_ids = {e["span_id"] for e in by_name["gbr.iteration"]}
         assert all(
-            e.parent_id in iteration_ids
+            e["parent_span_id"] in iteration_ids
             for e in by_name["gbr.prefix_search"]
         )
 
@@ -105,7 +104,9 @@ class TestSolverTelemetry:
         with tracing_session() as (tracer, metrics):
             result = solve(cnf)
             counters = metrics.counter_values()
-            span_names = [e.name for e in tracer.events()]
+            span_names = [
+                e["name"] for e in tracer.events() if e["type"] == "span"
+            ]
         assert result.satisfiable
         assert counters["solver.calls"] == 1
         assert counters["solver.sat"] == 1
@@ -137,7 +138,9 @@ class TestCountingTelemetry:
         with tracing_session() as (tracer, metrics):
             total = count_models(cnf)
             counters = metrics.counter_values()
-            span_names = [e.name for e in tracer.events()]
+            span_names = [
+                e["name"] for e in tracer.events() if e["type"] == "span"
+            ]
         assert total == 2  # z forced true, a free
         assert counters["counting.calls"] == 1
         assert counters["counting.cache_hits"] >= 1

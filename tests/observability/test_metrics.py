@@ -6,7 +6,6 @@ import pytest
 
 from repro.observability import (
     MetricsRegistry,
-    counter_deltas,
     get_metrics,
     scoped_metrics,
 )
@@ -87,13 +86,6 @@ class TestReset:
         assert snapshot["gauges"] == {"g": 0.0}
         assert snapshot["histograms"]["h"]["count"] == 0
         assert snapshot["histograms"]["h"]["counts"] == [0, 0]
-
-
-class TestCounterDeltas:
-    def test_deltas_ignore_unchanged_and_unknown(self):
-        before = {"a": 1, "b": 5}
-        after = {"a": 4, "b": 5, "c": 2}
-        assert counter_deltas(before, after) == {"a": 3, "c": 2}
 
 
 class TestThreadSafety:

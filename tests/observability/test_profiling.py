@@ -16,7 +16,7 @@ class TestProfiledPhase:
         tracer = Tracer(enabled=True)
         with profiled_phase("reduce", top=5, tracer=tracer):
             _busy()
-        events = tracer.raw_events()
+        events = tracer.events()
         assert len(events) == 1
         event = events[0]
         assert event["type"] == "profile"
@@ -32,14 +32,14 @@ class TestProfiledPhase:
         tracer = Tracer(enabled=False)
         with profiled_phase("reduce", tracer=tracer):
             _busy()
-        assert tracer.raw_events() == []
+        assert tracer.events() == []
 
     def test_nested_capture_does_not_double_profile(self):
         tracer = Tracer(enabled=True)
         with profiled_phase("outer", tracer=tracer):
             with profiled_phase("inner", tracer=tracer):
                 _busy()
-        phases = [e["phase"] for e in tracer.raw_events()]
+        phases = [e["phase"] for e in tracer.events()]
         assert phases == ["outer"]
 
     def test_capture_carries_context_stamps(self):
@@ -47,7 +47,7 @@ class TestProfiledPhase:
         with tracer.span("instance.reduce") as sp:
             with profiled_phase("reduce", tracer=tracer):
                 _busy()
-        event = tracer.raw_events()[0]
+        event = tracer.events()[0]
         assert event["span_id"] == sp.span_id
         assert event["run_id"] == "run-p"
 
@@ -57,7 +57,7 @@ class TestRenderProfile:
         tracer = Tracer(enabled=True)
         with profiled_phase("reduce", tracer=tracer):
             _busy()
-        text = render_profile(tracer.raw_events()[0])
+        text = render_profile(tracer.events()[0])
         assert "phase=reduce" in text
         assert "cumtime" in text
 

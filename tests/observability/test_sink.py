@@ -1,35 +1,34 @@
 """JSONL round-trip tests: emit → load_trace → summarize."""
 
-import io
 import json
 
 import pytest
 
 from repro.observability import (
-    MetricsRegistry,
     ShardSet,
-    Tracer,
     load_trace,
     load_traces,
     render_summary,
     summarize,
-    write_trace,
+    tracing_session,
 )
 from repro.observability.sink import percentile
 
 
-def _sample_trace(path):
-    tracer = Tracer()
+def _record_sample(tracer, metrics):
     with tracer.span("outer", kind="test"):
         with tracer.span("inner"):
             pass
         with tracer.span("inner"):
             pass
-    metrics = MetricsRegistry()
     metrics.counter("widget.count").inc(42)
     metrics.gauge("depth").set(3)
     metrics.histogram("lat", buckets=(0.1, 1.0)).observe(0.05)
-    write_trace(str(path), tracer, metrics, label="sample")
+
+
+def _sample_trace(path):
+    with tracing_session(str(path), label="sample") as (tracer, metrics):
+        _record_sample(tracer, metrics)
     return tracer, metrics
 
 
@@ -49,9 +48,9 @@ class TestRoundTrip:
         tracer, _ = _sample_trace(path)
         events = load_trace(str(path))
         spans = [e for e in events if e["type"] == "span"]
-        assert [s["name"] for s in spans] == [
-            e.name for e in tracer.events()
-        ]
+        # Streamed in finish order, nothing kept in memory.
+        assert [s["name"] for s in spans] == ["inner", "inner", "outer"]
+        assert tracer.events() == []
         counters = {
             e["name"]: e["value"] for e in events if e["type"] == "counter"
         }
@@ -59,16 +58,19 @@ class TestRoundTrip:
 
     def test_summarize_round_trip(self, tmp_path):
         path = tmp_path / "run.jsonl"
-        tracer, _ = _sample_trace(path)
+        _sample_trace(path)
         summary = summarize(load_trace(str(path)))
         assert summary["spans"]["inner"]["count"] == 2
         assert summary["spans"]["outer"]["count"] == 1
         assert summary["counters"] == {"widget.count": 42}
         assert summary["gauges"] == {"depth": 3}
         assert summary["histograms"]["lat"]["count"] == 1
-        # Summarizing raw SpanEvents gives the same span stats.
+        # An in-memory session's events summarize to the same spans.
+        with tracing_session() as (tracer, metrics):
+            _record_sample(tracer, metrics)
         direct = summarize(tracer.events())
         assert direct["spans"].keys() == summary["spans"].keys()
+        assert direct["spans"]["inner"]["count"] == 2
 
     def test_concatenated_traces_sum_counters(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -77,15 +79,22 @@ class TestRoundTrip:
         merged = load_trace(str(a)) + load_trace(str(b))
         assert summarize(merged)["counters"]["widget.count"] == 84
 
-    def test_write_to_stream(self):
-        buffer = io.StringIO()
-        tracer = Tracer()
-        with tracer.span("s"):
-            pass
-        lines = write_trace(buffer, tracer)
-        buffer.seek(0)
-        assert lines == 2
-        assert len(load_trace(buffer)) == 2
+    def test_write_to_stream(self, tmp_path):
+        # Each event is on disk as soon as it finishes; the metric
+        # lines follow when the session exits.
+        path = tmp_path / "run.jsonl"
+        with tracing_session(str(path)) as (tracer, metrics):
+            assert [e["type"] for e in load_trace(str(path))] == ["meta"]
+            with tracer.span("s"):
+                pass
+            metrics.counter("c").inc()
+            with open(path, encoding="utf-8") as handle:
+                assert [e["type"] for e in load_trace(handle)] == [
+                    "meta", "span",
+                ]
+        assert [e["type"] for e in load_trace(str(path))] == [
+            "meta", "span", "counter",
+        ]
 
 
 class TestTornLines:
@@ -149,13 +158,12 @@ class TestLoadTraces:
 class TestSchemaV2:
     def test_meta_carries_run_id_and_shard(self, tmp_path):
         path = tmp_path / "run.jsonl"
-        tracer = Tracer(run_id="run-abc")
-        with tracer.span("s"):
-            pass
-        write_trace(str(path), tracer)
-        meta = load_trace(str(path))[0]
+        with tracing_session(str(path)) as (tracer, _):
+            with tracer.span("s"):
+                pass
+        meta, span = load_trace(str(path))
         assert meta["schema"] == 2
-        assert meta["run_id"] == "run-abc"
+        assert meta["run_id"] == tracer.run_id == span["run_id"]
         assert meta["shard"] == "main"
 
     def test_probe_ledger_summary_section(self):

@@ -2,8 +2,6 @@
 
 import threading
 
-import pytest
-
 from repro.observability import (
     NULL_SPAN,
     TraceContext,
@@ -14,6 +12,14 @@ from repro.observability import (
 from repro.observability.spans import _NULL_SPAN
 
 
+def _spans(tracer):
+    return [e for e in tracer.events() if e["type"] == "span"]
+
+
+def _by_name(tracer):
+    return {e["name"]: e for e in _spans(tracer)}
+
+
 class TestNesting:
     def test_parent_links_follow_lexical_nesting(self):
         tracer = Tracer()
@@ -21,11 +27,14 @@ class TestNesting:
             with tracer.span("middle") as middle:
                 with tracer.span("inner") as inner:
                     pass
-        by_name = {e.name: e for e in tracer.events()}
-        assert by_name["outer"].parent_id is None
-        assert by_name["middle"].parent_id == outer.span_id
-        assert by_name["inner"].parent_id == middle.span_id
-        assert by_name["inner"].parent_id != by_name["middle"].parent_id
+        by_name = _by_name(tracer)
+        assert by_name["outer"]["parent_span_id"] is None
+        assert by_name["middle"]["parent_span_id"] == outer.span_id
+        assert by_name["inner"]["parent_span_id"] == middle.span_id
+        assert (
+            by_name["inner"]["parent_span_id"]
+            != by_name["middle"]["parent_span_id"]
+        )
 
     def test_events_recorded_in_finish_order(self):
         tracer = Tracer()
@@ -34,7 +43,7 @@ class TestNesting:
                 pass
             with tracer.span("c"):
                 pass
-        assert [e.name for e in tracer.events()] == ["b", "c", "a"]
+        assert [e["name"] for e in _spans(tracer)] == ["b", "c", "a"]
 
     def test_sibling_spans_share_parent(self):
         tracer = Tracer()
@@ -43,26 +52,26 @@ class TestNesting:
                 pass
             with tracer.span("s2"):
                 pass
-        by_name = {e.name: e for e in tracer.events()}
-        assert by_name["s1"].parent_id == root.span_id
-        assert by_name["s2"].parent_id == root.span_id
+        by_name = _by_name(tracer)
+        assert by_name["s1"]["parent_span_id"] == root.span_id
+        assert by_name["s2"]["parent_span_id"] == root.span_id
 
     def test_durations_nest(self):
         tracer = Tracer()
         with tracer.span("outer"):
             with tracer.span("inner"):
                 pass
-        by_name = {e.name: e for e in tracer.events()}
+        by_name = _by_name(tracer)
         outer, inner = by_name["outer"], by_name["inner"]
-        assert inner.start >= outer.start
-        assert inner.duration <= outer.duration
+        assert inner["start"] >= outer["start"]
+        assert inner["duration"] <= outer["duration"]
 
     def test_attrs_and_set_attr(self):
         tracer = Tracer()
         with tracer.span("work", size=3) as sp:
             sp.set_attr("entries", 7)
         (event,) = tracer.events()
-        assert event.attrs == {"size": 3, "entries": 7}
+        assert event["attrs"] == {"size": 3, "entries": 7}
 
     def test_exception_still_records_span(self):
         tracer = Tracer()
@@ -71,7 +80,7 @@ class TestNesting:
                 raise RuntimeError("boom")
         except RuntimeError:
             pass
-        assert [e.name for e in tracer.events()] == ["doomed"]
+        assert [e["name"] for e in _spans(tracer)] == ["doomed"]
 
 
 class TestThreads:
@@ -89,9 +98,9 @@ class TestThreads:
             thread.start()
             thread.join()
         assert done.is_set()
-        by_name = {e.name: e for e in tracer.events()}
+        by_name = _by_name(tracer)
         # The worker's span must be a root, not a child of main-root.
-        assert by_name["thread-root"].parent_id is None
+        assert by_name["thread-root"]["parent_span_id"] is None
 
 
 class TestDisabled:
@@ -127,73 +136,14 @@ class TestFastPathAndSampling:
         with NULL_SPAN as sp:
             sp.set_attr("ignored", 1)
 
-    def test_sampling_records_every_nth_span(self):
-        tracer = Tracer(sample_every=3)
-        for i in range(9):
-            with tracer.span("tick", i=i):
-                pass
-        events = tracer.events()
-        assert len(events) == 3
-        assert [e.attrs["i"] for e in events] == [2, 5, 8]
-
     def test_sampling_default_records_everything(self):
+        # There is no sampling: every span an enabled tracer opens is
+        # recorded.
         tracer = Tracer()
         for _ in range(5):
             with tracer.span("tick"):
                 pass
         assert len(tracer.events()) == 5
-
-    def test_sampled_out_spans_are_null(self):
-        tracer = Tracer(sample_every=2)
-        first = tracer.span("a")
-        second = tracer.span("b")
-        assert first is _NULL_SPAN
-        with second:
-            pass
-        assert [e.name for e in tracer.events()] == ["b"]
-
-    def test_invalid_stride_rejected(self):
-        with pytest.raises(ValueError):
-            Tracer(sample_every=0)
-
-
-class TestSamplingParentage:
-    def test_child_of_sampled_out_parent_attaches_to_emitted_ancestor(self):
-        tracer = Tracer(sample_every=2)
-        with tracer.span("skip"):  # tick 1: sampled out
-            pass
-        with tracer.span("root") as root:  # tick 2: recorded
-            with tracer.span("mid"):  # tick 3: sampled out
-                with tracer.span("leaf") as leaf:  # tick 4: recorded
-                    pass
-        by_name = {e.name: e for e in tracer.events()}
-        assert set(by_name) == {"root", "leaf"}
-        # No dangling id: the leaf re-parents past the unrecorded mid.
-        assert by_name["leaf"].parent_id == root.span_id
-        assert leaf.parent_id == root.span_id
-
-    def test_every_parent_id_resolves_under_sampling(self):
-        tracer = Tracer(sample_every=3)
-        def recurse(depth):
-            if depth == 0:
-                return
-            with tracer.span("d", depth=depth):
-                recurse(depth - 1)
-        for _ in range(4):
-            recurse(5)
-        events = tracer.events()
-        ids = {e.span_id for e in events}
-        for event in events:
-            assert event.parent_id is None or event.parent_id in ids
-
-    def test_current_context_skips_sampled_out_spans(self):
-        tracer = Tracer(sample_every=2)
-        with tracer.span("skip"):  # sampled out
-            pass
-        with tracer.span("root") as root:  # recorded
-            with tracer.span("mid"):  # sampled out
-                ctx = tracer.current_context()
-        assert ctx.span_id == root.span_id
 
 
 class TestLeakedSpans:
@@ -202,10 +152,10 @@ class TestLeakedSpans:
         outer = tracer.span("outer")
         tracer.span("leaked-child")  # never exited
         outer.__exit__(None, None, None)
-        by_name = {e.name: e for e in tracer.events()}
-        assert by_name["leaked-child"].attrs.get("leaked") is True
-        assert "leaked" not in by_name["outer"].attrs
-        assert by_name["leaked-child"].parent_id == outer.span_id
+        by_name = _by_name(tracer)
+        assert by_name["leaked-child"]["attrs"].get("leaked") is True
+        assert "leaked" not in by_name["outer"]["attrs"]
+        assert by_name["leaked-child"]["parent_span_id"] == outer.span_id
 
 
 class TestAttach:
@@ -223,13 +173,13 @@ class TestAttach:
             thread = threading.Thread(target=worker, args=(ctx,))
             thread.start()
             thread.join()
-        by_name = {e.name: e for e in tracer.events()}
+        by_name = _by_name(tracer)
         task = by_name["task.run"]
-        assert task.parent_id == spawn.span_id
-        assert task.worker == "w1"
-        assert task.serial == 3
-        assert task.trace_id == "r/0003"
-        assert task.span_id.startswith("w1:")
+        assert task["parent_span_id"] == spawn.span_id
+        assert task["worker"] == "w1"
+        assert task["serial"] == 3
+        assert task["trace_id"] == "r/0003"
+        assert task["span_id"].startswith("w1:")
 
     def test_attach_does_not_leak_lexical_parents(self):
         # A pool thread reused across tasks: spans open on the thread
@@ -242,9 +192,9 @@ class TestAttach:
                 pass
         stale.__exit__(None, None, None)
         assert fresh.parent_id is None
-        by_name = {e.name: e for e in tracer.events()}
+        by_name = _by_name(tracer)
         # The stale span's nesting survives the attach block.
-        assert by_name["stale"].parent_id is None
+        assert by_name["stale"]["parent_span_id"] is None
 
     def test_attach_carries_the_virtual_clock(self):
         tracer = Tracer()
@@ -254,8 +204,8 @@ class TestAttach:
             with tracer.span("work"):
                 pass
         (event,) = tracer.events()
-        assert event.vstart == 10.0
-        assert event.vduration == 15.0
+        assert event["vstart"] == 10.0
+        assert event["vduration"] == 15.0
 
 
 class TestDualClocks:
@@ -267,19 +217,19 @@ class TestDualClocks:
                 vnow[0] = 133.0
                 with tracer.span("inner"):
                     vnow[0] = 166.0
-        by_name = {e.name: e for e in tracer.events()}
-        assert by_name["outer"].vstart == 100.0
-        assert by_name["outer"].vduration == 66.0
-        assert by_name["inner"].vstart == 133.0
-        assert by_name["inner"].vduration == 33.0
+        by_name = _by_name(tracer)
+        assert by_name["outer"]["vstart"] == 100.0
+        assert by_name["outer"]["vduration"] == 66.0
+        assert by_name["inner"]["vstart"] == 133.0
+        assert by_name["inner"]["vduration"] == 33.0
 
     def test_no_clock_means_zero_virtual_time(self):
         tracer = Tracer()
         with tracer.span("plain"):
             pass
         (event,) = tracer.events()
-        assert event.vstart == 0.0
-        assert event.vduration == 0.0
+        assert event["vstart"] == 0.0
+        assert event["vduration"] == 0.0
 
     def test_virtual_now_without_provider(self):
         assert Tracer().virtual_now() == 0.0
@@ -296,7 +246,22 @@ class TestLedgerEvents:
         assert event["worker"] == "main"
         assert event["event_id"] == f"main:e{event['seq']}"
         assert event["cache"] == "fresh"
-        assert tracer.raw_events() == [event]
+        assert tracer.events()[0] == event
+
+    def test_spans_and_ledger_events_share_one_list_in_emit_order(self):
+        tracer = Tracer()
+        with tracer.span("outer"):
+            tracer.event("probe")
+            with tracer.span("inner"):
+                pass
+            tracer.event("profile")
+        kinds = [(e["type"], e.get("name")) for e in tracer.events()]
+        assert kinds == [
+            ("probe", None),
+            ("span", "inner"),
+            ("profile", None),
+            ("span", "outer"),
+        ]
 
     def test_explicit_span_id_wins(self):
         tracer = Tracer()
@@ -307,14 +272,15 @@ class TestLedgerEvents:
     def test_disabled_tracer_emits_nothing(self):
         tracer = Tracer(enabled=False)
         assert tracer.event("probe") is None
-        assert tracer.raw_events() == []
+        assert tracer.events() == []
 
     def test_span_to_dict_uses_parent_span_id_key(self):
         tracer = Tracer()
         with tracer.span("a"):
             with tracer.span("b"):
                 pass
-        payloads = [e.to_dict() for e in tracer.events()]
+        payloads = tracer.events()
+        assert len(payloads) == 2
         assert all("parent_span_id" in p for p in payloads)
 
 
@@ -337,21 +303,31 @@ class TestAdopt:
             }
         )
         (event,) = tracer.events()
-        assert span_id == event.span_id
-        assert event.span_id.startswith("p123:")
-        assert event.name == "predicate.call"
-        assert event.parent_id == "main:0"
-        assert event.duration == 0.25
-        assert event.vstart == 33.0
-        assert event.serial == 4
-        assert event.attrs["backend"] == "process"
+        assert span_id == event["span_id"]
+        assert event["span_id"].startswith("p123:")
+        assert event["name"] == "predicate.call"
+        assert event["parent_span_id"] == "main:0"
+        assert event["duration"] == 0.25
+        assert event["vstart"] == 33.0
+        assert event["serial"] == 4
+        assert event["attrs"]["backend"] == "process"
+
+    def test_adopt_copies_the_payload(self):
+        tracer = Tracer()
+        payload = {"type": "span", "name": "x", "worker": "p1",
+                   "attrs": {"k": 1}}
+        tracer.adopt(payload)
+        (event,) = tracer.events()
+        assert event is not payload
+        assert "span_id" not in payload and "seq" not in payload
+        assert {k: event[k] for k in payload} == payload
 
     def test_adopt_assigns_fresh_sequence_numbers(self):
         tracer = Tracer()
         with tracer.span("parent"):
             pass
         adopted = tracer.adopt({"name": "child", "worker": "p9"})
-        seqs = [e.seq for e in tracer.events()]
+        seqs = [e["seq"] for e in tracer.events()]
         assert len(set(seqs)) == len(seqs)
         assert adopted == f"p9:{max(seqs)}"
 
@@ -359,13 +335,30 @@ class TestAdopt:
         tracer = Tracer(run_id="host-run")
         tracer.adopt({"name": "x", "worker": "p1"})
         (event,) = tracer.events()
-        assert event.run_id == "host-run"
-        assert event.trace_id == "host-run"
+        assert event["run_id"] == "host-run"
+        assert event["trace_id"] == "host-run"
 
     def test_disabled_tracer_adopts_nothing(self):
         tracer = Tracer(enabled=False)
         assert tracer.adopt({"name": "x"}) is None
         assert tracer.events() == []
+
+
+class TestIngest:
+    def test_ingest_keeps_ids_and_rebases_both_clocks(self):
+        tracer = Tracer()
+        span = {"type": "span", "name": "w", "span_id": "p7:3", "seq": 3,
+                "start": 1.0, "worker": "p7"}
+        probe = {"type": "probe", "event_id": "p7:e4", "seq": 4, "t": 2.0,
+                 "worker": "p7"}
+        tracer.ingest(span, time_offset=0.5)
+        tracer.ingest(probe, time_offset=0.5)
+        got_span, got_probe = tracer.events()
+        assert (got_span["span_id"], got_span["seq"]) == ("p7:3", 3)
+        assert got_span["start"] == 1.5
+        assert (got_probe["event_id"], got_probe["t"]) == ("p7:e4", 2.5)
+        # The worker's payloads are copied, not re-based in place.
+        assert span["start"] == 1.0 and probe["t"] == 2.0
 
 
 class TestClear:
@@ -381,4 +374,4 @@ class TestClear:
         tracer = Tracer()
         tracer.event("probe")
         tracer.clear()
-        assert tracer.raw_events() == []
+        assert tracer.events() == []

@@ -3,12 +3,15 @@
 import pytest
 
 from repro.observability import (
+    MetricsRegistry,
     clock_totals,
     diff_traces,
     folded_stacks,
     prometheus_exposition,
+    metric_events,
     render_diff,
     render_timeline,
+    summarize,
 )
 
 
@@ -167,6 +170,30 @@ class TestPrometheus:
         assert 'jl_probe_latency_bucket{le="+Inf"} 7' in text
         assert "jl_probe_latency_sum 3.5" in text
         assert "jl_probe_latency_count 7" in text
+
+    def test_export_and_summarize_agree_over_two_traces(self):
+        # Two registry dumps (two runs, or two shards of one run) of the
+        # same counter and histogram: 3 and 5 observations.
+        events = []
+        for observations in (3, 5):
+            registry = MetricsRegistry()
+            for i in range(observations):
+                registry.counter("probes").inc()
+                registry.histogram("lat", buckets=(0.1, 1.0)).observe(
+                    0.05 * (i + 1)
+                )
+            events += metric_events(registry)
+        summary = summarize(events)
+        assert summary["counters"]["probes"] == 8
+        assert summary["histograms"]["lat"]["count"] == 8
+        text = prometheus_exposition(events, prefix="jl")
+        assert "jl_probes_total 8" in text
+        assert "jl_lat_count 8" in text
+        assert 'jl_lat_bucket{le="+Inf"} 8' in text
+        # 0.05..0.15 and 0.05..0.25: two observations per dump <= 0.1.
+        assert 'jl_lat_bucket{le="0.1"} 4' in text
+        total = sum(0.05 * (i + 1) for n in (3, 5) for i in range(n))
+        assert summary["histograms"]["lat"]["sum"] == pytest.approx(total)
 
     def test_names_are_sanitized(self):
         text = prometheus_exposition(

@@ -370,7 +370,7 @@ class TestBackendDifferential:
                         e["virtual_charge"], e.get("round"),
                         e.get("batch_pos"),
                     )
-                    for e in tracer.raw_events()
+                    for e in tracer.events()
                     if e["type"] == "probe"
                 ]
 
@@ -391,15 +391,17 @@ class TestBackendDifferential:
         with tracing_session() as (tracer, _):
             _run(pair, speculate=4, probe_backend=backend)
             events = tracer.events()
+        spans = [e for e in events if e["type"] == "span"]
         adopted = [
-            e for e in events
-            if e.name == "predicate.call" and e.attrs.get("backend") == backend
+            e for e in spans
+            if e["name"] == "predicate.call"
+            and e["attrs"].get("backend") == backend
         ]
         assert adopted, "no adopted worker spans in the trace"
         if backend == "process":
-            assert all(e.worker.startswith("p") for e in adopted)
-        span_ids = {e.span_id for e in events}
-        assert all(e.parent_id in span_ids for e in adopted)
+            assert all(e["worker"].startswith("p") for e in adopted)
+        span_ids = {e["span_id"] for e in spans}
+        assert all(e["parent_span_id"] in span_ids for e in adopted)
 
 
 @pytest.fixture(scope="module")
@@ -446,7 +448,7 @@ class TestLedgerMatchesCounters:
                     probe_executor=executor,
                 )
                 probes = [
-                    e for e in tracer.raw_events() if e["type"] == "probe"
+                    e for e in tracer.events() if e["type"] == "probe"
                 ]
                 counters = metrics.counter_values()
         assert outcome.status == "complete"
@@ -496,8 +498,8 @@ class TestLedgerMatchesCounters:
                 benchmark, instance, "our-reducer", config,
                 probe_executor=executor,
             )
-            probes = [e for e in tracer.raw_events() if e["type"] == "probe"]
-            spans = tracer.events()
+            probes = [e for e in tracer.events() if e["type"] == "probe"]
+            spans = [e for e in tracer.events() if e["type"] == "span"]
             counters = metrics.counter_values()
         assert outcome.status == "error"
         errors = [p for p in probes if p["cache"] == "error"]
@@ -505,7 +507,8 @@ class TestLedgerMatchesCounters:
         # carries no outcome.
         failed = [
             e for e in spans
-            if e.name == "predicate.call" and e.attrs.get("outcome") is None
+            if e["name"] == "predicate.call"
+            and e["attrs"].get("outcome") is None
         ]
         assert errors and len(errors) == len(failed)
         assert all(

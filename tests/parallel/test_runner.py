@@ -1,8 +1,7 @@
 """Tests for the corpus runner at jobs > 1: determinism and cache reuse.
 
-``run_corpus_experiment`` is the corpus executor
-(:func:`repro.parallel.scheduler.run_scheduled_corpus_experiment`);
-``jobs=2`` runs whole instances on worker processes.
+:func:`repro.parallel.scheduler.run_scheduled_corpus_experiment` is
+the corpus executor; ``jobs=2`` runs whole instances on worker processes.
 """
 
 import dataclasses
@@ -10,8 +9,9 @@ import dataclasses
 import pytest
 
 import repro.harness.experiments as experiments
-from repro.harness import ExperimentConfig, run_corpus_experiment, run_instance
+from repro.harness import ExperimentConfig, run_instance
 from repro.parallel import open_store, resolve_jobs
+from repro.parallel.scheduler import run_scheduled_corpus_experiment
 from repro.workloads.corpus import CorpusConfig, build_corpus
 
 
@@ -49,8 +49,8 @@ class TestResolveJobs:
 
 class TestSerialParallelEquality:
     def test_outcomes_identical_except_real_seconds(self, tiny_corpus, config):
-        serial = run_corpus_experiment(tiny_corpus, config)
-        parallel = run_corpus_experiment(tiny_corpus, config, jobs=2)
+        serial = run_scheduled_corpus_experiment(tiny_corpus, config)
+        parallel = run_scheduled_corpus_experiment(tiny_corpus, config, jobs=2)
         assert len(serial) == len(parallel)
         for expected, actual in zip(serial, parallel):
             assert comparable(expected) == comparable(actual)
@@ -59,18 +59,20 @@ class TestSerialParallelEquality:
         self, tiny_corpus, config
     ):
         serial_lines, parallel_lines = [], []
-        run_corpus_experiment(
+        run_scheduled_corpus_experiment(
             tiny_corpus, config, progress=serial_lines.append
         )
-        run_corpus_experiment(
+        run_scheduled_corpus_experiment(
             tiny_corpus, config, progress=parallel_lines.append, jobs=2
         )
         assert serial_lines == parallel_lines
 
     def test_jobs_kwarg_none_uses_all_cpus(self, tiny_corpus, config):
-        outcomes = run_corpus_experiment(tiny_corpus, config, jobs=None)
+        outcomes = run_scheduled_corpus_experiment(
+            tiny_corpus, config, jobs=None
+        )
         assert len(outcomes) == len(
-            run_corpus_experiment(tiny_corpus, config)
+            run_scheduled_corpus_experiment(tiny_corpus, config)
         )
 
 
@@ -127,10 +129,10 @@ class TestPersistentStoreReuse:
                                             tmp_path):
         # Workers reopen the live handle's store from its recipe.
         with open_store(tmp_path / "store") as store:
-            first = run_corpus_experiment(
+            first = run_scheduled_corpus_experiment(
                 tiny_corpus, config, jobs=2, store=store
             )
-            second = run_corpus_experiment(
+            second = run_scheduled_corpus_experiment(
                 tiny_corpus, config, jobs=2, store=store
             )
         assert all(o.predicate_calls == 0 for o in second)
@@ -171,7 +173,7 @@ class TestGracefulDegradation:
         config = ExperimentConfig(
             strategies=("our-reducer", "jreduce"), keep_going=True
         )
-        outcomes = run_corpus_experiment(tiny_corpus, config)
+        outcomes = run_scheduled_corpus_experiment(tiny_corpus, config)
         expected_count = sum(len(b.instances) * 2 for b in tiny_corpus)
         assert len(outcomes) == expected_count
         # Error outcomes sit exactly where the serial order puts them.
@@ -200,14 +202,14 @@ class TestGracefulDegradation:
         )
         config = ExperimentConfig(strategies=("our-reducer", "jreduce"))
         with pytest.raises(RuntimeError, match="worker exploded"):
-            run_corpus_experiment(tiny_corpus, config)
+            run_scheduled_corpus_experiment(tiny_corpus, config)
 
 
 class TestConcurrentTelemetryIsolation:
     def test_parallel_metrics_match_serial(self, tiny_corpus, config):
         """Per-run metrics must not leak across concurrent reductions."""
-        serial = run_corpus_experiment(tiny_corpus, config)
-        parallel = run_corpus_experiment(tiny_corpus, config, jobs=2)
+        serial = run_scheduled_corpus_experiment(tiny_corpus, config)
+        parallel = run_scheduled_corpus_experiment(tiny_corpus, config, jobs=2)
         for expected, actual in zip(serial, parallel):
             assert expected.metrics == actual.metrics
             assert (
@@ -230,8 +232,10 @@ class TestConcurrentTelemetryIsolation:
         spec_config = ExperimentConfig(
             strategies=("our-reducer",), speculate=4
         )
-        serial = run_corpus_experiment(tiny_corpus, serial_config)
-        concurrent = run_corpus_experiment(tiny_corpus, spec_config, jobs=2)
+        serial = run_scheduled_corpus_experiment(tiny_corpus, serial_config)
+        concurrent = run_scheduled_corpus_experiment(
+            tiny_corpus, spec_config, jobs=2
+        )
         assert len(serial) == len(concurrent)
         for expected, actual in zip(serial, concurrent):
             assert actual.benchmark_id == expected.benchmark_id

@@ -19,7 +19,6 @@ from repro.harness.experiments import (
     ExperimentConfig,
     outcome_signature,
     probe_cap_for,
-    run_corpus_experiment,
 )
 from repro.parallel.scheduler import (
     StoreSpec,
@@ -55,7 +54,7 @@ def config():
 
 @pytest.fixture(scope="module")
 def serial_reference(corpus, config):
-    return run_corpus_experiment(corpus, config)
+    return run_scheduled_corpus_experiment(corpus, config)
 
 
 def signatures(outcomes):
@@ -145,7 +144,9 @@ class TestSerialProcessEquality:
 
     def test_progress_lines_commit_in_serial_order(self, corpus, config):
         serial_lines, pooled_lines = [], []
-        run_corpus_experiment(corpus, config, progress=serial_lines.append)
+        run_scheduled_corpus_experiment(
+            corpus, config, progress=serial_lines.append
+        )
         run_scheduled_corpus_experiment(
             benchmarks=corpus,
             config=config,
@@ -185,7 +186,7 @@ class TestChaosLane:
             retries=3,
             keep_going=True,
         )
-        serial = run_corpus_experiment(corpus, config)
+        serial = run_scheduled_corpus_experiment(corpus, config)
         pooled = run_scheduled_corpus_experiment(
             benchmarks=corpus, config=config, jobs=2
         )
@@ -207,7 +208,7 @@ class TestChaosLane:
             chaos=FaultPlan(kind="crash", rate=0.3, seed=3),
             keep_going=True,
         )
-        serial = run_corpus_experiment(corpus, config)
+        serial = run_scheduled_corpus_experiment(corpus, config)
         pooled = run_scheduled_corpus_experiment(
             benchmarks=corpus, config=config, jobs=2
         )
@@ -297,7 +298,7 @@ class TestSpeculateBudgetLane:
             speculate=2,
             worker_budget=3,
         )
-        serial = run_corpus_experiment(corpus, config)
+        serial = run_scheduled_corpus_experiment(corpus, config)
         pooled = run_scheduled_corpus_experiment(
             benchmarks=corpus, config=config, jobs=2
         )

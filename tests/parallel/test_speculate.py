@@ -442,7 +442,7 @@ class TestDiscardedProbeEvents:
                     executor=pool,
                 )
             probes = [
-                e for e in tracer.raw_events() if e["type"] == "probe"
+                e for e in tracer.events() if e["type"] == "probe"
             ]
         discarded = [p for p in probes if p.get("discarded")]
         assert {p["batch_pos"] for p in discarded} == {1, 2}
@@ -461,7 +461,7 @@ class TestDiscardedProbeEvents:
                 [frozenset({"a"}), frozenset({"b"})], executor=pool
             )
             probes = [
-                e for e in tracer.raw_events() if e["type"] == "probe"
+                e for e in tracer.events() if e["type"] == "probe"
             ]
         assert probes
         assert not any(p.get("discarded") for p in probes)

@@ -4,7 +4,8 @@ import dataclasses
 
 import pytest
 
-from repro.harness import ExperimentConfig, run_corpus_experiment
+from repro.harness import ExperimentConfig
+from repro.parallel.scheduler import run_scheduled_corpus_experiment
 from repro.resilience import FaultPlan, OracleCrash
 from repro.workloads.corpus import CorpusConfig, build_corpus
 
@@ -37,10 +38,10 @@ class TestChaosEquivalence:
     ):
         """The headline acceptance property: a 20%-flaky oracle with
         retries produces byte-identical final solutions to a clean run."""
-        clean = run_corpus_experiment(
+        clean = run_scheduled_corpus_experiment(
             tiny_corpus, ExperimentConfig(strategies=STRATEGIES)
         )
-        chaos = run_corpus_experiment(
+        chaos = run_scheduled_corpus_experiment(
             tiny_corpus,
             ExperimentConfig(
                 strategies=STRATEGIES,
@@ -63,15 +64,15 @@ class TestChaosEquivalence:
             retries=10,
             chaos=FaultPlan(kind="flaky", rate=0.2, seed=7),
         )
-        serial = run_corpus_experiment(tiny_corpus, config)
-        parallel = run_corpus_experiment(tiny_corpus, config, jobs=2)
+        serial = run_scheduled_corpus_experiment(tiny_corpus, config)
+        parallel = run_scheduled_corpus_experiment(tiny_corpus, config, jobs=2)
         for expected, actual in zip(serial, parallel):
             assert comparable(expected) == comparable(actual)
 
 
 class TestBudgetedCorpus:
     def test_exhausted_runs_are_partial_and_anytime(self, tiny_corpus):
-        outcomes = run_corpus_experiment(
+        outcomes = run_scheduled_corpus_experiment(
             tiny_corpus,
             ExperimentConfig(strategies=STRATEGIES, budget_calls=10),
         )
@@ -88,10 +89,10 @@ class TestBudgetedCorpus:
                 assert outcome.final_bytes == outcome.total_bytes
 
     def test_generous_budget_changes_nothing(self, tiny_corpus):
-        clean = run_corpus_experiment(
+        clean = run_scheduled_corpus_experiment(
             tiny_corpus, ExperimentConfig(strategies=("our-reducer",))
         )
-        budgeted = run_corpus_experiment(
+        budgeted = run_scheduled_corpus_experiment(
             tiny_corpus,
             ExperimentConfig(
                 strategies=("our-reducer",), budget_calls=10_000
@@ -109,7 +110,7 @@ class TestCrashDegradation:
         config = ExperimentConfig(
             strategies=STRATEGIES, keep_going=True, chaos=self.CRASH
         )
-        outcomes = run_corpus_experiment(tiny_corpus, config)
+        outcomes = run_scheduled_corpus_experiment(tiny_corpus, config)
         expected_count = sum(
             len(b.instances) * len(STRATEGIES) for b in tiny_corpus
         )
@@ -127,12 +128,12 @@ class TestCrashDegradation:
         config = ExperimentConfig(
             strategies=STRATEGIES, keep_going=True, chaos=self.CRASH
         )
-        serial = run_corpus_experiment(tiny_corpus, config)
-        parallel = run_corpus_experiment(tiny_corpus, config, jobs=2)
+        serial = run_scheduled_corpus_experiment(tiny_corpus, config)
+        parallel = run_scheduled_corpus_experiment(tiny_corpus, config, jobs=2)
         for expected, actual in zip(serial, parallel):
             assert comparable(expected) == comparable(actual)
 
     def test_without_keep_going_the_crash_propagates(self, tiny_corpus):
         config = ExperimentConfig(strategies=STRATEGIES, chaos=self.CRASH)
         with pytest.raises(OracleCrash):
-            run_corpus_experiment(tiny_corpus, config)
+            run_scheduled_corpus_experiment(tiny_corpus, config)

@@ -618,6 +618,32 @@ class TestBenchShardedTrace:
             payload["outcomes"]
         )
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_failed_bench_keeps_its_trace(self, tiny_corpus, tmp_path,
+                                            capsys, jobs):
+        from repro.observability import load_traces
+
+        trace_file = str(tmp_path / "bench.jsonl")
+        assert main(
+            ["bench", "--profile", "small", "--jobs", jobs,
+             "--chaos", "crash", "--chaos-rate", "0.5",
+             "--trace", trace_file]
+        ) == 1
+        assert "instance failed" in capsys.readouterr().err
+        events = load_traces([trace_file])
+        runs = [
+            e for e in events
+            if e["type"] == "span" and e["name"] == "instance.run"
+        ]
+        assert runs
+        counters = {e["name"] for e in events if e["type"] == "counter"}
+        assert "predicate.queries" in counters
+        # The metric lines come from the parent's registry, once.
+        assert sum(
+            e["type"] == "counter" and e["name"] == "predicate.queries"
+            for e in events
+        ) == 1
+
     def test_explain_works_on_a_sharded_run(self, tiny_corpus, tmp_path,
                                             capsys):
         trace_file = str(tmp_path / "bench.jsonl")
