@@ -17,11 +17,10 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.bytecode.descriptors import (
-    MethodDescriptor,
     parse_field_descriptor,
     parse_method_descriptor,
 )
-from repro.bytecode.instructions import Instruction, MethodRef
+from repro.bytecode.instructions import Instruction
 
 __all__ = [
     "JAVA_OBJECT",
@@ -76,10 +75,6 @@ class MethodDef:
     @property
     def is_constructor(self) -> bool:
         return self.name == INIT
-
-    @property
-    def parsed_descriptor(self) -> MethodDescriptor:
-        return parse_method_descriptor(self.descriptor)
 
     @property
     def key(self) -> Tuple[str, str]:
@@ -178,11 +173,6 @@ class Application:
 
     def has_class(self, name: str) -> bool:
         return name in self._table() or name in BUILTIN_CLASSES
-
-    def entry_ref(self) -> MethodRef:
-        return MethodRef(
-            self.entry_class, self.entry_method, self.entry_descriptor
-        )
 
     def class_names(self) -> List[str]:
         return [c.name for c in self.classes]

@@ -42,7 +42,6 @@ __all__ = [
     "items_of",
     "items_of_class",
     "items_by_class",
-    "type_item",
     "class_root",
     "ITEM_KINDS",
 ]
@@ -185,14 +184,6 @@ def class_root(decl) -> Union[ClassItem, InterfaceItem]:
     if decl.is_interface:
         return InterfaceItem(decl.name)
     return ClassItem(decl.name)
-
-
-def type_item(app, name: str):
-    """The ClassItem/InterfaceItem for a declared type, None for builtins."""
-    decl = app.class_file(name)
-    if decl is None:
-        return None
-    return class_root(decl)
 
 
 def items_of_class(decl) -> List[Item]:

@@ -553,7 +553,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit_cmd.add_argument(
         "--timeout", type=float, default=300.0, metavar="S",
-        help="polling timeout with --wait (default 300)",
+        help=(
+            "seconds to poll for completion (default 300; "
+            "unused with --no-wait)"
+        ),
     )
     submit_cmd.add_argument(
         "--json", action="store_true",

@@ -226,9 +226,6 @@ class Program:
         decl = self._table().get(name)
         return decl if isinstance(decl, InterfaceDecl) else None
 
-    def declares(self, name: str) -> bool:
-        return name in self._table()
-
     def is_class_name(self, name: str) -> bool:
         return name in (OBJECT, STRING) or self.class_decl(name) is not None
 

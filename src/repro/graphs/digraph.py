@@ -75,9 +75,6 @@ class DiGraph:
     def predecessors(self, node: Node) -> FrozenSet[Node]:
         return frozenset(self._pred.get(node, ()))
 
-    def has_node(self, node: Node) -> bool:
-        return node in self._succ
-
     def has_edge(self, src: Node, dst: Node) -> bool:
         return dst in self._succ.get(src, ())
 

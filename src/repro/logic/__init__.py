@@ -31,7 +31,6 @@ from repro.logic.formula import (
     disj,
 )
 from repro.logic.cnf import CNF, Clause, Lit, neg, pos
-from repro.logic.assignment import Assignment
 from repro.logic.session import SolverSession
 from repro.logic.solver import SatResult, solve, is_satisfiable
 from repro.logic.msa import minimal_satisfying_assignment, minimize_model
@@ -55,7 +54,6 @@ __all__ = [
     "Lit",
     "pos",
     "neg",
-    "Assignment",
     "solve",
     "is_satisfiable",
     "SatResult",

@@ -43,9 +43,6 @@ class Lit(NamedTuple):
     var: VarName
     positive: bool
 
-    def negate(self) -> "Lit":
-        return Lit(self.var, not self.positive)
-
     def __repr__(self) -> str:
         sign = "" if self.positive else "~"
         return f"{sign}{self.var}"

@@ -17,7 +17,7 @@ names.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Hashable, Iterable, Iterator, List, Tuple
+from typing import FrozenSet, Hashable, Iterable, List, Tuple
 
 __all__ = [
     "Formula",
@@ -329,7 +329,3 @@ def _is_tautology(clause: ClauseTuple) -> bool:
     positives = {v for (v, polarity) in clause if polarity}
     negatives = {v for (v, polarity) in clause if not polarity}
     return bool(positives & negatives)
-
-
-def _clauses_iter(formula: Formula) -> Iterator[ClauseTuple]:
-    yield from formula.to_clauses()

@@ -10,7 +10,9 @@ keeps every line written before it stopped.
   trace path; worker ``main`` writes the base file itself, worker ``w3``
   writes ``<base stem>.shard-w3.jsonl`` next to it.  The base file is
   opened when the set is built, so an unwritable path fails before any
-  work.  Each shard opens with its own ``meta`` line (schema, run id,
+  work, and the set owns the whole family: sibling shards an earlier
+  run left at the same path are deleted then, so a rerun never merges
+  them in.  Each shard opens with its own ``meta`` line (schema, run id,
   shard label) and every event line is flushed on write, so a crashed
   worker leaves at most one torn final line — which the tolerant loader
   skips, exactly like :mod:`repro.parallel.store`.
@@ -150,7 +152,8 @@ class ShardSet:
     the worker label of the event's attached
     :class:`~repro.observability.context.TraceContext`.  Building the
     set writes the base file's ``meta`` line (``OSError`` when the path
-    cannot be written); worker shards open on their first event.
+    cannot be written) and deletes the base's stale sibling shards;
+    worker shards open on their first event.
     """
 
     def __init__(self, base: str, run_id: str, label: str = ""):
@@ -160,6 +163,9 @@ class ShardSet:
         self._writers: Dict[str, _ShardWriter] = {}
         self._lock = threading.Lock()
         self._writer_for("main")
+        for stale in discover_shards(base):
+            if stale != base:
+                os.remove(stale)
 
     def emit(self, worker: str, event: Dict[str, Any]) -> None:
         self._writer_for(worker).emit(event)

@@ -11,8 +11,6 @@
 - :mod:`repro.reduction.lossy` — the two lossy encodings of non-graph
   clauses into graph constraints (Section 4.3).
 - :mod:`repro.reduction.ddmin` — Zeller & Hildebrandt's ddmin baseline.
-- :mod:`repro.reduction.hdd` — hierarchical delta debugging (Misherghi
-  & Su), the syntax-tree baseline of the paper's introduction.
 - :mod:`repro.reduction.reference` — an exact exponential reducer for
   small instances (optimality-gap testing).
 - :mod:`repro.reduction.ordering` — variable-order heuristics for MSA_<.
@@ -33,7 +31,6 @@ from repro.reduction.gbr import generalized_binary_reduction
 from repro.reduction.binary import binary_reduction, binary_reduce_sets
 from repro.reduction.lossy import LossyVariant, lossy_graph_encoding, lossy_reduce
 from repro.reduction.ddmin import ddmin
-from repro.reduction.hdd import ItemTree, bytecode_item_tree, hdd
 from repro.reduction.reference import optimal_solution
 from repro.reduction.strategies import STRATEGIES, run_strategy
 
@@ -55,9 +52,6 @@ __all__ = [
     "lossy_graph_encoding",
     "lossy_reduce",
     "ddmin",
-    "hdd",
-    "ItemTree",
-    "bytecode_item_tree",
     "optimal_solution",
     "STRATEGIES",
     "run_strategy",

@@ -139,10 +139,6 @@ class ReductionResult:
     def is_partial(self) -> bool:
         return self.status == "partial"
 
-    def relative_size(self, problem: ReductionProblem) -> float:
-        total = len(problem.variables)
-        return len(self.solution) / total if total else 1.0
-
     def __repr__(self) -> str:
         return (
             f"ReductionResult(strategy={self.strategy!r}, "

@@ -15,8 +15,9 @@ clock has (see :class:`repro.reduction.predicate.InstrumentedPredicate`).
 
 Exhaustion latches: once a budget raises
 :class:`~repro.reduction.problem.BudgetExhausted` it raises on every
-later charge, so an algorithm that swallows the first signal (ddmin
-inside hdd, say) still stops at the next fresh call.  Cached queries
+later charge, so a caller that swallows the first signal (the
+service's quota charge when a job settles, say) still stops at the
+next fresh call.  Cached queries
 never reach the budget — they are free, which is exactly why the
 budget sits *under* the caching wrapper.
 """

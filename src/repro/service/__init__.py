@@ -13,7 +13,7 @@ tenant-namespaced.
   (workload spec or serialized app bytes) bridged to PR 9's picklable
   :class:`InstanceTaskSpec`, and the queued → running → done lifecycle.
 - :mod:`repro.service.admission` — per-tenant admission control:
-  quotas via :class:`repro.resilience.admission.AdmissionBudget`,
+  latched per-tenant :class:`~repro.resilience.budget.Budget` quotas,
   bounded queues with retry-after backpressure, stride-scheduled
   weighted fair dispatch.
 - :mod:`repro.service.server` — the service core (dispatch loop,

@@ -3,12 +3,15 @@
 The front door of the service tier.  Every tenant gets three shields —
 and every other tenant gets shielded *from* them:
 
-- **Quota** — an :class:`~repro.resilience.admission.AdmissionBudget`
-  per tenant (PR 3's latched ``Budget`` underneath): ``max_jobs``
-  caps admissions outright, ``max_seconds`` caps the cumulative
-  *simulated* seconds the tenant's completed jobs burn.  Exhaustion
-  latches per tenant instance, so one tenant hammering its cap can
-  never flip another tenant's budget.
+- **Quota** — one latched :class:`~repro.resilience.budget.Budget`
+  per tenant: ``max_jobs`` caps admissions outright (one call spent
+  per submission), ``max_seconds`` caps the cumulative *simulated*
+  seconds the tenant's completed jobs burn (charged when each job
+  settles).  The service never lets ``BudgetExhausted`` escape: a
+  refused admission becomes a ``quota`` verdict carrying the budget's
+  message, and an over-spend at settle latches silently, so the next
+  submission is refused.  Exhaustion latches per tenant instance, so
+  one tenant hammering its cap can never flip another tenant's budget.
 - **Backpressure** — a bounded per-tenant queue: once
   ``max_queue_depth`` jobs wait, further submissions are refused with
   a retry-after estimate (depth × observed mean service time ÷
@@ -31,9 +34,10 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, Optional
 
-from repro.resilience.admission import AdmissionBudget
+from repro.reduction.problem import BudgetExhausted
+from repro.resilience.budget import Budget
 from repro.service.jobs import Job
 
 __all__ = ["Admission", "AdmissionController", "TenantPolicy"]
@@ -73,8 +77,8 @@ class _TenantState:
         self.name = name
         self.policy = policy
         self.queue: Deque[Job] = deque()
-        self.budget = AdmissionBudget(
-            max_jobs=policy.max_jobs, max_seconds=policy.max_seconds
+        self.budget = Budget(
+            max_calls=policy.max_jobs, max_seconds=policy.max_seconds
         )
         self.pass_value = 0.0
         self.admitted = 0
@@ -142,8 +146,10 @@ class AdmissionController:
                     ),
                     retry_after=self._retry_after(len(tenant.queue)),
                 )
-            refusal = tenant.budget.try_admit()
-            if refusal is not None:
+            try:
+                # A refused spend charges nothing and latches.
+                tenant.budget.spend_call()
+            except BudgetExhausted as refusal:
                 tenant.rejected["quota"] += 1
                 return Admission(
                     admitted=False,
@@ -202,7 +208,11 @@ class AdmissionController:
                 tenant.failed += 1
             else:
                 tenant.completed += 1
-            tenant.budget.settle(simulated_seconds)
+            if simulated_seconds > 0:
+                try:
+                    tenant.budget.charge_seconds(simulated_seconds)
+                except BudgetExhausted:
+                    pass  # latched: the tenant's next submit is refused
             if latency_seconds > 0:
                 self._mean_latency = (
                     0.7 * self._mean_latency + 0.3 * latency_seconds
@@ -214,10 +224,6 @@ class AdmissionController:
     def queue_depth(self) -> int:
         with self._lock:
             return sum(len(t.queue) for t in self._tenants.values())
-
-    def tenant_names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._tenants)
 
     def stats(self) -> Dict[str, Dict[str, object]]:
         with self._lock:

@@ -11,6 +11,7 @@ from repro.observability import (
     load_traces,
     merge_events,
     shard_path,
+    tracing_session,
 )
 
 
@@ -146,3 +147,20 @@ class TestShardSet:
         assert any(e["type"] == "counter" for e in events)
         metas = [e for e in events if e["type"] == "meta"]
         assert {m["shard"] for m in metas} == {"main", "w0", "w1"}
+
+    def test_rerun_drops_the_previous_runs_shards(self, tmp_path):
+        base = str(tmp_path / "t.jsonl")
+        stale = tmp_path / "t.shard-p999.jsonl"
+        stale.write_text(
+            json.dumps({"type": "meta", "run_id": "old", "shard": "p999"})
+            + "\n"
+            + json.dumps({"type": "span", "name": "stale", "run_id": "old"})
+            + "\n"
+        )
+        with tracing_session(base) as (tracer, _metrics):
+            with tracer.span("fresh"):
+                pass
+        assert not stale.exists()
+        events = load_traces([base])
+        assert {e["run_id"] for e in events} == {tracer.run_id}
+        assert "stale" not in {e.get("name") for e in events}

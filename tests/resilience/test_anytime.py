@@ -17,7 +17,6 @@ from repro.reduction import (
     generalized_binary_reduction,
 )
 from repro.reduction.ddmin import ddmin
-from repro.reduction.hdd import ItemTree, hdd
 from repro.reduction.strategies import run_strategy
 from repro.resilience import Budget, ResilientPredicate
 
@@ -125,27 +124,6 @@ class TestDdminAnytime:
     def test_unbudgeted_result_unchanged(self):
         solution = ddmin(list("abcdefgh"), lambda kept: {"c", "g"} <= kept)
         assert solution == {"c", "g"}
-
-
-class TestHddAnytime:
-    def tree(self):
-        return ItemTree(
-            roots=["r1", "r2"],
-            children={"r1": ["a", "b"], "r2": ["c", "d"]},
-        )
-
-    def test_returns_kept_set_on_exhaustion(self):
-        budget = Budget(max_calls=3)
-        predicate = ResilientPredicate(
-            lambda kept: "a" in kept, budget=budget
-        )
-        kept = hdd(self.tree(), predicate)
-        assert budget.exhausted
-        assert "a" in kept
-
-    def test_unbudgeted_result_unchanged(self):
-        kept = hdd(self.tree(), lambda kept: "a" in kept)
-        assert kept == {"r1", "a"}
 
 
 class TestStrategyRegistryAnytime:

@@ -23,8 +23,8 @@ class TestCallBudget:
         assert budget.calls == 2  # the failing attempt was not charged
 
     def test_exhaustion_latches(self):
-        # An algorithm that swallows the first signal (ddmin inside
-        # hdd) must still stop on the next fresh call.
+        # A caller that swallows the first signal (the service's quota
+        # charge when a job settles) must still stop on the next call.
         budget = Budget(max_calls=1)
         budget.spend_call()
         with pytest.raises(BudgetExhausted):

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.resilience.admission import AdmissionBudget
 from repro.service.admission import AdmissionController, TenantPolicy
 from repro.service.jobs import Job, JobRequest
 
@@ -14,31 +13,51 @@ def job(tenant: str, serial: int = 0) -> Job:
     return Job(job_id=f"{tenant}-{serial}", request=request, serial=serial)
 
 
-class TestAdmissionBudget:
+class TestTenantQuota:
     def test_unlimited_always_admits(self):
-        budget = AdmissionBudget()
-        assert budget.try_admit() is None
-        budget.settle(1e9)
-        assert budget.try_admit() is None
-        assert not budget.limited
+        controller = AdmissionController()
+        assert controller.submit(job("acme", 0)).admitted
+        controller.record_completion("acme", 1.0, 1e9)
+        assert controller.submit(job("acme", 1)).admitted
+        stats = controller.stats()["acme"]
+        assert not stats["quota_exhausted"]
+        assert stats["quota_jobs"] == 2
 
     def test_job_quota_latches(self):
-        budget = AdmissionBudget(max_jobs=2)
-        assert budget.try_admit() is None
-        assert budget.try_admit() is None
-        refusal = budget.try_admit()
-        assert refusal is not None
-        assert budget.exhausted
-        # Latched: settling afterwards never un-exhausts it.
-        budget.settle(0.0)
-        assert budget.try_admit() is not None
+        controller = AdmissionController(
+            default_policy=TenantPolicy(max_jobs=2)
+        )
+        assert controller.submit(job("acme", 0)).admitted
+        assert controller.submit(job("acme", 1)).admitted
+        verdict = controller.submit(job("acme", 2))
+        assert not verdict.admitted
+        assert verdict.reason == "quota"
+        assert verdict.detail == (
+            "tenant 'acme': predicate budget exhausted (call budget): "
+            "2 calls (max 2), 0.0s simulated (max None)"
+        )
+        assert controller.stats()["acme"]["quota_exhausted"]
+        # Latched: a completion afterwards never un-exhausts it.
+        controller.next_job()
+        controller.record_completion("acme", 1.0, 0.0)
+        verdict = controller.submit(job("acme", 3))
+        assert verdict.reason == "quota"
+        assert "already exhausted" in verdict.detail
+        assert controller.stats()["acme"]["rejected"]["quota"] == 2
 
     def test_seconds_quota_charged_at_settle(self):
-        budget = AdmissionBudget(max_seconds=100.0)
-        assert budget.try_admit() is None
-        budget.settle(250.0)  # over-spend latches without raising
-        assert budget.try_admit() is not None
-        assert budget.seconds == pytest.approx(250.0)
+        controller = AdmissionController(
+            default_policy=TenantPolicy(max_seconds=100.0)
+        )
+        assert controller.submit(job("acme", 0)).admitted
+        # Over-spending latches without raising into the caller.
+        controller.record_completion("acme", 1.0, 250.0)
+        verdict = controller.submit(job("acme", 1))
+        assert not verdict.admitted
+        assert verdict.reason == "quota"
+        stats = controller.stats()["acme"]
+        assert stats["quota_seconds"] == pytest.approx(250.0)
+        assert stats["quota_exhausted"]
 
 
 class TestQueueBound:
