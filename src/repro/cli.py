@@ -25,8 +25,8 @@ Subcommands:
   print the streaming per-scenario table, an in-memory corpus the
   Section 5 figures.  ``--num-benchmarks N`` overrides the profile's
   corpus size.  The store is the sharded cache tier (lazily-loaded
-  hash-selected shard files with compaction; a v1 single-file store is
-  migrated in place) with ``--store-shards N`` /
+  hash-selected shard files with compaction; a file at the path is
+  refused) with ``--store-shards N`` /
   ``--store-max-entries M`` sizing knobs and ``--store-tenant NAME`` to
   namespace many tenants into one shared warm store.
   Resilience flags: ``--budget-calls`` / ``--budget-seconds`` cap each
@@ -169,8 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="persistent predicate cache; warm entries skip fresh "
         "predicate invocations.  A directory of hash-selected shard "
-        "files (a v1 single-file store at PATH is migrated "
-        "automatically)",
+        "files (a regular file at PATH is refused)",
     )
     store_flags.add_argument(
         "--store-shards",
@@ -1414,10 +1413,10 @@ def _loadgen(args) -> int:
             benchmarks=args.benchmarks,
             strategy=args.strategy,
         )
+        curve = run_loadgen(host, port, jobs, concurrency=args.concurrency)
     except ValueError as exc:
         print(f"jlreduce: {exc}", file=sys.stderr)
         return 1
-    curve = run_loadgen(host, port, jobs, concurrency=args.concurrency)
     if args.json:
         json.dump(curve, sys.stdout, indent=2, sort_keys=True)
         print()

@@ -19,8 +19,7 @@ kept items).  This package amortizes both axes:
   through and writes back, so repeat runs of the same instance cost
   zero fresh predicate calls: :class:`ShardedPredicateStore`
   (:func:`open_store`) — hash-selected shard files, LRU size-bounded
-  residency, threshold compaction, hit/miss/evict telemetry, and
-  migration of the older single-file (v1) format,
+  residency, threshold compaction, and hit/miss/evict telemetry,
 - :mod:`repro.parallel.speculate` — speculative k-ary prefix search for
   GBR's inner binary search (``--speculate K``): k probes per round run
   concurrently on a dedicated pool, committed in deterministic serial

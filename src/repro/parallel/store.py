@@ -32,20 +32,19 @@ the shards a run actually touches, not to total history), with an LRU,
 size-bounded in-memory index (whole shards are evicted and re-faulted
 from disk, so eviction never loses outcomes) and threshold-triggered
 compaction (a shard whose dead or duplicate lines exceed a ratio is
-rewritten in place, guarded by an exclusive lock file).  Opening an
-older single-file (v1) store migrates it into shards automatically
-(the original is kept as ``<path>.v1``).
+rewritten in place, guarded by an exclusive lock file).  A store is
+always a directory: a regular file at the store path is refused and
+left untouched.
 
 File format: one JSON object per line, ``{"f": fingerprint, "k":
 key, "v": outcome}`` for a predicate verdict.  The same shards also
 hold opaque *records* (``{"f": namespace, "k": key, "p": payload}``,
 the payload a string; the harness keeps compiled reduction problems in
 them, see :mod:`repro.harness.problems`): they share the appends, the
-torn-line tolerance, the eviction, the compaction and the v1 migration
-of verdicts.  Append-only, so concurrent
-writers on POSIX never corrupt earlier entries; a torn final line
-(killed process, full disk) is tolerated on load and repaired by the
-next opener.  Two processes that open the same torn shard
+torn-line tolerance, the eviction and the compaction of verdicts.
+Append-only, so concurrent writers on POSIX never corrupt earlier
+entries; a torn final line (killed process, full disk) is tolerated on
+load and repaired by the next opener.  Two processes that open the same torn shard
 simultaneously may *both* append the repair newline — the resulting
 blank line is tolerated on load too.  Within one process the store
 is thread-safe (one lock around the memory index and the descriptors).
@@ -63,9 +62,9 @@ hammers both properties with real concurrent appender processes.
 Telemetry: the store feeds the active metrics registry —
 ``store.lookups`` / ``store.hits`` / ``store.misses`` /
 ``store.records`` / ``store.evictions`` / ``store.compactions`` /
-``store.shard_loads`` / ``store.lines_scanned`` /
-``store.migrated_entries`` — so warm-store hit rates land in JSONL
-traces, ``jlreduce trace summarize``, and ``jlreduce metrics export``.
+``store.shard_loads`` / ``store.lines_scanned`` — so warm-store hit
+rates land in JSONL traces, ``jlreduce trace summarize``, and
+``jlreduce metrics export``.
 The lookup, hit, miss and record counters count verdicts only; record
 reads and writes leave them alone.
 """
@@ -106,8 +105,6 @@ DEFAULT_SHARDS = 16
 #: A compaction lock file older than this is presumed leaked by a
 #: killed process and is broken.
 _LOCK_GRACE_SECONDS = 300.0
-
-_SQLITE_MAGIC = b"SQLite format 3\x00"
 
 
 def fingerprint_of(*parts: str) -> str:
@@ -192,38 +189,6 @@ def _line(fingerprint: str, key: str, value: Value) -> str:
     return json.dumps({"f": fingerprint, "k": key, field: value})
 
 
-def _drain_v1_file(path: str) -> Tuple[Dict[Tuple[str, str], Value], int]:
-    """Read a v1 single-file store and move it aside to ``<path>.v1``.
-
-    Returns the surviving entries (last write wins) and the count of
-    malformed lines.  Raises :class:`ValueError`, leaving the file in
-    place, when it is a sqlite database: an outside file handed in as a
-    store path, not a v1 store.
-    """
-    with open(path, "rb") as handle:
-        head = handle.read(len(_SQLITE_MAGIC))
-    if head.startswith(_SQLITE_MAGIC):
-        raise ValueError(
-            f"{path} is a sqlite database, not a predicate store; pass "
-            "a store directory (or a v1 JSONL file to migrate)"
-        )
-    entries: Dict[Tuple[str, str], Value] = {}
-    corrupt = 0
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            stripped = line.strip()
-            if not stripped:
-                continue
-            parsed = _parse_line(stripped)
-            if parsed is None:
-                corrupt += 1
-                continue
-            fingerprint, key, value = parsed
-            entries[(fingerprint, key)] = value
-    os.replace(path, path + ".v1")
-    return entries, corrupt
-
-
 class ShardedPredicateStore:
     """The cache tier: N lazily-loaded JSONL shards under one directory.
 
@@ -242,8 +207,7 @@ class ShardedPredicateStore:
     Lazy loading: opening the store reads only the manifest.  A shard
     is scanned on the first lookup or record that touches it, so
     startup cost is proportional to the shards a run actually uses —
-    not to total history (the v1 store's O(history) startup scan is
-    exactly what this tier removes).
+    not to total history.
 
     Eviction (``max_entries``): the in-memory index is an LRU over
     *whole shards*.  When resident entries exceed the bound, the
@@ -262,10 +226,6 @@ class ShardedPredicateStore:
     the scan and the replace can be lost; that is safe for a cache of
     pure-function outcomes — the worst case is one redundant fresh
     probe later, never a wrong answer.
-
-    Migration: pointing this class at an existing v1 single-file store
-    ingests every surviving entry into shards and keeps the original
-    as ``<path>.v1``.
 
     Concurrent creation: all openers should agree on ``shards``; once a
     manifest exists it wins over the constructor argument.  If two
@@ -295,6 +255,10 @@ class ShardedPredicateStore:
                 f"compact_ratio must be in (0, 1], got {compact_ratio}"
             )
         self._path = os.fspath(path)
+        if os.path.isfile(self._path):
+            raise ValueError(
+                f"{self._path} is a file, not a predicate store directory"
+            )
         self._lock = threading.RLock()
         self._max_entries = max_entries
         self._compact_ratio = compact_ratio
@@ -306,11 +270,6 @@ class ShardedPredicateStore:
         self.evictions = 0
         self.compactions = 0
         self.shard_loads = 0
-        self.migrated_entries = 0
-        pending: Optional[Dict[Tuple[str, str], Value]] = None
-        if os.path.isfile(self._path):
-            pending, corrupt = _drain_v1_file(self._path)
-            self.corrupt_lines += corrupt
         self._shards = self._init_layout(shards)
         #: Resident shard indexes, LRU-ordered (oldest first).
         self._resident: "OrderedDict[int, Dict[Tuple[str, str], Value]]" = (
@@ -319,8 +278,6 @@ class ShardedPredicateStore:
         self._resident_entries = 0
         self._fds: Dict[int, int] = {}
         self._needs_newline: Dict[int, bool] = {}
-        if pending is not None:
-            self._ingest(pending)
 
     key_of = staticmethod(key_of)
 
@@ -658,20 +615,6 @@ class ShardedPredicateStore:
         except (FileExistsError, OSError):
             return None
 
-    def _ingest(self, entries: Dict[Tuple[str, str], Value]) -> None:
-        """Append migrated v1 entries into their shards (batched)."""
-        grouped: Dict[int, list] = {}
-        for (fingerprint, key), value in entries.items():
-            grouped.setdefault(self._shard_of_key(key), []).append(
-                _line(fingerprint, key, value)
-            )
-        for shard, lines in grouped.items():
-            payload = ("\n".join(lines) + "\n").encode("utf-8")
-            os.write(self._fd_of(shard), payload)
-        self.migrated_entries = len(entries)
-        if entries:
-            get_metrics().counter("store.migrated_entries").inc(len(entries))
-
 
 def open_store(
     path,
@@ -680,7 +623,7 @@ def open_store(
 ) -> ShardedPredicateStore:
     """Open (or create) the sharded predicate store at ``path``.
 
-    A v1 single file at ``path`` is migrated into shards automatically.
+    A regular file at ``path`` is refused with :class:`ValueError`.
     The store's ``lookup`` / ``record`` / ``close`` / context-manager
     interface is what
     :class:`~repro.reduction.predicate.InstrumentedPredicate` and the

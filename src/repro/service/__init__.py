@@ -19,10 +19,13 @@ tenant-namespaced.
 - :mod:`repro.service.server` — the service core (dispatch loop,
   graceful drain) and the stdlib-asyncio HTTP/1.1 front-end behind
   ``jlreduce serve``.
-- :mod:`repro.service.client` — the blocking ``http.client`` client
-  behind ``jlreduce submit``.
-- :mod:`repro.service.loadgen` — the concurrent load generator behind
-  ``jlreduce loadgen`` (a jobs/sec + p50/p95/p99 latency curve).
+- :mod:`repro.service.client` — the one HTTP client (stdlib
+  ``http.client``), behind ``jlreduce submit``, ``jlreduce loadgen``
+  and the tests.
+- :mod:`repro.service.loadgen` — the closed-loop load generator behind
+  ``jlreduce loadgen``: one client call per thread, up to
+  ``concurrency`` jobs in flight (a jobs/sec + p50/p95/p99 latency
+  curve).
 """
 
 from repro.service.admission import (

@@ -1,10 +1,12 @@
-"""A blocking HTTP client for the reduction service.
+"""The HTTP client for the reduction service.
 
-``jlreduce submit`` and the test-suite both need a dependency-free way
-to talk to :mod:`repro.service.server`; stdlib ``http.client`` is
-enough because the protocol is one JSON request per connection.  The
-async load generator lives separately in :mod:`repro.service.loadgen`
-— a blocking client cannot hold 100+ jobs in flight.
+The protocol of :mod:`repro.service.server` is one JSON request per
+connection, so stdlib ``http.client`` is all a client needs.  This is
+the one client in ``src/``: ``jlreduce submit``, ``jlreduce loadgen``
+(one blocking client call per thread, :mod:`repro.service.loadgen`)
+and the test-suite all talk to the server through it.  The server's
+work is waiting on its workers, so a thread per in-flight job holds as
+many jobs as a load test needs.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ class ServiceClient:
         path: str,
         payload: Optional[Dict[str, Any]] = None,
     ) -> tuple:
+        """One request; returns ``(status, decoded body)`` unchecked."""
         conn = http.client.HTTPConnection(
             self.host, self.port, timeout=self.timeout
         )
@@ -59,13 +62,24 @@ class ServiceClient:
         finally:
             conn.close()
 
+    def _call(
+        self,
+        method: str,
+        path: str,
+        expect: int = 200,
+        payload: Optional[Dict[str, Any]] = None,
+    ) -> Dict[str, Any]:
+        """One request whose status must be ``expect``, else
+        :class:`ServiceError`."""
+        status, body = self._request(method, path, payload)
+        if status != expect:
+            raise ServiceError(status, body)
+        return body
+
     # -- endpoints -----------------------------------------------------
 
     def health(self) -> Dict[str, Any]:
-        status, body = self._request("GET", "/v1/healthz")
-        if status != 200:
-            raise ServiceError(status, body)
-        return body
+        return self._call("GET", "/v1/healthz")
 
     def submit(self, job: Dict[str, Any]) -> Dict[str, Any]:
         """Submit one job; raises :class:`ServiceError` on refusal.
@@ -74,41 +88,23 @@ class ServiceClient:
         backpressure hint — callers that want to wait-and-retry should
         honor it (``jlreduce loadgen`` does).
         """
-        status, body = self._request("POST", "/v1/jobs", job)
-        if status != 202:
-            raise ServiceError(status, body)
-        return body
+        return self._call("POST", "/v1/jobs", 202, job)
 
     def job(self, job_id: str) -> Dict[str, Any]:
-        status, body = self._request("GET", f"/v1/jobs/{job_id}")
-        if status != 200:
-            raise ServiceError(status, body)
-        return body
+        return self._call("GET", f"/v1/jobs/{job_id}")
 
     def jobs(self, tenant: Optional[str] = None) -> List[Dict[str, Any]]:
         path = "/v1/jobs" + (f"?tenant={tenant}" if tenant else "")
-        status, body = self._request("GET", path)
-        if status != 200:
-            raise ServiceError(status, body)
-        return body["jobs"]
+        return self._call("GET", path)["jobs"]
 
     def stats(self) -> Dict[str, Any]:
-        status, body = self._request("GET", "/v1/stats")
-        if status != 200:
-            raise ServiceError(status, body)
-        return body
+        return self._call("GET", "/v1/stats")
 
     def drain(self) -> Dict[str, Any]:
-        status, body = self._request("POST", "/v1/drain")
-        if status != 202:
-            raise ServiceError(status, body)
-        return body
+        return self._call("POST", "/v1/drain", 202)
 
     def shutdown(self) -> Dict[str, Any]:
-        status, body = self._request("POST", "/v1/shutdown")
-        if status != 202:
-            raise ServiceError(status, body)
-        return body
+        return self._call("POST", "/v1/shutdown", 202)
 
     # -- conveniences --------------------------------------------------
 
@@ -118,7 +114,11 @@ class ServiceClient:
         timeout: float = 300.0,
         poll_seconds: float = 0.05,
     ) -> Dict[str, Any]:
-        """Poll until the job reaches a terminal state."""
+        """Poll until the job reaches a terminal state.
+
+        A status answer other than 200 (a job the server does not know)
+        raises :class:`ServiceError` at once, not at the deadline.
+        """
         deadline = time.monotonic() + timeout
         while True:
             job = self.job(job_id)

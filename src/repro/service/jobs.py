@@ -296,7 +296,6 @@ def workload_pairs(
 def job_spec(
     job: Job,
     store_spec: Optional[StoreSpec] = None,
-    probe_workers: Optional[int] = None,
     ctx: Optional[Dict[str, Any]] = None,
 ) -> InstanceTaskSpec:
     """The job as a pool-executable :class:`InstanceTaskSpec`.
@@ -325,6 +324,5 @@ def job_spec(
         config=job.config,
         app_bytes=app_bytes,
         store=store_spec,
-        probe_workers=probe_workers,
         ctx=ctx,
     )

@@ -1,13 +1,14 @@
-"""An asyncio load generator for the reduction service.
+"""A closed-loop load generator for the reduction service.
 
-A service load test needs a measured curve — jobs/sec and p50/p95/p99
-end-to-end latency at 100+ *concurrent* jobs — and a blocking client
-cannot produce one.  This module drives the service the way a fleet of
-tenants would: up to ``concurrency`` jobs in flight at once (submit →
-poll → terminal state counts as one job's lifetime), per-tenant
-attribution, and honest handling of backpressure (a 429 sleeps the
-server's ``retry_after`` hint and resubmits; the retries are counted,
-not hidden).
+A service load test needs a measured curve: jobs/sec and p50/p95/p99
+end-to-end latency with up to ``concurrency`` jobs in flight at once.
+Each job's lifetime (submit → poll → terminal state) runs on one thread
+of a pool through the blocking :class:`~repro.service.client.ServiceClient`;
+the server's work is waiting on its workers, so a thread per in-flight
+job is cheap.  Jobs carry per-tenant attribution, and backpressure is
+handled honestly: a 429 sleeps the server's ``retry_after`` hint (capped)
+and resubmits, and the retries are counted, not hidden.  Each job
+returns its own result and the calling thread tallies them.
 
 Used by ``jlreduce loadgen``; ``tests/service/test_server.py`` and the
 CI ``service`` job drive it at a live server.
@@ -15,12 +16,13 @@ CI ``service`` job drive it at a live server.
 
 from __future__ import annotations
 
-import asyncio
-import json
+import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.observability.sink import percentile
+from repro.service.client import ServiceClient, ServiceError
 
 __all__ = ["build_jobs", "run_loadgen"]
 
@@ -93,114 +95,41 @@ def build_jobs(
     return jobs
 
 
-# ----------------------------------------------------------------------
-# Raw asyncio HTTP (the client side of server.py's HTTP subset)
-# ----------------------------------------------------------------------
+def _drive_job(
+    client: ServiceClient, job: Dict[str, Any], poll_seconds: float
+) -> Tuple[str, int, float]:
+    """One job's lifetime, submit through terminal status.
 
-
-async def _http_json(
-    host: str,
-    port: int,
-    method: str,
-    path: str,
-    payload: Optional[Dict[str, Any]] = None,
-    timeout: float = 30.0,
-) -> Tuple[int, Dict[str, Any]]:
-    reader, writer = await asyncio.wait_for(
-        asyncio.open_connection(host, port), timeout=timeout
-    )
+    Returns ``(verdict, retries_429, latency)``: the verdict is
+    ``"completed"``, ``"error"`` (a refusal other than 429, a failed
+    job, a status the server would not answer, or a connection error)
+    or ``"gave_up"`` (still refused after :data:`MAX_SUBMIT_ATTEMPTS`).
+    """
+    start = time.perf_counter()
+    retries = 0
     try:
-        body = b""
-        if payload is not None:
-            body = json.dumps(payload).encode("utf-8")
-        head = (
-            f"{method} {path} HTTP/1.1\r\n"
-            f"Host: {host}:{port}\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            "Content-Type: application/json\r\n"
-            "Connection: close\r\n\r\n"
-        )
-        writer.write(head.encode("ascii") + body)
-        await writer.drain()
-        status_line = await asyncio.wait_for(
-            reader.readline(), timeout=timeout
-        )
-        status = int(status_line.split()[1])
-        content_length = 0
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
-                content_length = int(value.strip())
-        raw = await reader.readexactly(content_length)
-        return status, json.loads(raw.decode("utf-8")) if raw else {}
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-
-
-# ----------------------------------------------------------------------
-# The generator
-# ----------------------------------------------------------------------
-
-
-class _Tally:
-    def __init__(self) -> None:
-        self.latencies: List[float] = []
-        self.by_tenant: Dict[str, List[float]] = {}
-        self.errors = 0
-        self.retries_429 = 0
-        self.gave_up = 0
-
-
-async def _drive_job(
-    host: str,
-    port: int,
-    job: Dict[str, Any],
-    sem: asyncio.Semaphore,
-    tally: _Tally,
-    poll_seconds: float,
-) -> None:
-    async with sem:
-        start = time.perf_counter()
-        job_id = None
         for _ in range(MAX_SUBMIT_ATTEMPTS):
-            status, body = await _http_json(
-                host, port, "POST", "/v1/jobs", job
-            )
-            if status == 202:
-                job_id = body["job_id"]
+            try:
+                job_id = client.submit(job)["job_id"]
                 break
-            if status == 429:
-                tally.retries_429 += 1
-                hint = body.get("retry_after") or 1.0
+            except ServiceError as exc:
+                if exc.status != 429:
+                    return "error", retries, 0.0
+                retries += 1
+                hint = exc.body.get("retry_after") or 1.0
                 # The hint shapes load honestly, but a bench must not
                 # sleep a full server minute per refusal.
-                await asyncio.sleep(min(float(hint), 0.25))
-                continue
-            tally.errors += 1
-            return
-        if job_id is None:
-            tally.gave_up += 1
-            return
-        while True:
-            status, body = await _http_json(
-                host, port, "GET", f"/v1/jobs/{job_id}"
-            )
-            if status == 200 and body["status"] in ("success", "error"):
-                break
-            await asyncio.sleep(poll_seconds)
-        latency = time.perf_counter() - start
-        if body["status"] == "error":
-            tally.errors += 1
-            return
-        tally.latencies.append(latency)
-        tally.by_tenant.setdefault(job["tenant"], []).append(latency)
+                time.sleep(min(float(hint), 0.25))
+        else:
+            return "gave_up", retries, 0.0
+        record = client.wait(
+            job_id, timeout=math.inf, poll_seconds=poll_seconds
+        )
+    except (ServiceError, OSError):
+        return "error", retries, 0.0
+    if record["status"] == "error":
+        return "error", retries, 0.0
+    return "completed", retries, time.perf_counter() - start
 
 
 def _latency_stats(values: Sequence[float]) -> Dict[str, float]:
@@ -211,39 +140,6 @@ def _latency_stats(values: Sequence[float]) -> Dict[str, float]:
         "p95": percentile(values, 0.95),
         "p99": percentile(values, 0.99),
         "max": max(values) if values else 0.0,
-    }
-
-
-async def _run_async(
-    host: str,
-    port: int,
-    jobs: Sequence[Dict[str, Any]],
-    concurrency: int,
-    poll_seconds: float,
-) -> Dict[str, Any]:
-    sem = asyncio.Semaphore(concurrency)
-    tally = _Tally()
-    start = time.perf_counter()
-    await asyncio.gather(*[
-        _drive_job(host, port, job, sem, tally, poll_seconds)
-        for job in jobs
-    ])
-    wall = time.perf_counter() - start
-    completed = len(tally.latencies)
-    return {
-        "jobs": len(jobs),
-        "concurrency": concurrency,
-        "completed": completed,
-        "errors": tally.errors,
-        "gave_up": tally.gave_up,
-        "retries_429": tally.retries_429,
-        "wall_seconds": round(wall, 4),
-        "jobs_per_second": round(completed / wall, 3) if wall else 0.0,
-        "latency": _latency_stats(tally.latencies),
-        "per_tenant": {
-            tenant: _latency_stats(values)
-            for tenant, values in sorted(tally.by_tenant.items())
-        },
     }
 
 
@@ -264,6 +160,35 @@ def run_loadgen(
     """
     if concurrency < 1:
         raise ValueError(f"concurrency must be >= 1, got {concurrency}")
-    return asyncio.run(
-        _run_async(host, port, jobs, concurrency, poll_seconds)
-    )
+    client = ServiceClient(host, port)
+    start = time.perf_counter()
+    with ThreadPoolExecutor(max(1, min(concurrency, len(jobs)))) as pool:
+        results = list(pool.map(
+            lambda job: _drive_job(client, job, poll_seconds), jobs
+        ))
+    wall = time.perf_counter() - start
+    latencies: List[float] = []
+    by_tenant: Dict[str, List[float]] = {}
+    failed = {"error": 0, "gave_up": 0}
+    for job, (verdict, _, latency) in zip(jobs, results):
+        if verdict == "completed":
+            latencies.append(latency)
+            by_tenant.setdefault(job["tenant"], []).append(latency)
+        else:
+            failed[verdict] += 1
+    completed = len(latencies)
+    return {
+        "jobs": len(jobs),
+        "concurrency": concurrency,
+        "completed": completed,
+        "errors": failed["error"],
+        "gave_up": failed["gave_up"],
+        "retries_429": sum(retries for _, retries, _ in results),
+        "wall_seconds": round(wall, 4),
+        "jobs_per_second": round(completed / wall, 3) if wall else 0.0,
+        "latency": _latency_stats(latencies),
+        "per_tenant": {
+            tenant: _latency_stats(values)
+            for tenant, values in sorted(by_tenant.items())
+        },
+    }

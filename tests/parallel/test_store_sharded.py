@@ -1,10 +1,11 @@
-"""The sharded cache tier: layout, eviction, compaction, migration,
-and the differential guarantee that a store behind a reduction — cold
-or warm — never changes its result.
+"""The sharded cache tier: layout, eviction, compaction, the refusal
+of a file at the store path, and the differential guarantee that a
+store behind a reduction — cold or warm — never changes its result.
 """
 
 import json
 import os
+import re
 import sqlite3
 
 import pytest
@@ -202,31 +203,18 @@ class TestCompaction:
 
 
 class TestMigration:
-    def _make_v1(self, path, count=30):
-        # The v1 format: one JSONL file of {"f", "k", "v"} records.
-        with open(path, "w", encoding="utf-8") as handle:
-            for i in range(count):
-                handle.write(json.dumps({
-                    "f": "oracle",
-                    "k": key_of(frozenset({f"k-{i}"})),
-                    "v": i % 2 == 0,
-                }) + "\n")
+    """A store is a directory: a file at its path is outside input, not
+    a store to migrate, and is refused and left as it was."""
 
-    def test_v1_file_migrates_into_sharded_layout(self, tmp_path):
-        path = tmp_path / "outcomes.jsonl"
-        self._make_v1(path)
-        with ShardedPredicateStore(path, shards=4) as store:
-            assert store.migrated_entries == 30
-            for i in range(30):
-                assert store.lookup(
-                    "oracle", frozenset({f"k-{i}"})
-                ) is (i % 2 == 0)
-        assert path.is_dir()
-        assert (tmp_path / "outcomes.jsonl.v1").is_file()
+    def _assert_refused_unchanged(self, path):
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            open_store(path)
+        assert path.is_file()
+        assert path.read_bytes() == before
+        assert sorted(path.parent.iterdir()) == [path]
 
     def test_sqlite_file_refused_by_sharded_backend(self, tmp_path):
-        # A sqlite database handed in as a store path is outside input,
-        # not a v1 store: refuse it and leave the file untouched.
         path = tmp_path / "outcomes.db"
         conn = sqlite3.connect(path)
         try:
@@ -234,21 +222,15 @@ class TestMigration:
             conn.commit()
         finally:
             conn.close()
-        before = path.read_bytes()
-        with pytest.raises(ValueError, match="sqlite"):
-            open_store(path)
-        assert path.is_file()
-        assert path.read_bytes() == before
-        assert not (tmp_path / "outcomes.db.v1").exists()
+        self._assert_refused_unchanged(path)
 
-    def test_migration_counter_flows_to_metrics(self, tmp_path):
+    def test_jsonl_file_refused_unchanged(self, tmp_path):
+        # The old single-file format: one JSONL file of {"f", "k", "v"}.
         path = tmp_path / "outcomes.jsonl"
-        self._make_v1(path, count=12)
-        registry = MetricsRegistry()
-        with scoped_metrics(registry):
-            with ShardedPredicateStore(path, shards=4):
-                pass
-        assert registry.counter_values()["store.migrated_entries"] == 12
+        path.write_text(json.dumps({
+            "f": "oracle", "k": key_of(frozenset({"a"})), "v": True,
+        }) + "\n")
+        self._assert_refused_unchanged(path)
 
 
 class TestRecords:
@@ -294,20 +276,6 @@ class TestRecords:
         assert len(lines) == 2
         with ShardedPredicateStore(path) as again:
             assert again.lookup_record("problem:x", self.KEY) == self.PAYLOAD
-
-    def test_v1_migration_carries_records_unchanged(self, tmp_path):
-        path = tmp_path / "outcomes.jsonl"
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(
-                {"f": "oracle", "k": key_of(frozenset({"a"})), "v": True}
-            ) + "\n")
-            handle.write(json.dumps(
-                {"f": "problem:x", "k": self.KEY, "p": self.PAYLOAD}
-            ) + "\n")
-        with ShardedPredicateStore(path, shards=4) as store:
-            assert store.migrated_entries == 2
-            assert store.lookup_record("problem:x", self.KEY) == self.PAYLOAD
-            assert store.lookup("oracle", frozenset({"a"})) is True
 
     def test_torn_record_line_is_dropped(self, tmp_path):
         path = tmp_path / "store"

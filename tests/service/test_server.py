@@ -21,6 +21,7 @@ from repro.observability.sink import load_traces, summarize
 from repro.parallel.procpool import spawn_pool
 from repro.parallel.scheduler import StoreSpec, run_instance_task
 from repro.service import (
+    ReductionService,
     ServiceClient,
     ServiceConfig,
     ServiceError,
@@ -306,3 +307,36 @@ class TestLoadgen:
         assert set(curve["per_tenant"]) == {"acme", "beta"}
         latency = curve["latency"]
         assert latency["p50"] <= latency["p95"] <= latency["p99"]
+
+    def test_queue_full_refusals_are_retried_to_completion(self):
+        jobs = build_jobs({"acme": 1}, 8, profile="tiny", benchmarks=1)
+        with running_service(
+            default_policy=TenantPolicy(max_queue_depth=1)
+        ) as client:
+            curve = run_loadgen(
+                client.host, client.port, jobs, concurrency=8
+            )
+        assert curve["completed"] == 8
+        assert curve["errors"] == curve["gave_up"] == 0
+        assert curve["retries_429"] >= 1
+
+    def test_a_job_the_server_lost_ends_as_an_error(self, monkeypatch):
+        # Every status request answers 404; the generator must give the
+        # job up as an error rather than poll it forever.
+        monkeypatch.setattr(
+            ReductionService, "job_status", lambda self, job_id: None
+        )
+        jobs = build_jobs({"acme": 1}, 1, profile="tiny", benchmarks=1)
+        curves = []
+        with running_service() as client:
+            runner = threading.Thread(
+                target=lambda: curves.append(run_loadgen(
+                    client.host, client.port, jobs, concurrency=1
+                )),
+                daemon=True,
+            )
+            runner.start()
+            runner.join(timeout=60)
+            assert not runner.is_alive(), "loadgen polled a 404 forever"
+        assert curves[0]["errors"] == 1
+        assert curves[0]["completed"] == curves[0]["gave_up"] == 0

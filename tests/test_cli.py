@@ -245,6 +245,16 @@ class TestBenchParallel:
         assert main(["bench", "--jobs", "-2"]) == 1
         assert "--jobs" in capsys.readouterr().err
 
+    def test_store_file_is_refused_unchanged(self, tmp_path, capsys):
+        path = tmp_path / "outcomes.jsonl"
+        path.write_text('{"f": "oracle", "k": "00", "v": true}\n')
+        assert main(["bench", "--store", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"jlreduce: cannot open store {path}: ")
+        assert err.count("\n") == 1
+        assert path.read_text() == '{"f": "oracle", "k": "00", "v": true}\n'
+        assert sorted(tmp_path.iterdir()) == [path]
+
 
 class TestProbeBackendCli:
     @pytest.fixture()
@@ -798,6 +808,7 @@ class TestServeStore:
             ["serve", "--workers", "0"],
             ["serve", "--store-shards", "0", "--store", "{tmp}/store"],
             ["loadgen", "--tenants", "a=x"],
+            ["loadgen", "--concurrency", "0", "--benchmarks", "1"],
             ["submit", "--tenant", "acme", "--benchmark", "xyz"],
         ],
         ids=" ".join,
@@ -815,3 +826,14 @@ class TestServeStore:
         err = capsys.readouterr().err
         assert err.startswith("jlreduce: ")
         assert err.count("\n") == 1
+
+
+class TestLoadgenCli:
+    def test_unreachable_server_counts_each_job_as_an_error(self, capsys):
+        # Nothing listens on port 1: every submit is refused by the OS.
+        argv = ["loadgen", "--server", "127.0.0.1:1", "--jobs", "3",
+                "--benchmarks", "1"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("0/3 jobs in ")
+        assert captured.err == "errors=3 gave_up=0\n"
